@@ -5,19 +5,19 @@ Subpackages:
   config    - configuration, unit conversion, validation
   geometry  - Poisson fields, fading, interference, guard zones
   analytics - closed forms, quadrature, composed success probabilities
-  simulate  - Monte Carlo of the three-slot protocol
+  simulate  - block-batched Monte Carlo of the three-slot protocol
   cli       - simulate / analyze / sweep / compare commands
 """
 
 from .config import SystemConfig, validate, ConfigError
 from .analytics import AnalyticBreakdown, QuadratureSpec, analyze
-from .simulate import SCHEMES, EstimateCI, RealizationOutcome, simulate
+from .simulate import SCHEMES, EstimateCI, Outcomes, simulate, simulate_all
 
 __version__ = "0.1.0"
 
 __all__ = [
     "SystemConfig", "validate", "ConfigError",
     "AnalyticBreakdown", "QuadratureSpec", "analyze",
-    "SCHEMES", "EstimateCI", "RealizationOutcome", "simulate",
+    "SCHEMES", "EstimateCI", "Outcomes", "simulate", "simulate_all",
     "__version__",
 ]

@@ -269,10 +269,22 @@ def _standard_pathloss_integral(alpha: float, nodes: int, rel_tol: float,
     The substitution x = beta^(1/alpha)*y reduces the path-loss integral at
     any beta to beta^(2/alpha) times this standardized integral, so the
     quadrature path needs it only once per alpha.
+
+    In s = log y the integrand y^2/(1 + y^alpha) decays as exp(2s) for
+    s -> -inf and as exp(-(alpha-2)s) for s -> +inf. Mapping each half-line by
+    its own decay, t = exp(2s) and t = exp(-(alpha-2)s), turns the halves into
+    (1/2) int_0^1 dt/(1 + t^(alpha/2)) and
+    1/(alpha-2) int_0^1 dt/(1 + t^(alpha/(alpha-2))), both smooth on [0, 1]
+    for every alpha > 2, so node doubling settles at a few hundred nodes even
+    as alpha approaches 2.
     """
     quad = QuadratureSpec(nodes=nodes, rel_tol=rel_tol, max_doublings=max_doublings)
-    return integrate_semi_infinite(lambda y: y / (1.0 + y ** alpha), quad,
-                                   context="standardized path-loss integral")
+    context = "standardized path-loss integral"
+    below = integrate_doubling(lambda t: 0.5 / (1.0 + t ** (0.5 * alpha)),
+                               0.0, 1.0, quad, context)
+    above = integrate_doubling(lambda t: 1.0 / (1.0 + t ** (alpha / (alpha - 2.0))),
+                               0.0, 1.0, quad, context)
+    return below + above / (alpha - 2.0)
 
 
 def _decode_kernel(cfg: SystemConfig, tx_power: float, distances, method: str,

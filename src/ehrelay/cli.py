@@ -17,13 +17,12 @@ import numpy as np
 
 from .analytics import (BREAKDOWN_FIELDS, QuadratureFailure,
                         UnsupportedScheme, alpha4_selfcheck, analyze)
-from .config import (RAW_FIELDS, ConfigError, SystemConfig, apply_overrides,
-                     load_config, validate)
-from .simulate import FLAG_NAMES, SCHEMES, default_workers, simulate
+from .config import (NUMERIC_FIELDS, RAW_FIELDS, ConfigError, SystemConfig,
+                     apply_overrides, load_config, parse_value, validate)
+from .simulate import (FLAG_NAMES, SCHEMES, default_workers, simulate,
+                       simulate_all)
 
 _CFG_LINEAR = ("p_t_mw", "p_st_mw", "gamma_th_lin")
-_BOOL_FIELDS = ("direct_link", "direct_literal_events")
-_STR_FIELDS = ("slot_position_model", "harvest_threshold_mode")
 _SIM_FLAG_COLUMNS = tuple(n for n in FLAG_NAMES if n != "success")
 
 
@@ -45,46 +44,28 @@ def _write_row(fh, cells) -> None:
     fh.write(",".join(_fmt(c) for c in cells) + "\n")
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.lower()
-    if lowered in ("true", "yes", "1", "on"):
-        return True
-    if lowered in ("false", "no", "0", "off"):
-        return False
-    raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
-
-
-def _parse_optional_float(text: str):
-    return None if text.lower() == "none" else float(text)
-
-
 def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="FILE",
                         help="flat key=value config file; defaults used if omitted")
     for name in RAW_FIELDS:
-        if name in _BOOL_FIELDS:
-            parser.add_argument(f"--{name}", type=_parse_bool, default=None,
-                                metavar="BOOL")
-        elif name in _STR_FIELDS:
-            parser.add_argument(f"--{name}", type=str, default=None, metavar="VALUE")
-        elif name in ("p_min_dbm", "p_max_dbm"):
-            parser.add_argument(f"--{name}", type=_parse_optional_float,
-                                default=None, metavar="VALUE")
-        else:
-            parser.add_argument(f"--{name}", type=float, default=None,
-                                metavar="VALUE")
+        parser.add_argument(f"--{name}", default=None, metavar="VALUE")
 
 
-def _build_config(args) -> SystemConfig:
+def _load_config(args) -> SystemConfig:
+    """The config file (or the defaults) with command-line overrides applied.
+
+    Override values are parsed like config-file values; the result still
+    needs ``validate``.
+    """
     cfg = SystemConfig()
     if args.config is not None:
         try:
             cfg = load_config(args.config)
         except OSError as exc:
             raise ConfigError([f"cannot read config file {args.config!r}: {exc}"])
-    overrides = {name: getattr(args, name) for name in RAW_FIELDS
+    overrides = {name: parse_value(name, getattr(args, name)) for name in RAW_FIELDS
                  if getattr(args, name) is not None}
-    return validate(apply_overrides(cfg, overrides))
+    return apply_overrides(cfg, overrides)
 
 
 def _config_columns():
@@ -115,16 +96,12 @@ def _grid_values(args):
     return list(np.linspace(args.grid_from, args.grid_to, args.steps))
 
 
-_SWEEPABLE = tuple(n for n in RAW_FIELDS
-                   if n not in _BOOL_FIELDS + _STR_FIELDS)
-
-
 def _grid_configs(base: SystemConfig, param, values):
     """Validate every grid point up front; abort naming the first bad one."""
     if param is None:
         raise ConfigError(["a grid needs --param naming the swept config field"])
-    if param not in _SWEEPABLE:
-        raise ConfigError([f"cannot sweep {param!r}; numeric fields: {_SWEEPABLE}"])
+    if param not in NUMERIC_FIELDS:
+        raise ConfigError([f"cannot sweep {param!r}; numeric fields: {NUMERIC_FIELDS}"])
     configs = []
     for value in values:
         try:
@@ -149,7 +126,7 @@ def _emit_selfcheck_warnings(cfg) -> None:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _build_config(args)
+    cfg = validate(_load_config(args))
     result = simulate(cfg, args.scheme, args.trials, args.seed, workers=args.workers)
     fh, close = _open_out(args)
     try:
@@ -169,7 +146,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    cfg = _build_config(args)
+    cfg = validate(_load_config(args))
     breakdown = analyze(cfg, args.scheme)
     _emit_selfcheck_warnings(cfg)
     fh, close = _open_out(args)
@@ -183,15 +160,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    base = SystemConfig()
-    if args.config is not None:
-        try:
-            base = load_config(args.config)
-        except OSError as exc:
-            raise ConfigError([f"cannot read config file {args.config!r}: {exc}"])
-    overrides = {name: getattr(args, name) for name in RAW_FIELDS
-                 if getattr(args, name) is not None}
-    base = apply_overrides(base, overrides)
+    base = _load_config(args)
 
     values = _grid_values(args)
     if not values:
@@ -207,9 +176,9 @@ def cmd_sweep(args) -> int:
         _write_row(fh, ["param", "value", "scheme", "trials", "seed",
                         "sim_p_succ", "ci_low", "ci_high", "ana_p_succ"])
         for value, cfg in zip(values, configs):
+            results = simulate_all(cfg, args.trials, args.seed, workers=args.workers)
             for scheme in schemes:
-                result = simulate(cfg, scheme, args.trials, args.seed,
-                                  workers=args.workers)
+                result = results[scheme]
                 if scheme == "random_baseline":
                     ana = None
                 else:
@@ -225,15 +194,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    base = SystemConfig()
-    if args.config is not None:
-        try:
-            base = load_config(args.config)
-        except OSError as exc:
-            raise ConfigError([f"cannot read config file {args.config!r}: {exc}"])
-    overrides = {name: getattr(args, name) for name in RAW_FIELDS
-                 if getattr(args, name) is not None}
-    base = apply_overrides(base, overrides)
+    base = _load_config(args)
 
     values = _grid_values(args)
     if values:

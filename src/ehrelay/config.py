@@ -99,6 +99,8 @@ RAW_FIELDS = tuple(
 _BOOL_FIELDS = ("direct_link", "direct_literal_events")
 _STR_FIELDS = ("slot_position_model", "harvest_threshold_mode")
 _OPTIONAL_FIELDS = ("p_min_dbm", "p_max_dbm")
+# Raw fields that take a number (the sweepable ones).
+NUMERIC_FIELDS = tuple(n for n in RAW_FIELDS if n not in _BOOL_FIELDS + _STR_FIELDS)
 
 
 def truncation_tail_mean(cfg: SystemConfig) -> float:
@@ -207,7 +209,8 @@ def harvest_threshold(cfg: SystemConfig) -> float:
     return sigma
 
 
-def _parse_value(name: str, text: str):
+def parse_value(name: str, text: str):
+    """The typed value of raw field ``name`` written as ``text``."""
     text = text.strip()
     if name in _BOOL_FIELDS:
         lowered = text.lower()
@@ -241,7 +244,7 @@ def parse_config_text(text: str, base: SystemConfig | None = None) -> SystemConf
         if key not in RAW_FIELDS:
             problems.append(f"line {lineno}: unknown config key {key!r}")
             continue
-        overrides[key] = _parse_value(key, value)
+        overrides[key] = parse_value(key, value)
     if problems:
         raise ConfigError(problems)
     return dataclasses.replace(base or SystemConfig(), **overrides)

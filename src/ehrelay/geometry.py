@@ -2,8 +2,10 @@
 
 One ``PointField`` is one sampled realization of a homogeneous PPP inside a
 disc, carrying per-point unit-mean exponential power gains (one independent
-draw per slot). All operations are pure given an ``RngStream``, so parallel
-workers owning disjoint stream ids reproduce identical results regardless of
+draw per slot). A ``DiscBatch`` holds many independent realizations drawn
+together as flat arrays, which is how the simulator draws its blocks of
+trials. All operations are pure given an ``RngStream``, so parallel workers
+owning disjoint stream ids reproduce identical results regardless of
 scheduling.
 """
 
@@ -11,14 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 # Distance clamp in path loss: a PPP point a.s. never coincides with a
 # receiver, but floating-point underflow near 0 must not produce infinities.
 EPS_MIN = 1e-6
-
-ORIGIN = np.zeros(2)
 
 
 @dataclass(frozen=True)
@@ -113,14 +114,6 @@ def interference_sum(points: np.ndarray, gains: np.ndarray, at,
     return float(tx_power * np.sum(gains * dist ** (-alpha)))
 
 
-def aggregate_interference(field: PointField, slot: int, at,
-                           tx_power: float, alpha: float) -> float:
-    """Total received power at ``at`` from every point of the field in a slot."""
-    if not 0 <= slot < field.slot_count:
-        raise ValueError(f"slot {slot} out of range for slot_count {field.slot_count}")
-    return interference_sum(field.points, field.marks[:, slot], at, tx_power, alpha)
-
-
 def is_clear_of_guard_zones(at, pr_field: PointField, r_gz: float) -> bool:
     """True iff every guard-zone center is strictly farther than r_gz from ``at``."""
     if r_gz < 0:
@@ -152,10 +145,48 @@ def write_field_csv(field: PointField, fh) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Batched shot-noise oracles. These sample many independent fields at once for
-# receivers at the disc center, where only point radii matter; they are used
-# by calibration tests and by the harvest-probability Monte Carlo.
+# Batched fields. These sample many independent fields at once as flat ragged
+# arrays: each sample's points are contiguous and each carries the index of
+# its sample, so per-sample sums are segment sums (np.add.reduceat, several
+# times faster than a weighted np.bincount). The simulation kernel draws
+# its blocks of trials with them; the shot-noise and clearance batches, for
+# receivers at the disc center where only point radii matter, also serve the
+# calibration tests.
 # ---------------------------------------------------------------------------
+
+class DiscBatch(NamedTuple):
+    """Independent disc PPP realizations drawn together, grouped by sample."""
+
+    counts: np.ndarray   # points per sample
+    owner: np.ndarray    # sample index of each point, ascending
+    x: np.ndarray        # point coordinates relative to the disc center, m
+    y: np.ndarray
+
+
+def segment_sums(values, counts) -> np.ndarray:
+    """Sums of the consecutive segments of ``values`` whose lengths are ``counts``."""
+    sums = np.zeros(len(counts))
+    present = counts > 0
+    if len(values):
+        sums[present] = np.add.reduceat(values, (np.cumsum(counts) - counts)[present])
+    return sums
+
+
+def disc_ppp_batch(density: float, radius: float, n_samples: int,
+                   rng) -> DiscBatch:
+    """n_samples independent homogeneous PPPs on a disc centered at the origin.
+
+    Counts are Poisson(density * pi * radius^2); given its count, a sample's
+    points are uniform on the disc (polar sampling with radius ~ sqrt(u)).
+    """
+    gen = as_generator(rng)
+    counts = gen.poisson(density * math.pi * radius * radius, n_samples)
+    owner = np.repeat(np.arange(n_samples), counts)
+    radii = radius * np.sqrt(gen.random(owner.size))
+    # Angles in [-pi, pi): numpy's sin and cos are faster there than on [0, 2*pi).
+    angles = 2.0 * math.pi * gen.random(owner.size) - math.pi
+    return DiscBatch(counts, owner, radii * np.cos(angles), radii * np.sin(angles))
+
 
 def shot_noise_batch(density: float, r_max: float, alpha: float,
                      n_samples: int, rng) -> np.ndarray:
@@ -168,11 +199,10 @@ def shot_noise_batch(density: float, r_max: float, alpha: float,
     gen = as_generator(rng)
     counts = gen.poisson(density * math.pi * r_max * r_max, n_samples)
     total = int(counts.sum())
-    radii = np.maximum(r_max * np.sqrt(gen.random(total)), EPS_MIN)
+    # r^(-alpha) = (r_max^2 u)^(-alpha/2) for r = r_max*sqrt(u), clamped at EPS_MIN.
+    radii_sq = np.maximum(r_max * r_max * gen.random(total), EPS_MIN * EPS_MIN)
     gains = gen.standard_exponential(total)
-    values = gains * radii ** (-alpha)
-    owner = np.repeat(np.arange(n_samples), counts)
-    return np.bincount(owner, weights=values, minlength=n_samples)
+    return segment_sums(gains * radii_sq ** (-0.5 * alpha), counts)
 
 
 def clearance_batch(density: float, r_gz: float, r_max: float,

@@ -19,9 +19,10 @@ import numpy as np
 from ehrelay import analytics as an
 from ehrelay.cli import main as cli_main
 from ehrelay.config import SystemConfig, validate, harvest_threshold
-from ehrelay.geometry import (RngStream, clearance_batch, sample_disc_ppp,
-                              shot_noise_batch)
-from ehrelay.simulate import run_realization, select_relay, simulate, wilson_interval
+from ehrelay.geometry import (DiscBatch, RngStream, clearance_batch,
+                              sample_disc_ppp, shot_noise_batch)
+from ehrelay.simulate import (SCHEMES, outcomes, select_relay, simulate,
+                              wilson_interval)
 
 BASELINE = validate(SystemConfig())
 
@@ -205,13 +206,11 @@ def test_criterion_6_direct_link_dominance():
     on_cfg = validate(dataclasses.replace(BASELINE, direct_link=True))
     rows = []
     ok = True
+    off = outcomes(BASELINE, trials, 61)
+    on = outcomes(on_cfg, trials, 61)
     for scheme in ("bcc", "bsir", "bstd"):
-        diffs = []
-        for t in range(trials):
-            off = run_realization(BASELINE, scheme, RngStream(61, t)).success
-            on = run_realization(on_cfg, scheme, RngStream(61, t)).success
-            diffs.append(int(on) - int(off))
-        diffs = np.array(diffs)
+        diffs = (on.flag(scheme, "success").astype(int)
+                 - off.flag(scheme, "success").astype(int))
         dominated = bool(np.all(diffs >= 0))
         mean = diffs.mean()
         sigma = diffs.std(ddof=1) / math.sqrt(trials)
@@ -260,17 +259,19 @@ def test_criterion_7_brute_force_scheme_oracle():
         relay_itf = relay_itf[:relays.n]
         sd_itf = float(cfg.p_t_mw * shot_noise_batch(cfg.lambda_p, cfg.r_max,
                                                      cfg.alpha, 1, gen)[0])
+        gen.random(3)  # the uniforms the per-call selector drew, one per scheme
+        block = DiscBatch(np.array([relays.n]), np.zeros(relays.n, dtype=int),
+                          relays.points[:, 0], relays.points[:, 1])
+        selected, _, _ = select_relay(cfg, block, relays.marks.T, relay_itf,
+                                      np.array([sd_itf]), np.zeros(1))
         for scheme in ("bcc", "bsir", "bstd"):
-            got, _ = select_relay(scheme, relays, relay_itf, sd_itf, cfg, gen)
+            got = int(selected[SCHEMES.index(scheme), 0])
             want = _brute_force_select(scheme, relays, relay_itf, sd_itf, cfg)
-            mismatches += int(got != want)
+            mismatches += int(got != (-1 if want is None else want))
 
     trials = 10_000
-    sizes = []
-    for t in range(trials):
-        out = run_realization(BASELINE, "bstd", RngStream(72, t))
-        sizes.append(out.decode_count if out.st_clear else 0)
-    sizes = np.asarray(sizes, dtype=float)
+    out = outcomes(BASELINE, trials, 72)
+    sizes = np.where(out.flag("bstd", "st_clear"), out.decode_count, 0).astype(float)
     target = (an.delta_decode(BASELINE) * BASELINE.lambda_sr
               * math.pi * BASELINE.r_disc ** 2)
     sigma = sizes.std(ddof=1) / math.sqrt(trials)

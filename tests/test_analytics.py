@@ -7,6 +7,7 @@ test.
 
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -46,6 +47,19 @@ def test_interference_integral_quadrature_agreement():
         closed = interference_integral(beta, 4.0)
         numeric = interference_integral_quad(beta, 4.0)
         assert numeric == pytest.approx(closed, rel=1e-9)
+
+
+@pytest.mark.parametrize("alpha", [2.2, 2.5, 3.0, 3.5, 5.0])
+def test_standard_pathloss_integral_matches_closed_form(alpha):
+    # The decode kernels' quadrature constant, also for alpha near 2, where
+    # node doubling on the semi-infinite map used to stall.
+    from ehrelay.analytics import DEFAULT_QUAD, _standard_pathloss_integral
+    _standard_pathloss_integral.cache_clear()
+    t0 = time.perf_counter()
+    value = _standard_pathloss_integral(alpha, DEFAULT_QUAD.nodes, DEFAULT_QUAD.rel_tol,
+                                        DEFAULT_QUAD.max_doublings)
+    assert time.perf_counter() - t0 < 1.0
+    assert value == pytest.approx(interference_integral(1.0, alpha), rel=1e-10)
 
 
 def test_interference_integral_scaling_law():

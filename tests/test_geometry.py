@@ -12,11 +12,16 @@ import numpy as np
 import pytest
 
 from ehrelay import geometry as geo
-from ehrelay.geometry import (PointField, RngStream, aggregate_interference,
-                              clearance_batch, empirical_laplace,
-                              is_clear_of_guard_zones, sample_disc_ppp,
-                              sample_plane_ppp, shot_noise_batch,
-                              write_field_csv)
+from ehrelay.geometry import (PointField, RngStream, clearance_batch,
+                              disc_ppp_batch, empirical_laplace,
+                              interference_sum, is_clear_of_guard_zones,
+                              sample_disc_ppp, sample_plane_ppp,
+                              shot_noise_batch, write_field_csv)
+
+
+def field_interference(field, at, tx_power, alpha):
+    """Interference at ``at`` from every point of a field, slot-0 gains."""
+    return interference_sum(field.points, field.marks[:, 0], at, tx_power, alpha)
 
 
 def test_zero_density_is_empty():
@@ -81,30 +86,44 @@ def test_sampling_determinism():
     assert np.array_equal(a.marks, b.marks)
 
 
+def test_disc_batch_layout_and_counts():
+    batch = disc_ppp_batch(1.0, 1.0, 50_000, RngStream(53, 0))
+    assert batch.counts.size == 50_000
+    assert np.array_equal(batch.owner, np.repeat(np.arange(50_000), batch.counts))
+    assert np.all(np.hypot(batch.x, batch.y) <= 1.0)
+    mean = math.pi
+    assert abs(batch.counts.mean() - mean) <= 3.0 * math.sqrt(mean / 50_000)
+    # Uniform on the disc: the share inside radius 1/2 is 1/4.
+    inner = np.mean(np.hypot(batch.x, batch.y) <= 0.5)
+    assert abs(inner - 0.25) <= 3.0 * math.sqrt(0.25 * 0.75 / batch.x.size)
+    empty = disc_ppp_batch(0.0, 1.0, 3, RngStream(53, 1))
+    assert empty.owner.size == 0 and np.array_equal(empty.counts, [0, 0, 0])
+
+
 def test_interference_trivial_cases():
     empty = PointField(points=np.empty((0, 2)), marks=np.empty((0, 1)))
-    assert aggregate_interference(empty, 0, (0.0, 0.0), 1.0, 4.0) == 0.0
+    assert field_interference(empty, (0.0, 0.0), 1.0, 4.0) == 0.0
     single = PointField(points=np.array([[1.0, 0.0]]), marks=np.array([[1.0]]))
-    assert aggregate_interference(single, 0, (0.0, 0.0), 1.0, 4.0) == pytest.approx(1.0)
+    assert field_interference(single, (0.0, 0.0), 1.0, 4.0) == pytest.approx(1.0)
 
 
 def test_interference_additive_and_deterministic():
     field = sample_plane_ppp(0.05, 30.0, (0.0, 0.0), RngStream(46, 0))
     at = (2.0, 0.0)
-    total = aggregate_interference(field, 0, at, 316.0, 4.0)
-    again = aggregate_interference(field, 0, at, 316.0, 4.0)
+    total = field_interference(field, at, 316.0, 4.0)
+    again = field_interference(field, at, 316.0, 4.0)
     assert total == again  # fixed summation order, bit-identical
     k = field.n // 2
     left = PointField(field.points[:k], field.marks[:k])
     right = PointField(field.points[k:], field.marks[k:])
-    parts = (aggregate_interference(left, 0, at, 316.0, 4.0)
-             + aggregate_interference(right, 0, at, 316.0, 4.0))
+    parts = (field_interference(left, at, 316.0, 4.0)
+             + field_interference(right, at, 316.0, 4.0))
     assert parts == pytest.approx(total, rel=1e-12)
 
 
 def test_interference_distance_clamp():
     on_top = PointField(points=np.zeros((1, 2)), marks=np.array([[1.0]]))
-    val = aggregate_interference(on_top, 0, (0.0, 0.0), 1.0, 4.0)
+    val = field_interference(on_top, (0.0, 0.0), 1.0, 4.0)
     assert math.isfinite(val) and val == pytest.approx(geo.EPS_MIN ** -4.0)
 
 
@@ -128,14 +147,15 @@ def test_interference_laplace_matches_closed_form():
 
 
 def test_aggregate_interference_laplace_small_sample():
-    # Same check through the field-level interface at a reduced sample size.
+    # Same check field by field through interference_sum, at a reduced
+    # sample size.
     lam, p_t, s = 0.01, 316.22776601683796, 1.0
     n = 2000
     gen = RngStream(52, 0).generator()
     vals = np.empty(n)
     for i in range(n):
         field = sample_plane_ppp(lam, 150.0, (0.0, 0.0), gen)
-        vals[i] = math.exp(-s * aggregate_interference(field, 0, (0.0, 0.0), p_t, 4.0))
+        vals[i] = math.exp(-s * field_interference(field, (0.0, 0.0), p_t, 4.0))
     target = math.exp(-math.pi * lam * (math.pi / 2.0) * math.sqrt(s * p_t))
     assert abs(vals.mean() - target) <= 3.0 * vals.std(ddof=1) / math.sqrt(n)
 

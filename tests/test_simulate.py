@@ -1,6 +1,11 @@
-"""Realization logic, relay selection, determinism, and statistical oracles."""
+"""Realization logic, relay selection, determinism, and statistical oracles.
+
+Per-trial checks read the kernel's outcome arrays (``simulate.outcomes``),
+which hold every scheme's events from the same draws.
+"""
 
 import dataclasses
+import importlib
 import math
 
 import numpy as np
@@ -8,18 +13,39 @@ import pytest
 
 from ehrelay import analytics as an
 from ehrelay.config import SystemConfig, validate
-from ehrelay.geometry import PointField, RngStream
-from ehrelay.simulate import (SCHEMES, harvested_energy,
-                              run_realization, select_relay, simulate, sir,
-                              wilson_interval)
+from ehrelay.geometry import DiscBatch, RngStream
+from ehrelay.simulate import (ELEMENT_BUDGET, FLAG_NAMES, SCHEMES, _path_loss,
+                              _safe_ratio, harvested_energy, outcomes,
+                              run_realization, select_relay, simulate,
+                              simulate_all, trials_per_block, wilson_interval)
 
 
 def cfg_with(**kw):
     return validate(SystemConfig(**kw))
 
 
-def outcomes(cfg, scheme, trials, seed):
-    return [run_realization(cfg, scheme, RngStream(seed, t)) for t in range(trials)]
+def relay_block(groups):
+    """A DiscBatch of relays from per-trial lists of (x, y) positions."""
+    counts = np.array([len(g) for g in groups], dtype=np.int64)
+    pts = np.array([p for g in groups for p in g], dtype=float).reshape(-1, 2)
+    return DiscBatch(counts, np.repeat(np.arange(len(groups)), counts),
+                     pts[:, 0], pts[:, 1])
+
+
+def select(cfg, groups, marks, relay_itf, sd_itf, pick=None):
+    """select_relay on per-trial relay lists; marks hold (hop-1, hop-2) gains."""
+    relays = relay_block(groups)
+    marks = np.asarray(marks, dtype=float).reshape(-1, 2)
+    if pick is None:
+        pick = np.zeros(len(groups))
+    selected, _, _ = select_relay(cfg, relays, (marks[:, 0], marks[:, 1]),
+                                  np.asarray(relay_itf, dtype=float),
+                                  np.asarray(sd_itf, dtype=float), pick)
+    first = np.cumsum(relays.counts) - relays.counts
+    # Index within the trial, None when no relay was selected.
+    return {scheme: [None if s < 0 else int(s - first[t])
+                     for t, s in enumerate(selected[k])]
+            for k, scheme in enumerate(SCHEMES)}
 
 
 # ---------------------------------------------------------------------------
@@ -28,15 +54,23 @@ def outcomes(cfg, scheme, trials, seed):
 
 def test_harvested_energy_hand_case():
     cfg = cfg_with(p_t_dbm=0.0, lambda_p=1e-4)  # p_t = 1 mW
-    point = np.array([[1.0, 0.0]])
-    fields = (PointField(point, np.array([[1.0]])),
-              PointField(point.copy(), np.array([[1.0]])))
-    e_h, k = harvested_energy(fields, cfg)
-    assert k == pytest.approx(0.75, rel=1e-12)
-    assert e_h == pytest.approx(6e-4, rel=1e-12)  # mJ
-    empty = PointField(np.empty((0, 2)), np.empty((0, 1)))
-    e0, k0 = harvested_energy((empty, empty), cfg)
-    assert e0 == 0.0 and k0 == 0.0
+    one = 1.0 * _path_loss(np.array([1.0]), cfg.alpha)  # unit gain at 1 m
+    k = harvested_energy(cfg, one, one)
+    assert k[0] == pytest.approx(0.75, rel=1e-12)
+    # K is the energy in units of eta * p_t * t_block: 6e-4 mJ here.
+    assert cfg.eta * cfg.p_t_mw * cfg.t_block * k[0] == pytest.approx(6e-4, rel=1e-12)
+    zero = np.zeros(1)
+    assert harvested_energy(cfg, zero, zero)[0] == 0.0
+    # The weights a and (1-a)/2 go to the dedicated and the reused slot.
+    cfg = cfg_with(a=0.2)
+    assert harvested_energy(cfg, 1.0, 0.0) == pytest.approx(0.2, rel=1e-12)
+    assert harvested_energy(cfg, 0.0, 1.0) == pytest.approx(0.4, rel=1e-12)
+
+
+def sir(tx_power, gain, distance, interference, alpha):
+    """One link's SIR through the kernel's path loss and safe ratio."""
+    signal = tx_power * gain * _path_loss(np.array([distance * distance]), alpha)
+    return float(_safe_ratio(signal, np.array([interference]))[0])
 
 
 def test_sir_cases():
@@ -46,6 +80,19 @@ def test_sir_cases():
     assert sir(2.0, 0.7, 2.6, 0.9, 4.0) == pytest.approx(base / 16.0, rel=1e-12)
     assert sir(1.0, 1.0, 1.0, 0.0, 4.0) == math.inf
     assert sir(1.0, 0.0, 1.0, 0.0, 4.0) == 0.0
+    assert math.isfinite(sir(1.0, 1.0, 0.0, 1.0, 4.0))  # distance clamp
+
+
+def test_no_interference_decodes_at_any_threshold():
+    # No primaries: every SIR is +inf, so every link decodes at 300 dB.
+    cfg = cfg_with(lambda_p=0.0, gamma_th_db=300.0, direct_link=True)
+    out = outcomes(cfg, 500, seed=327)
+    nonempty = out.relay_count >= 1
+    assert nonempty.any() and not nonempty.all()
+    assert out.flag("bcc", "direct_decode_ok").all()
+    for scheme in SCHEMES:
+        assert np.array_equal(out.flag(scheme, "sr_decode_ok"), nonempty), scheme
+        assert np.array_equal(out.flag(scheme, "sd_decode_ok"), nonempty), scheme
 
 
 def test_wilson_interval_edges():
@@ -67,25 +114,24 @@ def test_estimate_ci_invariant():
 # Relay selection vs exhaustive search
 # ---------------------------------------------------------------------------
 
-def brute_force_select(scheme, relays, relay_itf, sd_itf, cfg):
-    n = relays.n
+def brute_force_select(scheme, pts, marks, relay_itf, sd_itf, cfg):
+    n = len(pts)
     if n == 0:
         return None
-    d1 = [max(math.hypot(*relays.points[j]), 1e-6) for j in range(n)]
-    d2 = [max(math.hypot(relays.points[j][0] - cfg.d_sd, relays.points[j][1]), 1e-6)
-          for j in range(n)]
+    d1 = [max(math.hypot(*pts[j]), 1e-6) for j in range(n)]
+    d2 = [max(math.hypot(pts[j][0] - cfg.d_sd, pts[j][1]), 1e-6) for j in range(n)]
     if scheme == "bcc":
-        metric = [relays.marks[j, 0] * d1[j] ** -cfg.alpha for j in range(n)]
+        metric = [marks[j][0] * d1[j] ** -cfg.alpha for j in range(n)]
     elif scheme == "bsir":
-        metric = [cfg.p_st_mw * relays.marks[j, 0] * d1[j] ** -cfg.alpha / relay_itf[j]
+        metric = [cfg.p_st_mw * marks[j][0] * d1[j] ** -cfg.alpha / relay_itf[j]
                   for j in range(n)]
     elif scheme == "bstd":
         best, best_metric = None, -1.0
         for j in range(n):
-            hop1 = cfg.p_st_mw * relays.marks[j, 0] * d1[j] ** -cfg.alpha / relay_itf[j]
+            hop1 = cfg.p_st_mw * marks[j][0] * d1[j] ** -cfg.alpha / relay_itf[j]
             if hop1 < cfg.gamma_th_lin:
                 continue
-            hop2 = cfg.p_st_mw * relays.marks[j, 1] * d2[j] ** -cfg.alpha / sd_itf
+            hop2 = cfg.p_st_mw * marks[j][1] * d2[j] ** -cfg.alpha / sd_itf
             if hop2 > best_metric:
                 best, best_metric = j, hop2
         return best
@@ -96,55 +142,65 @@ def brute_force_select(scheme, relays, relay_itf, sd_itf, cfg):
 
 def test_select_relay_matches_brute_force(baseline):
     gen = RngStream(300, 0).generator()
-    checked = {"bcc": 0, "bsir": 0, "bstd": 0}
+    cases = []
     for _ in range(400):
         n = int(gen.integers(0, 9))
         radii = np.sqrt(gen.random(n))
         angles = 2 * math.pi * gen.random(n)
         pts = np.column_stack((radii * np.cos(angles), radii * np.sin(angles)))
-        relays = PointField(pts, gen.standard_exponential((n, 2)))
+        marks = gen.standard_exponential((n, 2))
         relay_itf = gen.standard_exponential(n) * 0.3 + 1e-3
         sd_itf = float(gen.standard_exponential() * 0.3 + 1e-3)
+        gen.random(3)  # the uniforms the per-trial selector drew, one per scheme
+        cases.append((pts, marks, relay_itf, sd_itf))
+    # All 400 instances as one block, empty trials included.
+    got = select(baseline, [c[0] for c in cases], np.concatenate([c[1] for c in cases]),
+                 np.concatenate([c[2] for c in cases]), [c[3] for c in cases])
+    checked = {"bcc": 0, "bsir": 0, "bstd": 0}
+    for t, (pts, marks, relay_itf, sd_itf) in enumerate(cases):
         for scheme in ("bcc", "bsir", "bstd"):
-            got, _ = select_relay(scheme, relays, relay_itf, sd_itf, baseline, gen)
-            want = brute_force_select(scheme, relays, relay_itf, sd_itf, baseline)
-            assert got == want, (scheme, n)
-            if got is not None:
+            want = brute_force_select(scheme, pts, marks, relay_itf, sd_itf, baseline)
+            assert got[scheme][t] == want, (scheme, t, len(pts))
+            if want is not None:
                 checked[scheme] += 1
     assert min(checked.values()) > 100  # nontrivial coverage
 
 
 def test_select_relay_single_candidate(baseline):
-    relays = PointField(np.array([[0.3, 0.1]]), np.array([[50.0, 1.0]]))
+    got = select(baseline, [[(0.3, 0.1)]], [[50.0, 1.0]], [0.05], [0.05])
     for scheme in SCHEMES:
-        idx, _ = select_relay(scheme, relays, np.array([0.05]), 0.05, baseline,
-                              RngStream(1, 0))
-        assert idx == 0, scheme
+        assert got[scheme] == [0], scheme
 
 
 def test_select_relay_tie_breaks_to_lowest_index(baseline):
-    # Two relays with identical composite metrics: first index wins.
-    pts = np.array([[0.5, 0.0], [0.0, 0.5]])
-    relays = PointField(pts, np.array([[2.0, 1.0], [2.0, 1.0]]))
-    idx, _ = select_relay("bcc", relays, np.array([1.0, 1.0]), 1.0, baseline,
-                          RngStream(5, 0))
-    assert idx == 0
+    # Identical hop-one metrics: the first index of each trial wins, also
+    # next to empty and other trials.
+    tie = [(0.5, 0.0), (0.0, 0.5)]
+    groups = [tie, [], [(0.9, 0.0)] + tie, tie[::-1]]
+    marks = np.tile([2.0, 1.0], (7, 1))
+    marks[2] = (0.1, 0.1)  # a weaker first relay in trial 2
+    sd_far = [1e-3] * 4
+    got = select(baseline, groups, marks, np.full(7, 1e-3), sd_far)
+    for scheme in ("bcc", "bsir"):
+        assert got[scheme] == [0, None, 1, 0], scheme
+    # Mirrored positions also tie on the second hop (same distance to d_sd).
+    mirrored = [[(0.3, 0.4), (0.3, -0.4)]]
+    got = select(baseline, mirrored, [[2.0, 1.0], [2.0, 1.0]], [1e-3, 1e-3], [1e-3])
+    assert got["bstd"] == [0]
 
 
 def test_select_relay_empty(baseline):
-    relays = PointField(np.empty((0, 2)), np.empty((0, 2)))
+    got = select(baseline, [[], [], []], np.empty((0, 2)), np.empty(0),
+                 [0.1, 0.1, 0.1], pick=np.array([0.0, 0.5, 0.999]))
     for scheme in SCHEMES:
-        idx, metric = select_relay(scheme, relays, np.empty(0), 0.1, baseline,
-                                   RngStream(2, 0))
-        assert idx is None and metric is None
+        assert got[scheme] == [None, None, None], scheme
 
 
 def test_select_relay_random_baseline_uniform(baseline):
-    relays = PointField(np.array([[0.3, 0.1], [-0.2, 0.4], [0.1, -0.5]]),
-                        np.ones((3, 2)))
+    trio = [(0.3, 0.1), (-0.2, 0.4), (0.1, -0.5)]
     gen = RngStream(4, 0).generator()
-    picks = [select_relay("random_baseline", relays, np.ones(3), 1.0, baseline, gen)[0]
-             for _ in range(3000)]
+    picks = select(baseline, [trio] * 3000, np.ones((9000, 2)), np.ones(9000),
+                   np.ones(3000), pick=gen.random(3000))["random_baseline"]
     counts = np.bincount(picks, minlength=3)
     assert np.all(np.abs(counts / 3000 - 1 / 3) <= 3 * math.sqrt((1 / 3) * (2 / 3) / 3000))
 
@@ -155,44 +211,47 @@ def test_select_relay_random_baseline_uniform(baseline):
 
 def test_outcome_implications_all_schemes(baseline):
     direct_cfg = validate(dataclasses.replace(baseline, direct_link=True))
-    for scheme in SCHEMES:
-        for cfg, trials in ((baseline, 10_000), (direct_cfg, 2500)):
-            for t, out in enumerate(outcomes(cfg, scheme, trials, seed=310)):
-                if out.success:
-                    assert out.harvest_ok and out.st_clear, (scheme, t)
-                if out.success and not cfg.direct_link:
-                    assert out.relay_count >= 1 and out.sr_decode_ok
-                    assert out.sr_clear and out.sd_decode_ok
-                if out.selected_relay is not None:
-                    assert 0 <= out.selected_relay < out.relay_count
-                assert out.k_value >= 0.0 and out.harvested_energy >= 0.0
-                if scheme == "bstd":
-                    assert (out.decode_count > 0) == out.sr_decode_ok
+    for cfg, trials in ((baseline, 10_000), (direct_cfg, 2500)):
+        out = outcomes(cfg, trials, seed=310)
+        assert np.all(out.k_value >= 0.0)
+        for scheme in SCHEMES:
+            f = {name: out.flag(scheme, name) for name in FLAG_NAMES}
+            ok = f["success"]
+            assert np.all(f["harvest_ok"][ok] & f["st_clear"][ok]), scheme
+            if not cfg.direct_link:
+                assert np.all((out.relay_count >= 1)[ok] & f["sr_decode_ok"][ok]
+                              & f["sr_clear"][ok] & f["sd_decode_ok"][ok]), scheme
+            sel = out.selected[SCHEMES.index(scheme)]
+            chosen = sel >= 0
+            assert np.all(sel[chosen] < out.relay_count[chosen]), scheme
+            if scheme == "bstd":
+                assert np.array_equal(out.decode_count > 0, f["sr_decode_ok"])
 
 
 def test_no_relays_no_direct_never_succeeds():
     cfg = cfg_with(lambda_sr=0.0)
-    assert not any(o.success for o in outcomes(cfg, "bsir", 300, seed=311))
+    assert not outcomes(cfg, 300, seed=311).flag("bsir", "success").any()
 
 
 def test_ideal_decode_success_equals_harvest():
     # Threshold and guard zones off, dense relays: success iff enough energy.
     cfg = cfg_with(gamma_th_db=-300.0, r_gz=0.0, lambda_sr=6.0)
-    for out in outcomes(cfg, "bcc", 800, seed=312):
-        assert out.success == out.harvest_ok
+    out = outcomes(cfg, 800, seed=312)
+    assert np.array_equal(out.flag("bcc", "success"), out.flag("bcc", "harvest_ok"))
 
 
 def test_realization_determinism(baseline):
-    a = outcomes(baseline, "bstd", 40, seed=313)
-    b = outcomes(baseline, "bstd", 40, seed=313)
-    assert a == b
+    a = outcomes(baseline, 40, seed=313)
+    b = outcomes(baseline, 40, seed=313)
+    for field in dataclasses.fields(a):
+        assert np.array_equal(getattr(a, field.name), getattr(b, field.name))
 
 
 def test_empty_disc_frequency(baseline):
-    outs = outcomes(baseline, "bcc", 8000, seed=314)
-    p0_hat = np.mean([o.relay_count == 0 for o in outs])
+    counts = outcomes(baseline, 8000, seed=314).relay_count
+    p0_hat = np.mean(counts == 0)
     p0 = math.exp(-math.pi * baseline.lambda_sr * baseline.r_disc ** 2)
-    assert abs(p0_hat - p0) <= 3 * math.sqrt(p0 * (1 - p0) / len(outs))
+    assert abs(p0_hat - p0) <= 3 * math.sqrt(p0 * (1 - p0) / len(counts))
 
 
 def test_flag_frequencies_match_analytics(baseline):
@@ -209,8 +268,8 @@ def test_flag_frequencies_match_analytics(baseline):
 def test_decode_set_thinning_matches_delta(baseline):
     # Mean decoding-set size, gated by the transmitter guard event, matches
     # the thinned-density prediction delta*lambda_sr*pi*R^2.
-    outs = outcomes(baseline, "bstd", 30_000, seed=316)
-    sizes = np.array([o.decode_count if o.st_clear else 0 for o in outs], dtype=float)
+    out = outcomes(baseline, 30_000, seed=316)
+    sizes = np.where(out.flag("bstd", "st_clear"), out.decode_count, 0).astype(float)
     target = an.delta_decode(baseline) * baseline.lambda_sr * math.pi * baseline.r_disc ** 2
     sigma = sizes.std(ddof=1) / math.sqrt(len(sizes))
     assert abs(sizes.mean() - target) <= 3 * sigma
@@ -253,8 +312,8 @@ def test_bstd_branch_matches_common_interference_oracle(baseline):
                        np.log(us), g_grid)
     oracle_branch = float(np.mean(-np.expm1(-cfg.lambda_sr * g_of_i)))
 
-    outs = outcomes(cfg, "bstd", 12_000, seed=318)
-    branch = np.mean([o.decode_count > 0 and o.sd_decode_ok for o in outs])
+    out = outcomes(cfg, 12_000, seed=318)
+    branch = np.mean((out.decode_count > 0) & out.flag("bstd", "sd_decode_ok"))
     # Residual difference is the hop-one decode correlation through shared
     # slot-two interferer positions, observed well under 0.01.
     assert abs(branch - oracle_branch) <= 0.02
@@ -266,32 +325,32 @@ def test_bstd_branch_matches_common_interference_oracle(baseline):
 
 def test_direct_link_never_hurts_per_trial(baseline):
     on_cfg = validate(dataclasses.replace(baseline, direct_link=True))
+    off = outcomes(baseline, 1500, seed=320)
+    on = outcomes(on_cfg, 1500, seed=320)
     for scheme in SCHEMES:
-        off = outcomes(baseline, scheme, 1500, seed=320)
-        on = outcomes(on_cfg, scheme, 1500, seed=320)
-        assert all(o.success >= f.success for o, f in zip(on, off)), scheme
+        assert np.all(on.flag(scheme, "success") >= off.flag(scheme, "success")), scheme
 
 
 def test_direct_literal_events_subset(baseline):
     on_cfg = validate(dataclasses.replace(baseline, direct_link=True))
     literal_cfg = validate(dataclasses.replace(on_cfg, direct_literal_events=True))
+    default = outcomes(on_cfg, 1500, seed=321)
+    literal = outcomes(literal_cfg, 1500, seed=321)
     for scheme in ("bcc", "bstd"):
-        default = outcomes(on_cfg, scheme, 1500, seed=321)
-        literal = outcomes(literal_cfg, scheme, 1500, seed=321)
-        assert all(d.success >= l.success for d, l in zip(default, literal))
+        assert np.all(default.flag(scheme, "success") >= literal.flag(scheme, "success"))
 
 
 def test_best_sir_dominates_random_pick(baseline):
     trials = 5000
-    best = outcomes(baseline, "bsir", trials, seed=322)
-    rand = outcomes(baseline, "random_baseline", trials, seed=322)
-    p_best = np.mean([o.success for o in best])
-    p_rand = np.mean([o.success for o in rand])
+    out = outcomes(baseline, trials, seed=322)
+    p_best = out.flag("bsir", "success").mean()
+    p_rand = out.flag("random_baseline", "success").mean()
     sigma = math.sqrt((p_best * (1 - p_best) + p_rand * (1 - p_rand)) / trials)
     assert p_best >= p_rand - 3 * sigma
     # Hop-one decoding itself is dominated realization-by-realization.
-    hop1 = all(b.sr_decode_ok >= r.sr_decode_ok for b, r in zip(best, rand)
-               if b.relay_count >= 1)
+    has = out.relay_count >= 1
+    hop1 = np.all(out.flag("bsir", "sr_decode_ok")[has]
+                  >= out.flag("random_baseline", "sr_decode_ok")[has])
     assert hop1
 
 
@@ -302,6 +361,71 @@ def test_simulate_deterministic_and_worker_invariant(baseline):
     c = simulate(baseline, "bsir", 400, seed=323, workers=3)
     assert a.flag_counts == c.flag_counts
     assert a.estimate == c.estimate
+
+
+def test_simulate_reads_one_all_scheme_pass(baseline):
+    cfg = validate(dataclasses.replace(baseline, direct_link=True))
+    every = simulate_all(cfg, 500, seed=328, workers=1)
+    out = outcomes(cfg, 500, seed=328)
+    for k, scheme in enumerate(SCHEMES):
+        one = simulate(cfg, scheme, 500, seed=328, workers=1)
+        assert one == every[scheme], scheme
+        assert one.flag_counts == dict(zip(FLAG_NAMES, out.flags[k].sum(axis=1).tolist()))
+    free = ("harvest_ok", "st_clear", "relay_nonempty", "direct_decode_ok")
+    assert len({tuple(every[s].flag_counts[f] for f in free) for s in SCHEMES}) == 1
+
+
+@pytest.mark.parametrize("model", ["independent", "static"])
+def test_every_scheme_bit_identical_across_workers(baseline, model):
+    cfg = validate(dataclasses.replace(baseline, slot_position_model=model))
+    trials = 5 * trials_per_block(cfg) + 17   # six blocks, the last one partial
+    runs = [simulate_all(cfg, trials, seed=329, workers=w) for w in (1, 2, 3)]
+    for scheme in SCHEMES:
+        assert runs[0][scheme] == runs[1][scheme] == runs[2][scheme], scheme
+
+
+def test_static_model_shares_one_primary_field(baseline, monkeypatch):
+    # The static model draws one primary field for all four slots; the
+    # independent model draws two radius-only harvest fields and two slot fields.
+    sim = importlib.import_module("ehrelay.simulate")
+    for model, fields, radii_only in (("static", 1, 0), ("independent", 2, 2)):
+        cfg = validate(dataclasses.replace(baseline, slot_position_model=model))
+        calls = []
+        real_disc, real_shot = sim.disc_ppp_batch, sim.shot_noise_batch
+        monkeypatch.setattr(sim, "disc_ppp_batch", lambda d, r, n, g: (
+            calls.append(("disc", r)) or real_disc(d, r, n, g)))
+        monkeypatch.setattr(sim, "shot_noise_batch", lambda d, r, a, n, g: (
+            calls.append(("shot", r)) or real_shot(d, r, a, n, g)))
+        run_realization(cfg, RngStream(330, 0), 5)
+        monkeypatch.undo()
+        assert calls.count(("disc", cfg.r_max)) == fields, model
+        assert calls.count(("shot", cfg.r_max)) == radii_only, model
+
+
+def test_trials_per_block_depends_on_config_only(baseline):
+    block = trials_per_block(baseline)
+    assert block >= 1
+    for change in ({"p_st_dbm": 3.0}, {"direct_link": True}, {"gamma_th_db": -5.0},
+                   {"slot_position_model": "static"}, {"direct_literal_events": True}):
+        assert trials_per_block(validate(dataclasses.replace(baseline, **change))) == block
+    # The trial count does not move block boundaries: a longer run starts
+    # with the same trials.
+    short = outcomes(baseline, block, seed=331)
+    longer = outcomes(baseline, 2 * block + 1, seed=331)
+    assert np.array_equal(short.flags, longer.flags[..., :block])
+
+
+@pytest.mark.parametrize("overrides", [
+    {"alpha": 3.0, "r_max": 400.0, "p_st_dbm": 5.0},
+    {"lambda_p": 0.1},
+])
+def test_trials_per_block_within_element_budget(baseline, overrides):
+    cfg = validate(dataclasses.replace(baseline, **overrides))
+    primaries = cfg.lambda_p * math.pi * cfg.r_max ** 2
+    pairs = cfg.lambda_sr * math.pi * cfg.r_disc ** 2 * primaries
+    block = trials_per_block(cfg)
+    assert block >= 1
+    assert block * (4 * primaries + pairs) <= ELEMENT_BUDGET
 
 
 def test_ci_width_shrinks_with_doubled_trials(baseline):
