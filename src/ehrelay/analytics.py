@@ -1,11 +1,14 @@
 """Analytical success-probability machinery.
 
 Everything here is a pure function of a validated ``SystemConfig`` and a
-``QuadratureSpec``: Laplace transforms of the harvested sum, inversion of its
-characteristic function, the per-scheme decode factors, their path-loss-4
-closed forms, and the composed success probabilities with guard-zone and
-empty-disc corrections applied exactly as the factorizations are written
-(intermediate factors stay inspectable even where they cancel).
+``QuadratureSpec``: Laplace transforms of the harvested sum, its upper tail
+(the harvest probability) from Kanter's phi-integral, the per-scheme decode
+factors, their path-loss-4 closed forms, and the composed success
+probabilities with guard-zone and empty-disc corrections applied exactly as
+the factorizations are written (intermediate factors stay inspectable even
+where they cancel). The characteristic-function inversion of the harvested
+sum, with its oscillatory panel loop, is a cross-check only; no ``analyze``
+path calls it.
 """
 
 from __future__ import annotations
@@ -182,6 +185,10 @@ def p_h_gil_pelaez(cfg: SystemConfig, quad: QuadratureSpec = DEFAULT_QUAD) -> fl
     with Phi_K(w) = exp(-C*(-j*w)^(2/alpha)). Substituting w = v^(alpha/2)
     removes the integrable singularity at 0 and turns the envelope into a
     plain exponential; panels are sized to at most ~pi of local phase change.
+
+    Cross-check only: ``analyze`` reads ``p_h_kanter``. Deep in the tail
+    (sparse primaries, loud secondary, alpha far from 4) the panel loop
+    builds up to 400k panels and then stalls with ``QuadratureFailure``.
     """
     sigma = harvest_threshold(cfg)
     if sigma <= 0.0:
@@ -234,6 +241,118 @@ def p_h_gil_pelaez(cfg: SystemConfig, quad: QuadratureSpec = DEFAULT_QUAD) -> fl
                 "gil-pelaez inversion", abs(finer - refined) / max(abs(finer), 1e-300))
         refined = finer
     return min(1.0, max(0.0, 0.5 + refined / math.pi))
+
+
+def kanter_a(phi, beta: float):
+    """Zolotarev's function A(phi) of Kanter's positive-stable representation.
+
+    A standard positive-stable S of index beta in (0, 1), with
+    E[exp(-s*S)] = exp(-s^beta), satisfies
+    P(S <= x) = (1/pi) * int_0^pi exp(-A(phi) * x^(-beta/(1-beta))) dphi,
+    where A(phi) = sin(beta*phi)^(beta/(1-beta)) * sin((1-beta)*phi)
+    / sin(phi)^(1/(1-beta)) rises from (1-beta)*beta^(beta/(1-beta)) at
+    phi = 0+ to infinity at phi = pi (Kanter 1975, Ann. Probab.).
+    """
+    return np.exp(_log_kanter_a_reflected(math.pi - phi, beta))
+
+
+def _log_kanter_a_reflected(psi, beta: float):
+    """log A(pi - psi) of ``kanter_a``, every sine taken from psi.
+
+    sin(phi) = sin(psi) and sin(beta*phi) = sin((1-beta)*pi + beta*psi), so
+    nothing cancels as phi approaches pi, where A grows without bound.
+    """
+    k = beta / (1.0 - beta)
+    return (k * np.log(np.sin((1.0 - beta) * math.pi + beta * psi))
+            + np.log(np.sin((1.0 - beta) * (math.pi - psi)))
+            - np.log(np.sin(psi)) / (1.0 - beta))
+
+
+# Gauss-Legendre nodes per piece at the first level of the harvest-probability
+# integral; five doublings cap it at 1024.
+_P_H_START_NODES = 32
+_P_H_MAX_DOUBLINGS = 5
+# Bisection for where log(x^(-k) * A) crosses a level, in u = log(pi - phi)
+# from log(1e-300) to log(pi): 16 halvings place it within 0.011 in u.
+_P_H_LOG_PSI_MIN = math.log(1e-300)
+_P_H_BISECTIONS = 16
+# The integrand is 1 to double precision once x^(-k) * A exceeds e^40; the
+# part of [0, phi*] where x^(-k) * A < e^(-40) * psi*/pi adds less than
+# e^(-40) * psi*, against a total above psi*/2, so it is left out.
+_P_H_LOG_CUT = 40.0
+
+
+def p_h_kanter(cfg: SystemConfig, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
+    """Harvest probability P(K >= sigma) from Kanter's phi-integral.
+
+    K = C^(1/beta) * S with C = ``levy_scale``, beta = 2/alpha and S standard
+    positive stable, so with x = sigma / C^(1/beta) and k = beta/(1-beta)
+    (see ``kanter_a``)
+        P(K >= sigma) = (1/pi) int_0^pi -expm1(-A(phi) * x^(-k)) dphi,
+    a smooth, non-oscillatory integrand whose expm1 form keeps a tiny p_h to
+    full relative precision. The integrand is about 1 where
+    A(phi) * x^(-k) >= 1, next to phi = pi, and falls as a power of
+    psi = pi - phi below that, so the integral splits at the crossing phi*
+    (found by a coarse bisection; it need not be exact): [phi*, pi] runs
+    directly in psi, [0, phi*] in u = log(psi), where the integrand becomes
+    smooth and exponential in u; the u-range stops where the integrand has
+    fallen below e^(-40) of the total, which keeps it short as alpha nears 2.
+    When A(0+) * x^(-k) >= 1 the integrand is near 1 everywhere and [0, pi]
+    runs in psi in one piece. Both pieces use Gauss-Legendre nodes, doubled
+    from 32 until the value settles to ``quad.rel_tol`` (at most 1024); a
+    stall raises ``QuadratureFailure`` with context "kanter harvest
+    probability".
+    """
+    sigma = harvest_threshold(cfg)
+    if sigma <= 0.0:
+        return 1.0
+    if cfg.lambda_p == 0.0:
+        return 0.0
+    beta = 2.0 / cfg.alpha
+    k = beta / (1.0 - beta)
+    log_t = -k * (math.log(sigma) - math.log(levy_scale(cfg)) / beta)  # log x^(-k)
+    log_a_min = math.log((1.0 - beta) * beta ** k)  # log A(0+), A's least value
+    log_pi = math.log(math.pi)
+
+    def crossing(level: float, lo: float) -> float:
+        """log(psi) at which log(x^(-k) * A) falls to level; log(pi) if never."""
+        if log_t + log_a_min >= level:
+            return log_pi
+        hi = log_pi
+        for _ in range(_P_H_BISECTIONS):
+            mid = 0.5 * (lo + hi)
+            if log_t + _log_kanter_a_reflected(math.exp(mid), beta) >= level:
+                lo = mid
+            else:
+                hi = mid
+        return lo
+
+    def piece(lo: float, hi: float, n: int, in_log: bool) -> float:
+        x, w = _leggauss(n)
+        half = 0.5 * (hi - lo)
+        nodes = lo + half * (x + 1.0)
+        psi = np.exp(nodes) if in_log else nodes
+        exponent = np.minimum(log_t + _log_kanter_a_reflected(psi, beta), _P_H_LOG_CUT)
+        vals = -np.expm1(-np.exp(exponent))
+        if in_log:
+            vals *= psi
+        return half * float(w @ vals)
+
+    u_star = crossing(0.0, _P_H_LOG_PSI_MIN)
+    if u_star == log_pi:
+        def evaluate(n: int) -> float:
+            return piece(0.0, math.pi, n, False)
+    else:
+        u_end = crossing(-_P_H_LOG_CUT - (log_pi - u_star), u_star)
+
+        def evaluate(n: int) -> float:
+            return (piece(0.0, math.exp(u_star), n, False)
+                    + piece(u_star, u_end, n, True))
+
+    total = _settle(evaluate, _P_H_START_NODES,
+                    min(quad.max_doublings, _P_H_MAX_DOUBLINGS), quad.rel_tol,
+                    "kanter harvest probability")
+    return min(1.0, total / math.pi)
 
 
 def guard_zone_prob(lambda_p: float, r_gz: float) -> float:
@@ -453,21 +572,6 @@ _CHI_START_NODES = 48
 _CHI_MAX_DOUBLINGS = 3
 
 
-def kanter_a(phi, beta: float):
-    """Zolotarev's function A(phi) of Kanter's positive-stable representation.
-
-    A standard positive-stable S of index beta in (0, 1), with
-    E[exp(-s*S)] = exp(-s^beta), satisfies
-    P(S <= x) = (1/pi) * int_0^pi exp(-A(phi) * x^(-beta/(1-beta))) dphi,
-    where A(phi) = sin(beta*phi)^(beta/(1-beta)) * sin((1-beta)*phi)
-    / sin(phi)^(1/(1-beta)) rises from (1-beta)*beta^(beta/(1-beta)) at
-    phi = 0+ to infinity at phi = pi (Kanter 1975, Ann. Probab.).
-    """
-    k = beta / (1.0 - beta)
-    return (np.sin(beta * phi) ** k * np.sin((1.0 - beta) * phi)
-            / np.sin(phi) ** (1.0 / (1.0 - beta)))
-
-
 def chi_common(cfg: SystemConfig, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
     """Chance that no relay in the decoding set reaches the destination.
 
@@ -611,7 +715,7 @@ class UnsupportedScheme(ValueError):
 
 def _common(cfg: SystemConfig, quad: QuadratureSpec, scheme: str) -> AnalyticBreakdown:
     b = AnalyticBreakdown(scheme=scheme)
-    b.p_h = p_h_gil_pelaez(cfg, quad)
+    b.p_h = p_h_kanter(cfg, quad)
     b.guard_st = guard_zone_prob(cfg.lambda_p, cfg.r_gz)
     b.guard_sr = guard_zone_prob(cfg.lambda_p, cfg.r_gz)
     b.p_nonempty = p_nonempty(cfg)

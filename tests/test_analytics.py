@@ -11,6 +11,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ehrelay import analytics as an
 from ehrelay.analytics import (AnalyticBreakdown, QuadratureSpec,
@@ -24,7 +26,7 @@ from ehrelay.analytics import (AnalyticBreakdown, QuadratureSpec,
                                p_succ_bcc, p_succ_bsir, p_succ_bstd,
                                p_succ_direct, psi3, psi31_bound,
                                psi4_far_field, xi_bstd)
-from ehrelay.config import SystemConfig, validate
+from ehrelay.config import SystemConfig, harvest_threshold, validate
 from ehrelay.geometry import RngStream, shot_noise_batch
 
 
@@ -124,10 +126,11 @@ def test_laplace_K_matches_simulated_harvest_sum():
 
 
 def test_p_h_trivial_limits():
-    assert p_h_gil_pelaez(cfg_with(lambda_p=0.0)) == 0.0
-    # Vanishing power threshold: any positive harvest suffices.
-    tiny = cfg_with(p_st_dbm=-25.0, r_max=200.0)
-    assert p_h_gil_pelaez(tiny) == pytest.approx(1.0, abs=1e-9)
+    for p_h in (p_h_gil_pelaez, an.p_h_kanter):
+        assert p_h(cfg_with(lambda_p=0.0)) == 0.0
+        # Vanishing power threshold: any positive harvest suffices.
+        tiny = cfg_with(p_st_dbm=-25.0, r_max=200.0)
+        assert p_h(tiny) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_p_h_gil_pelaez_matches_stable_law_tail():
@@ -156,6 +159,164 @@ def test_p_h_threshold_mode_variant():
     base = p_h_gil_pelaez(cfg_with())
     over_a = p_h_gil_pelaez(cfg_with(harvest_threshold_mode="energy-over-a"))
     assert over_a < base  # higher threshold, lower harvest probability
+
+
+@pytest.mark.parametrize("lambda_p", [1e-14, 1e-8, 1e-4, 1e-2])
+@pytest.mark.parametrize("p_st_dbm", [-10.0, 15.0])
+def test_p_h_kanter_matches_levy_erf_far_in_the_tail(lambda_p, p_st_dbm):
+    # Relative agreement down to p_h ~ 2e-13 (lambda_p = 1e-14, 15 dBm).
+    cfg = cfg_with(lambda_p=lambda_p, p_st_dbm=p_st_dbm)
+    assert an.p_h_kanter(cfg) == pytest.approx(p_h_levy_erf(cfg), rel=1e-9)
+
+
+@pytest.fixture
+def node_counts(monkeypatch):
+    """Gauss-Legendre node counts that analytics builds while the test runs."""
+    counts = []
+    leggauss = an._leggauss
+    monkeypatch.setattr(an, "_leggauss", lambda n: counts.append(n) or leggauss(n))
+    return counts
+
+
+def test_p_h_kanter_settles_close_to_alpha_2(node_counts):
+    # At alpha = 2.001 the integrand falls as psi^(-2001) past the split; the
+    # u-range must stop where it is negligible or 1024 nodes do not settle.
+    values = [an.p_h_kanter(cfg_with(alpha=2.001, lambda_p=1e-8, p_st_dbm=p, a=0.05,
+                                     harvest_threshold_mode="energy-over-a",
+                                     trunc_epsilon=1e300))
+              for p in (2.5, 10.0, 15.0)]
+    assert max(node_counts) <= 1024
+    assert all(0.0 <= v <= 1.0 for v in values)
+    assert values[0] >= values[1] >= values[2]
+
+
+# Valid configs on which the oscillatory inversion stalls; analyze reads the
+# harvest probability from Kanter's phi-integral instead.
+DEEP_TAIL_CONFIGS = [
+    {"lambda_p": 1e-4},
+    {"lambda_p": 3e-4, "p_st_dbm": 10.0},
+    {"alpha": 3.0, "r_max": 400.0},
+    {"alpha": 3.5, "r_max": 100.0},
+    {"alpha": 2.2, "r_max": 5000.0, "trunc_epsilon": 100.0},
+    {"alpha": 2.5, "r_max": 5000.0, "trunc_epsilon": 100.0},
+    {"lambda_p": 1e-8},
+]
+
+
+@pytest.mark.parametrize("overrides", DEEP_TAIL_CONFIGS,
+                         ids=lambda o: ",".join(f"{k}={v:g}" for k, v in o.items()))
+def test_analyze_total_where_inversion_stalls(overrides, node_counts):
+    cfg = cfg_with(**overrides)
+    p_h = an.p_h_kanter(cfg)
+    assert 0 < max(node_counts) <= 1024
+    if cfg.alpha == 4.0:
+        assert p_h == pytest.approx(p_h_levy_erf(cfg), rel=1e-9)
+    for scheme in ("bcc", "bsir"):
+        analyze(cfg, scheme)  # warm the per-alpha caches
+        t0 = time.perf_counter()
+        b = analyze(cfg, scheme)
+        assert time.perf_counter() - t0 < 0.05
+        assert b.p_h == p_h
+        for name in an.BREAKDOWN_FIELDS:
+            value = getattr(b, name)
+            assert value is None or 0.0 <= value <= 1.0, name
+
+
+def test_p_h_kanter_inside_monte_carlo_band():
+    # alpha = 3.5, where the inversion stalls; harvested sum sampled directly
+    # as in criterion 1, 3-sigma Wilson band.
+    cfg = cfg_with(alpha=3.5, lambda_p=3e-3, p_st_dbm=5.0)
+    with pytest.raises(QuadratureFailure):
+        p_h_gil_pelaez(cfg)
+    from ehrelay.simulate import wilson_interval
+    trials = 30_000
+    s1 = shot_noise_batch(cfg.lambda_p, cfg.r_max, cfg.alpha, trials, RngStream(1101, 0))
+    s2 = shot_noise_batch(cfg.lambda_p, cfg.r_max, cfg.alpha, trials, RngStream(1101, 1))
+    k = cfg.a * s1 + (1.0 - cfg.a) / 2.0 * s2
+    hits = int(np.count_nonzero(k >= harvest_threshold(cfg)))
+    lo, hi = wilson_interval(hits, trials, z=3.0)
+    assert lo <= an.p_h_kanter(cfg) <= hi
+
+
+def test_p_h_kanter_agrees_with_gil_pelaez_where_it_converges():
+    # The analyze_grid configs at alpha 4 and 5.
+    checked = 0
+    for alpha in (4.0, 5.0):
+        for lam in np.geomspace(3e-3, 3e-2, 3):
+            for p_st in (0.0, 5.0, 10.0):
+                cfg = cfg_with(alpha=alpha, lambda_p=float(lam), p_st_dbm=p_st)
+                try:
+                    oracle = p_h_gil_pelaez(cfg)
+                except QuadratureFailure:
+                    continue
+                assert an.p_h_kanter(cfg) == pytest.approx(oracle, rel=1e-9)
+                checked += 1
+    assert checked >= 9
+
+
+def _p_h_at(alpha, lambda_p, p_st_dbm, a, eta, mode):
+    # The truncation radius does not enter p_h; a loose trunc_epsilon lets
+    # validate() accept every drawn alpha and density at r_max = 50.
+    return an.p_h_kanter(cfg_with(alpha=alpha, lambda_p=lambda_p, p_st_dbm=p_st_dbm,
+                                  a=a, eta=eta, harvest_threshold_mode=mode,
+                                  trunc_epsilon=1e12))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(alpha=st.floats(2.2, 8.0),
+       log_lambda=st.floats(-8.0, -1.0),
+       p_st=st.floats(-10.0, 15.0),
+       d_p_st=st.floats(0.0, 5.0),
+       log_ratio=st.floats(0.0, 2.0),
+       a=st.floats(0.01, 0.99),
+       eta=st.floats(0.05, 1.0),
+       mode=st.sampled_from(["energy", "energy-over-a"]))
+def test_p_h_kanter_properties(alpha, log_lambda, p_st, d_p_st, log_ratio, a, eta, mode):
+    lam = 10.0 ** log_lambda
+    p_h = _p_h_at(alpha, lam, p_st, a, eta, mode)
+    assert math.isfinite(p_h) and 0.0 <= p_h <= 1.0
+    louder = _p_h_at(alpha, lam, min(p_st + d_p_st, 15.0), a, eta, mode)
+    assert louder <= p_h + 1e-12
+    denser = _p_h_at(alpha, min(lam * 10.0 ** log_ratio, 0.1), p_st, a, eta, mode)
+    assert denser >= p_h - 1e-12
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(alpha=st.floats(2.2, 8.0),
+       log_lambda=st.floats(-8.0, -1.0),
+       p_st=st.floats(-10.0, 15.0),
+       gamma=st.floats(-20.0, 20.0),
+       d_gamma=st.floats(0.0, 10.0),
+       lambda_sr=st.floats(0.0, 5.0),
+       d_lambda_sr=st.floats(0.0, 3.0),
+       r_disc=st.floats(0.1, 5.0),
+       d_sd=st.floats(0.1, 10.0),
+       r_gz=st.floats(0.0, 3.0),
+       scheme=st.sampled_from(["bcc", "bsir"]),
+       direct=st.booleans())
+def test_bcc_bsir_breakdown_properties(alpha, log_lambda, p_st, gamma, d_gamma,
+                                       lambda_sr, d_lambda_sr, r_disc, d_sd, r_gz,
+                                       scheme, direct):
+    base = dict(alpha=alpha, lambda_p=10.0 ** log_lambda, p_st_dbm=p_st,
+                gamma_th_db=gamma, lambda_sr=lambda_sr, r_disc=r_disc, d_sd=d_sd,
+                r_gz=r_gz, direct_link=direct, r_max=2.0 * max(r_disc, d_sd),
+                trunc_epsilon=1e12)
+
+    def breakdown(**changes):
+        b = analyze(cfg_with(**{**base, **changes}), scheme)
+        for name in an.BREAKDOWN_FIELDS:
+            value = getattr(b, name)
+            assert value is None or 0.0 <= value <= 1.0, name
+        return b
+
+    b = breakdown()
+    harder = breakdown(gamma_th_db=gamma + d_gamma)
+    if not direct:
+        # With the direct link, the paper's decomposition weighs a relay
+        # failure by one guard factor and a relay success by two, so p_succ
+        # can rise with the threshold when guard zones are large.
+        assert harder.p_succ <= b.p_succ + 1e-12
+    assert breakdown(lambda_sr=lambda_sr + d_lambda_sr).p_nonempty >= b.p_nonempty
 
 
 # ---------------------------------------------------------------------------
