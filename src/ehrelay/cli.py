@@ -44,6 +44,17 @@ def _write_row(fh, cells) -> None:
     fh.write(",".join(_fmt(c) for c in cells) + "\n")
 
 
+def _worker_count(text: str) -> int:
+    """argparse type of --workers: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="FILE",
                         help="flat key=value config file; defaults used if omitted")
@@ -244,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--scheme", required=True, choices=SCHEMES)
         p.add_argument("--trials", type=int, default=30000)
         p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--workers", type=int, default=None,
+        p.add_argument("--workers", type=_worker_count, default=None,
                        help="parallel workers (default: EHRELAY_WORKERS or 1); "
                             "any value reproduces --workers 1 output exactly")
         p.add_argument("--out", metavar="FILE", default=None,

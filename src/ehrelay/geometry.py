@@ -94,12 +94,6 @@ def sample_disc_ppp(density: float, radius: float, center, rng,
     return PointField(points=points, marks=marks)
 
 
-def sample_plane_ppp(density: float, r_max: float, center, rng,
-                     slot_count: int = 1) -> PointField:
-    """Sample the truncated "infinite" plane process: a disc of radius r_max."""
-    return sample_disc_ppp(density, r_max, center, rng, slot_count=slot_count)
-
-
 def interference_sum(points: np.ndarray, gains: np.ndarray, at,
                      tx_power: float, alpha: float) -> float:
     """tx_power * sum_i gains_i * max(||X_i - at||, EPS_MIN)^(-alpha).

@@ -30,9 +30,14 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import partial
+from multiprocessing import parent_process
+from multiprocessing.connection import wait
+from multiprocessing.util import Finalize
 
 import numpy as np
 
@@ -313,6 +318,80 @@ def outcomes(cfg: SystemConfig, trials: int, seed: int) -> Outcomes:
                        for f in dataclasses.fields(Outcomes)})
 
 
+# The process-wide worker pool: built by the first call that needs one, reused
+# by every later call that needs the same size, replaced when a call needs
+# another size. Starting workers once per process rather than once per call
+# is what lets short runs, such as the grid points of a sweep, gain from them.
+_pool: ProcessPoolExecutor | None = None
+_pool_size = 0
+_pool_exit: Finalize | None = None
+_pool_lock = threading.Lock()   # one pooled call at a time per process
+
+
+def _drop_pool() -> None:
+    """Shut the pool down, if there is one; the next call builds a new one."""
+    global _pool
+    pool, _pool = _pool, None
+    if pool is not None:
+        _pool_exit.cancel()
+        pool.shutdown(cancel_futures=True)
+
+
+def _forget_pool() -> None:
+    # A forked child inherits the pool object but not its manager thread, so
+    # work submitted to it would never run: the child builds its own pool. It
+    # also takes a fresh lock, which a parent thread may have held at the fork.
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _exit_with_parent() -> None:
+    """Pool worker initializer: end the worker when the process that owns
+    the pool dies without shutting it down, as when killed by a signal;
+    workers idle between calls would otherwise wait for work for ever."""
+    sentinel = parent_process().sentinel
+    threading.Thread(target=lambda: (wait([sentinel]), os._exit(1)),
+                     daemon=True).start()
+
+
+def _pool_of(size: int) -> ProcessPoolExecutor:
+    global _pool, _pool_size, _pool_exit
+    if _pool is None or _pool_size != size:
+        _drop_pool()
+        _pool = ProcessPoolExecutor(max_workers=size, initializer=_exit_with_parent)
+        _pool_size = size
+        # Shut down at exit. A multiprocessing child joins its child
+        # processes at exit and would wait on idle pool workers forever, so
+        # this runs among multiprocessing's exit finalizers: before that join,
+        # and before the finalizers (priority 10) that stop the pool's queues.
+        _pool_exit = Finalize(None, _drop_pool, exitpriority=20)
+    return _pool
+
+
+def _pooled_counts(cfg: SystemConfig, seed: int, tasks) -> np.ndarray:
+    """Sum of ``_count_blocks`` over ``tasks``: the first runs in this
+    process, each other one on its own pool process."""
+    count = partial(_count_blocks, cfg, seed)
+    size = len(tasks) - 1
+    with _pool_lock:
+        try:
+            futures = [_pool_of(size).submit(count, task) for task in tasks[1:]]
+        except (BrokenProcessPool, RuntimeError):
+            # The pool broke or was shut down while idle. Nothing of this
+            # call has run yet, so a fresh pool gives the same counts.
+            _drop_pool()
+            futures = [_pool_of(size).submit(count, task) for task in tasks[1:]]
+        counts = count(tasks[0])
+        try:
+            return counts + sum(future.result() for future in futures)
+        except BrokenProcessPool:
+            _drop_pool()
+            raise
+
+
 def default_workers() -> int:
     env = os.environ.get("EHRELAY_WORKERS")
     if env:
@@ -329,8 +408,14 @@ def simulate_all(cfg: SystemConfig, trials: int, seed: int,
 
     Returns {scheme: SimulationResult} over the same realizations. Counting
     is integer-exact per block, and each block owns stream (seed, block), so
-    the result is bit-identical for any worker count. Nothing is cached
-    across calls.
+    the result is bit-identical for any worker count. With more than one
+    worker and block, the blocks are split into one contiguous share per
+    worker, at most one per block; this process runs the first share and a
+    process pool the others. The pool is built on first use and reused by
+    later calls (and every grid point of a sweep); it is replaced when a call
+    needs another size, dropped after it breaks or in a forked child, and
+    shut down at exit. Results are never cached: every call draws its blocks
+    afresh.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -342,10 +427,9 @@ def simulate_all(cfg: SystemConfig, trials: int, seed: int,
     if workers <= 1 or len(blocks) == 1:
         counts = _count_blocks(cfg, seed, blocks)
     else:
-        per_task = -(-len(blocks) // (workers * 4))
+        per_task = -(-len(blocks) // workers)
         tasks = [blocks[i:i + per_task] for i in range(0, len(blocks), per_task)]
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            counts = sum(pool.map(partial(_count_blocks, cfg, seed), tasks))
+        counts = _pooled_counts(cfg, seed, tasks)
 
     results = {}
     for scheme, row in zip(SCHEMES, counts):

@@ -1,6 +1,10 @@
 """Command-line behavior: exit codes, CSV shape, and byte stability."""
 
+import os
 import pathlib
+import signal
+import subprocess
+import sys
 import time
 
 import pytest
@@ -209,6 +213,80 @@ def test_compare_wide_ci_mostly_inside(tmp_path, baseline_path):
     header, rows = header_and_row(out)
     inside = sum(int(r[header.index("gap_in_ci")]) for r in rows)
     assert inside >= 2  # 100-trial intervals are wide
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_workers_below_one_rejected(value, capsys):
+    assert run_cli(["simulate", "--scheme", "bcc", "--trials", "5",
+                    f"--workers={value}"]) == 2
+    assert "--workers: must be at least 1" in capsys.readouterr().err
+
+
+def test_no_pool_worker_outlives_a_cli_run(baseline_path):
+    # The run prints the pids of its live child processes, the pool's workers,
+    # just before it exits; none of them may still exist afterwards.
+    script = ("import multiprocessing, sys\n"
+              "from ehrelay.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "print(*(p.pid for p in multiprocessing.active_children()))\n"
+              "sys.exit(code)\n")
+    run = subprocess.run(
+        [sys.executable, "-c", script, "sweep", "--config", baseline_path,
+         "--param", "p_st_dbm", "--values=0,2", "--schemes", "bcc",
+         "--trials", "300", "--seed", "3", "--workers", "2", "--out", os.devnull],
+        capture_output=True, text=True, env=_env_with_src(), timeout=120)
+    assert run.returncode == 0, run.stderr
+    pids = [int(pid) for pid in run.stdout.split()]
+    assert len(pids) == 1   # three blocks, two shares: one here, one on the pool
+    deadline = time.monotonic() + 5.0
+    while any(_exists(pid) for pid in pids) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not any(_exists(pid) for pid in pids)
+
+
+def test_no_pool_worker_outlives_a_killed_run():
+    # The run leaves its pool idle and kills itself with SIGKILL, so no exit
+    # code runs; its workers must notice and end on their own.
+    script = ("import multiprocessing, os, signal, sys\n"
+              "import ehrelay\n"
+              "from ehrelay.config import SystemConfig, validate\n"
+              "sim = sys.modules['ehrelay.simulate']\n"
+              "cfg = validate(SystemConfig())\n"
+              "sim.simulate_all(cfg, 2 * sim.trials_per_block(cfg) + 5, 1, workers=3)\n"
+              "print(*(p.pid for p in multiprocessing.active_children()), flush=True)\n"
+              "os.kill(os.getpid(), signal.SIGKILL)\n")
+    # Read one line rather than to the end: workers that outlive the run
+    # would hold its stdout open.
+    with subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE,
+                          text=True, env=_env_with_src()) as run:
+        pids = [int(pid) for pid in run.stdout.readline().split()]
+        assert run.wait(timeout=120) == -9
+    assert len(pids) == 2   # three blocks, three shares: two on the pool
+    deadline = time.monotonic() + 10.0
+    while any(_exists(pid) for pid in pids) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    left = [pid for pid in pids if _exists(pid)]
+    for pid in left:
+        os.kill(pid, signal.SIGKILL)
+    assert not left
+
+
+def _env_with_src():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+
+
+def _exists(pid):
+    """Whether process pid is running; a zombie (exited, not reaped) is not."""
+    try:
+        os.kill(pid, 0)
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except ProcessLookupError:
+        return False
+    except FileNotFoundError:   # it exited meanwhile, or there is no /proc
+        return not os.path.isdir("/proc")
 
 
 def test_workers_env_default(monkeypatch):

@@ -15,8 +15,8 @@ from ehrelay import geometry as geo
 from ehrelay.geometry import (PointField, RngStream, clearance_batch,
                               disc_ppp_batch, empirical_laplace,
                               interference_sum, is_clear_of_guard_zones,
-                              sample_disc_ppp, sample_plane_ppp,
-                              shot_noise_batch, write_field_csv)
+                              sample_disc_ppp, shot_noise_batch,
+                              write_field_csv)
 
 
 def field_interference(field, at, tx_power, alpha):
@@ -27,7 +27,7 @@ def field_interference(field, at, tx_power, alpha):
 def test_zero_density_is_empty():
     field = sample_disc_ppp(0.0, 1.0, (0.0, 0.0), RngStream(1, 0))
     assert field.n == 0
-    assert sample_plane_ppp(0.0, 50.0, (0.0, 0.0), RngStream(1, 1)).n == 0
+    assert sample_disc_ppp(0.0, 50.0, (0.0, 0.0), RngStream(1, 1)).n == 0
 
 
 def test_disc_count_moments():
@@ -46,14 +46,14 @@ def test_disc_count_moments():
 def test_plane_count_mean():
     gen = RngStream(43, 0).generator()
     draws = 10_000
-    counts = np.array([sample_plane_ppp(0.01, 50.0, (0.0, 0.0), gen).n
+    counts = np.array([sample_disc_ppp(0.01, 50.0, (0.0, 0.0), gen).n
                        for _ in range(draws)])
     mean = 0.01 * math.pi * 2500.0
     assert abs(counts.mean() - mean) <= 3.0 * math.sqrt(mean / draws)
 
 
 def test_points_stay_inside_radius():
-    field = sample_plane_ppp(0.05, 20.0, (1.0, -2.0), RngStream(7, 0))
+    field = sample_disc_ppp(0.05, 20.0, (1.0, -2.0), RngStream(7, 0))
     radii = np.hypot(field.points[:, 0] - 1.0, field.points[:, 1] + 2.0)
     assert np.all(radii <= 20.0)
 
@@ -108,7 +108,7 @@ def test_interference_trivial_cases():
 
 
 def test_interference_additive_and_deterministic():
-    field = sample_plane_ppp(0.05, 30.0, (0.0, 0.0), RngStream(46, 0))
+    field = sample_disc_ppp(0.05, 30.0, (0.0, 0.0), RngStream(46, 0))
     at = (2.0, 0.0)
     total = field_interference(field, at, 316.0, 4.0)
     again = field_interference(field, at, 316.0, 4.0)
@@ -154,7 +154,7 @@ def test_aggregate_interference_laplace_small_sample():
     gen = RngStream(52, 0).generator()
     vals = np.empty(n)
     for i in range(n):
-        field = sample_plane_ppp(lam, 150.0, (0.0, 0.0), gen)
+        field = sample_disc_ppp(lam, 150.0, (0.0, 0.0), gen)
         vals[i] = math.exp(-s * field_interference(field, (0.0, 0.0), p_t, 4.0))
     target = math.exp(-math.pi * lam * (math.pi / 2.0) * math.sqrt(s * p_t))
     assert abs(vals.mean() - target) <= 3.0 * vals.std(ddof=1) / math.sqrt(n)
@@ -174,7 +174,7 @@ def test_guard_zone_clearance_frequency():
     gen = RngStream(48, 0).generator()
     clear = 0
     for _ in range(draws):
-        pr = sample_plane_ppp(lam, 10.0, (0.0, 0.0), gen, slot_count=0)
+        pr = sample_disc_ppp(lam, 10.0, (0.0, 0.0), gen, slot_count=0)
         clear += int(is_clear_of_guard_zones((0.0, 0.0), pr, r_gz))
     p = math.exp(-math.pi * lam * r_gz ** 2)
     assert abs(clear / draws - p) <= 3.0 * math.sqrt(p * (1 - p) / draws)

@@ -7,6 +7,11 @@ which hold every scheme's events from the same draws.
 import dataclasses
 import importlib
 import math
+import multiprocessing
+import os
+import sys
+import threading
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -456,3 +461,137 @@ def test_simulate_validates_inputs(baseline):
         simulate(baseline, "bcc", 0, seed=1)
     with pytest.raises(ValueError):
         simulate(SystemConfig(), "bcc", 10, seed=1)  # not validated
+
+
+# ---------------------------------------------------------------------------
+# Worker pool life cycle. Each test starts at most two pool processes.
+# ---------------------------------------------------------------------------
+
+sim_mod = importlib.import_module("ehrelay.simulate")
+_real_count_blocks = sim_mod._count_blocks
+
+
+def _exit_in_worker(cfg, seed, blocks, parent=os.getpid()):
+    if os.getpid() != parent:
+        os._exit(1)
+    return _real_count_blocks(cfg, seed, blocks)
+
+
+@pytest.fixture
+def three_blocks(baseline):
+    """A run of three blocks at the baseline and its serial result."""
+    trials = 2 * trials_per_block(baseline) + 5
+    return trials, simulate_all(baseline, trials, seed=331, workers=1)
+
+
+def test_pool_reused_across_calls_and_bit_identical(baseline, three_blocks):
+    trials, serial = three_blocks
+    sim_mod._drop_pool()
+    first = simulate_all(baseline, trials, seed=331, workers=2)
+    pool = sim_mod._pool
+    assert pool is not None and sim_mod._pool_size == 1
+    second = simulate_all(baseline, trials, seed=331, workers=2)
+    assert sim_mod._pool is pool
+    assert first == serial and second == serial
+    assert simulate(baseline, "bsir", trials, seed=331, workers=2) == serial["bsir"]
+    assert sim_mod._pool is pool
+
+
+def test_pool_replaced_for_another_worker_count(baseline, three_blocks):
+    trials, serial = three_blocks
+    assert simulate_all(baseline, trials, seed=331, workers=2) == serial
+    small = sim_mod._pool
+    assert simulate_all(baseline, trials, seed=331, workers=3) == serial
+    assert sim_mod._pool is not small and sim_mod._pool_size == 2
+
+
+def test_pool_never_larger_than_the_task_count(baseline, three_blocks):
+    # A huge worker count splits three blocks into three one-block shares:
+    # this process runs one and the pool gets two processes, never more.
+    trials, serial = three_blocks
+    assert simulate_all(baseline, trials, seed=331, workers=10 ** 6) == serial
+    assert sim_mod._pool_size == 2
+
+
+def test_shut_down_pool_is_replaced(baseline, three_blocks):
+    trials, serial = three_blocks
+    simulate_all(baseline, trials, seed=331, workers=2)
+    dead = sim_mod._pool
+    dead.shutdown()
+    assert simulate_all(baseline, trials, seed=331, workers=2) == serial
+    assert sim_mod._pool is not dead
+
+
+def test_idle_broken_pool_is_replaced(baseline, three_blocks):
+    trials, serial = three_blocks
+    simulate_all(baseline, trials, seed=331, workers=2)
+    broken = sim_mod._pool
+    assert isinstance(broken.submit(os._exit, 1).exception(timeout=60),
+                      BrokenProcessPool)
+    assert simulate_all(baseline, trials, seed=331, workers=2) == serial
+    assert sim_mod._pool is not broken
+
+
+def test_pool_broken_during_a_call_is_dropped(baseline, three_blocks, monkeypatch):
+    trials, serial = three_blocks
+    sim_mod._drop_pool()   # the next pool forks with the patched counter
+    monkeypatch.setattr(sim_mod, "_count_blocks", _exit_in_worker)
+    with pytest.raises(BrokenProcessPool):
+        simulate_all(baseline, trials, seed=331, workers=2)
+    assert sim_mod._pool is None
+    monkeypatch.undo()
+    assert simulate_all(baseline, trials, seed=331, workers=2) == serial
+
+
+def test_forked_child_runs_its_own_pool(baseline, three_blocks):
+    trials, serial = three_blocks
+    simulate_all(baseline, trials, seed=331, workers=2)   # the child inherits this pool
+    assert sim_mod._pool is not None
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+
+    def child():
+        results = simulate_all(baseline, trials, seed=331, workers=2)
+        send.send({s: r.flag_counts for s, r in results.items()})
+
+    proc = ctx.Process(target=child)
+    proc.start()
+    try:
+        assert receive.poll(60), "forked child did not report within 60 s"
+        counts = receive.recv()
+        proc.join(60)
+        assert not proc.is_alive() and proc.exitcode == 0
+    finally:
+        if proc.is_alive():
+            proc.kill()
+            proc.join(10)
+    assert counts == {s: r.flag_counts for s, r in serial.items()}
+
+
+def test_threads_share_the_pool_safely(baseline, three_blocks):
+    # Two threads alternate worker counts 2 and 3 (pools of one and two
+    # processes) on the one process-wide pool; every result stays exact.
+    trials, serial = three_blocks
+    results, errors = [], []
+
+    def run(counts):
+        try:
+            for workers in counts:
+                results.append(simulate_all(baseline, trials, seed=331, workers=workers))
+        except Exception as exc:   # reported by the main thread below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=((2, 3) * 3,)),
+               threading.Thread(target=run, args=((3, 2) * 3,))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors
+    assert len(results) == 12 and all(r == serial for r in results)
