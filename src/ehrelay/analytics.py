@@ -2,19 +2,19 @@
 
 Everything here is a pure function of a validated ``SystemConfig`` and a
 ``QuadratureSpec``: Laplace transforms of the harvested sum, its upper tail
-(the harvest probability) from Kanter's phi-integral, the per-scheme decode
-factors, their path-loss-4 closed forms, and the composed success
-probabilities with guard-zone and empty-disc corrections applied exactly as
-the factorizations are written (intermediate factors stay inspectable even
-where they cancel). The characteristic-function inversion of the harvested
-sum, with its oscillatory panel loop, is a cross-check only; no ``analyze``
-path calls it.
+(the harvest probability) from Kanter's phi-integral, the decode factors of
+each selection rule with their path-loss-4 closed forms, and ``analyze``,
+the one place where they compose into a success probability. Only the relay
+branch depends on the scheme; the harvest probability, guard factors and
+the direct link combine with it the same way for every scheme. The
+characteristic-function inversion of the harvested sum, with its
+oscillatory panel loop, is a cross-check only; ``analyze`` does not call it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -90,17 +90,6 @@ def integrate_doubling(f, a: float, b: float, quad: QuadratureSpec,
                    quad.max_doublings, quad.rel_tol, context)
 
 
-def integrate_semi_infinite(f, quad: QuadratureSpec,
-                            context: str = "semi-infinite integral") -> float:
-    """Integrate f on [0, inf) via the substitution x = t/(1-t)."""
-
-    def mapped(t):
-        x = t / (1.0 - t)
-        return f(x) / (1.0 - t) ** 2
-
-    return integrate_doubling(mapped, 0.0, 1.0, quad, context=context)
-
-
 def gamma_pair(alpha: float) -> float:
     """Gamma(1+2/alpha)*Gamma(1-2/alpha) via the reflection identity.
 
@@ -126,20 +115,6 @@ def interference_integral(beta: float, alpha: float) -> float:
     if beta == 0.0:
         return 0.0
     return (math.pi / alpha) * beta ** (2.0 / alpha) / math.sin(2.0 * math.pi / alpha)
-
-
-def interference_integral_quad(beta: float, alpha: float,
-                               quad: QuadratureSpec = DEFAULT_QUAD) -> float:
-    """Quadrature cross-check of ``interference_integral``."""
-    if beta < 0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
-    if alpha <= 2:
-        raise ValueError(f"alpha must exceed 2 for convergence, got {alpha}")
-    if beta == 0.0:
-        return 0.0
-    return integrate_semi_infinite(
-        lambda x: x / (1.0 + x ** alpha / beta), quad,
-        context="interference integral")
 
 
 def laplace_K(s: float, cfg: SystemConfig) -> float:
@@ -406,32 +381,31 @@ def _standard_pathloss_integral(alpha: float, nodes: int, rel_tol: float,
     return below + above / (alpha - 2.0)
 
 
-def _decode_kernel(cfg: SystemConfig, tx_power: float, distances, method: str,
-                   quad: QuadratureSpec):
+def _decode_kernel(cfg: SystemConfig, distances, method: str, quad: QuadratureSpec):
     """Per-link decode probability at the given distances.
 
-    exp(-2*pi*lambda_p * II(gamma*p_t*d^alpha / tx_power)) where II is the
+    exp(-2*pi*lambda_p * II(gamma*p_t*d^alpha / p_st)) where II is the
     path-loss integral; this is the interference-averaged chance that one
     Rayleigh link at distance d clears the SIR threshold.
     """
     distances = np.asarray(distances, dtype=float)
-    beta = cfg.gamma_th_lin * cfg.p_t_mw * distances ** cfg.alpha / tx_power
+    beta = cfg.gamma_th_lin * cfg.p_t_mw * distances ** cfg.alpha / cfg.p_st_mw
     if method == "quad":
         scale = _standard_pathloss_integral(cfg.alpha, quad.nodes, quad.rel_tol,
                                             quad.max_doublings)
     else:
-        scale = (math.pi / cfg.alpha) / math.sin(2.0 * math.pi / cfg.alpha)
+        scale = interference_integral(1.0, cfg.alpha)
     return np.exp(-2.0 * math.pi * cfg.lambda_p * scale * beta ** (2.0 / cfg.alpha))
 
 
-def _alpha4_rate(cfg: SystemConfig, tx_power: float) -> float:
+def _alpha4_rate(cfg: SystemConfig) -> float:
     """q in exp(-q*d^2), the alpha=4 decode kernel exponent per squared meter."""
     return (math.pi ** 2 / 2.0) * cfg.lambda_p * math.sqrt(
-        cfg.gamma_th_lin * cfg.p_t_mw / tx_power)
+        cfg.gamma_th_lin * cfg.p_t_mw / cfg.p_st_mw)
 
 
-def _all_fail_bound(cfg: SystemConfig, tx_power: float, method: str,
-                    quad: QuadratureSpec, context: str) -> float:
+def _all_fail_bound(cfg: SystemConfig, method: str, quad: QuadratureSpec,
+                    context: str) -> float:
     """Probability that no relay in the disc clears the first-hop threshold.
 
     exp(-2*pi*lambda_sr * int_0^R kernel(l) * l dl); shared by the composite
@@ -441,14 +415,14 @@ def _all_fail_bound(cfg: SystemConfig, tx_power: float, method: str,
     if cfg.lambda_sr == 0.0:
         return 1.0
     if method == "closed":
-        q = _alpha4_rate(cfg, tx_power)
+        q = _alpha4_rate(cfg)
         if q == 0.0:
             inner = cfg.r_disc ** 2 / 2.0
         else:
             inner = -math.expm1(-q * cfg.r_disc ** 2) / (2.0 * q)
     else:
         inner = integrate_doubling(
-            lambda l: _decode_kernel(cfg, tx_power, l, method, quad) * l,
+            lambda l: _decode_kernel(cfg, l, method, quad) * l,
             0.0, cfg.r_disc, quad, context=context)
     return math.exp(-2.0 * math.pi * cfg.lambda_sr * inner)
 
@@ -456,38 +430,24 @@ def _all_fail_bound(cfg: SystemConfig, tx_power: float, method: str,
 def psi31_bound(cfg: SystemConfig, quad: QuadratureSpec = DEFAULT_QUAD,
                 method: str = "auto") -> float:
     """Chance the best composite-channel relay fails to decode hop one."""
-    method = _resolve_method(cfg, method)
-    return _all_fail_bound(cfg, cfg.p_st_mw, method, quad, "psi31")
-
-
-def psi3(cfg: SystemConfig, quad: QuadratureSpec = DEFAULT_QUAD,
-         method: str = "auto") -> float:
-    """Chance the best composite-channel relay decodes hop one."""
-    return 1.0 - psi31_bound(cfg, quad, method)
+    return _all_fail_bound(cfg, _resolve_method(cfg, method), quad, "psi31")
 
 
 def omega1(cfg: SystemConfig, quad: QuadratureSpec = DEFAULT_QUAD,
            method: str = "auto") -> float:
     """Chance that every relay's instantaneous first-hop SIR is below threshold."""
-    method = _resolve_method(cfg, method)
-    return _all_fail_bound(cfg, cfg.p_st_mw, method, quad, "omega1")
+    return _all_fail_bound(cfg, _resolve_method(cfg, method), quad, "omega1")
 
 
-def psi4_far_field(cfg: SystemConfig, tx_power: float | None = None,
-                   quad: QuadratureSpec = DEFAULT_QUAD,
+def psi4_far_field(cfg: SystemConfig, quad: QuadratureSpec = DEFAULT_QUAD,
                    method: str = "auto") -> float:
     """Far-field second-hop decode probability at the destination.
 
     The forwarding distance is approximated by the transmitter-destination
-    separation d_sd; parameterizing tx_power lets the same expression serve
-    the relayed hop and the direct link.
+    separation d_sd, so the same value serves the relayed hop and the direct
+    link.
     """
-    method = _resolve_method(cfg, method)
-    if tx_power is None:
-        tx_power = cfg.p_st_mw
-    if tx_power <= 0:
-        raise ValueError(f"tx_power must be > 0, got {tx_power}")
-    return float(_decode_kernel(cfg, tx_power, cfg.d_sd, method, quad))
+    return float(_decode_kernel(cfg, cfg.d_sd, _resolve_method(cfg, method), quad))
 
 
 def delta_decode(cfg: SystemConfig, quad: QuadratureSpec = DEFAULT_QUAD,
@@ -497,14 +457,14 @@ def delta_decode(cfg: SystemConfig, quad: QuadratureSpec = DEFAULT_QUAD,
     method = _resolve_method(cfg, method)
     guard = guard_zone_prob(cfg.lambda_p, cfg.r_gz)
     if method == "closed":
-        q = _alpha4_rate(cfg, cfg.p_st_mw)
+        q = _alpha4_rate(cfg)
         if q == 0.0:
             body = 1.0
         else:
             body = -math.expm1(-q * cfg.r_disc ** 2) / (q * cfg.r_disc ** 2)
     else:
         body = integrate_doubling(
-            lambda r: _decode_kernel(cfg, cfg.p_st_mw, r, method, quad)
+            lambda r: _decode_kernel(cfg, r, method, quad)
             * 2.0 * r / cfg.r_disc ** 2,
             0.0, cfg.r_disc, quad, context="delta")
     return body * guard
@@ -519,7 +479,7 @@ def xi_bstd(r, theta, cfg: SystemConfig, quad: QuadratureSpec = DEFAULT_QUAD,
     theta = np.asarray(theta, dtype=float)
     f_sq = r ** 2 + cfg.d_sd ** 2 - 2.0 * r * cfg.d_sd * np.cos(theta)
     dist = np.sqrt(np.maximum(f_sq, 0.0))
-    return _decode_kernel(cfg, cfg.p_st_mw, dist, method, quad)
+    return _decode_kernel(cfg, dist, method, quad)
 
 
 def chi_integral(cfg: SystemConfig, quad: QuadratureSpec = DEFAULT_QUAD,
@@ -645,7 +605,7 @@ def chi_common(cfg: SystemConfig, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
         f_sq = (r[:, None] ** 2 + cfg.d_sd ** 2
                 - 2.0 * r[:, None] * cfg.d_sd * np.cos(theta[None, :]))
         f_pow = np.maximum(f_sq, 0.0).ravel() ** (alpha / 2.0)
-        kernel = _decode_kernel(cfg, cfg.p_st_mw, r, kernel_method, quad)
+        kernel = _decode_kernel(cfg, r, kernel_method, quad)
         weights = np.repeat(kernel * r * (0.5 * radius * wr) * (2.0 * math.pi / m), m)
 
         g = np.multiply.outer(-np.exp(y + log_u), f_pow)
@@ -663,16 +623,6 @@ def chi_common(cfg: SystemConfig, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
 # ---------------------------------------------------------------------------
 # Composed success probabilities.
 # ---------------------------------------------------------------------------
-
-BREAKDOWN_FIELDS = (
-    "p_h", "guard_st", "guard_sr", "p_nonempty",
-    "psi31", "psi3", "psi4",
-    "omega1", "omega", "phi",
-    "delta", "lambda_eff", "chi", "chi_indep", "p_dsucc_sd",
-    "pr_direct_fail", "p11", "p12", "p22", "p32", "pr_n1_zero",
-    "p_dsucc_dir", "p_succ",
-)
-
 
 @dataclass
 class AnalyticBreakdown:
@@ -713,146 +663,94 @@ class UnsupportedScheme(ValueError):
     """Raised for schemes with no analytic expression (the random baseline)."""
 
 
-def _common(cfg: SystemConfig, quad: QuadratureSpec, scheme: str) -> AnalyticBreakdown:
-    b = AnalyticBreakdown(scheme=scheme)
-    b.p_h = p_h_kanter(cfg, quad)
-    b.guard_st = guard_zone_prob(cfg.lambda_p, cfg.r_gz)
-    b.guard_sr = guard_zone_prob(cfg.lambda_p, cfg.r_gz)
-    b.p_nonempty = p_nonempty(cfg)
-    return b
-
-
-def p_succ_bcc(cfg: SystemConfig, quad: QuadratureSpec = DEFAULT_QUAD) -> AnalyticBreakdown:
-    """Composite-channel selection: p_h * psi3 * psi4 * both guard factors.
-
-    The empty-disc conditioning divides and re-multiplies Pr(N >= 1), which
-    cancels; both the conditional and the product are recorded.
-    """
-    b = _common(cfg, quad, "bcc")
-    b.psi31 = psi31_bound(cfg, quad)
-    b.psi3 = 1.0 - b.psi31
-    b.psi4 = psi4_far_field(cfg, cfg.p_st_mw, quad)
-    conditional = (b.psi3 * b.psi4 / b.p_nonempty) if b.p_nonempty > 0 else 0.0
-    b.p_dsucc_sd = conditional * b.p_nonempty * b.guard_st * b.guard_sr
-    b.p_succ = b.p_h * b.p_dsucc_sd
-    return b
-
-
-def p_succ_bsir(cfg: SystemConfig, quad: QuadratureSpec = DEFAULT_QUAD) -> AnalyticBreakdown:
-    """Best first-hop SIR selection: p_h * (1-omega1) * phi * guard factors."""
-    b = _common(cfg, quad, "bsir")
-    b.omega1 = omega1(cfg, quad)
-    b.omega = 1.0 - b.omega1
-    b.phi = psi4_far_field(cfg, cfg.p_st_mw, quad)
-    conditional = (b.omega * b.phi / b.p_nonempty) if b.p_nonempty > 0 else 0.0
-    b.p_dsucc_sd = conditional * b.p_nonempty * b.guard_st * b.guard_sr
-    b.p_succ = b.p_h * b.p_dsucc_sd
-    return b
-
-
-def p_succ_bstd(cfg: SystemConfig, quad: QuadratureSpec = DEFAULT_QUAD) -> AnalyticBreakdown:
-    """Best second-hop SIR among decoders: p_h * (1 - chi) * relay guard.
-
-    ``chi`` is ``chi_common``: the transmitter guard is one event per block,
-    and 1 - chi already carries it as a factor, so it is not applied again.
-    The paper's independence form is kept beside it as ``chi_indep``, with
-    its thinning terms ``delta`` and ``lambda_eff``.
-    """
-    b = _common(cfg, quad, "bstd")
-    b.delta = delta_decode(cfg, quad)
-    b.lambda_eff = b.delta * cfg.lambda_sr
-    b.chi = chi_common(cfg, quad)
-    b.chi_indep = chi_bstd(cfg, quad)
-    b.p_dsucc_sd = (1.0 - b.chi) * b.guard_sr
-    b.p_succ = b.p_h * b.p_dsucc_sd
-    return b
-
-
-def p_succ_direct(cfg: SystemConfig, scheme: str,
-                  quad: QuadratureSpec = DEFAULT_QUAD) -> AnalyticBreakdown:
-    """Success probability with the direct link and selection combining.
-
-    Three-term decomposition: a selection-combining term where both the
-    transmitter and the forwarding relay are outside guard zones (squared
-    guard factor), a relay-failed term, and an empty-disc term (single guard
-    factor each). Hop-one joint factors are used directly so the empty-disc
-    division and re-multiplication cancel without 0/0 at lambda_sr = 0.
-    """
-    if not cfg.direct_link:
-        raise ValueError("p_succ_direct requires cfg.direct_link = True")
-    phi_dir = psi4_far_field(cfg, cfg.p_st_mw, quad)
-    guard = guard_zone_prob(cfg.lambda_p, cfg.r_gz)
-
-    if scheme in ("bcc", "bsir"):
-        b = _common(cfg, quad, scheme)
-        b.phi = phi_dir
-        b.pr_direct_fail = 1.0 - phi_dir
-        p0 = 1.0 - b.p_nonempty
-        if scheme == "bcc":
-            b.psi31 = psi31_bound(cfg, quad)
-            b.psi3 = 1.0 - b.psi31
-            hop1_joint = b.psi3
-            b.psi4 = psi4_far_field(cfg, cfg.p_st_mw, quad)
-            hop2 = b.psi4
-        else:
-            b.omega1 = omega1(cfg, quad)
-            b.omega = 1.0 - b.omega1
-            hop1_joint = b.omega
-            hop2 = phi_dir
-        failed_joint = max(1.0 - hop1_joint - p0, 0.0)
-        if b.p_nonempty > 0:
-            cond_pass = hop1_joint / b.p_nonempty
-            cond_fail = failed_joint / b.p_nonempty
-        else:
-            cond_pass = cond_fail = 0.0
-        if scheme == "bcc":
-            b.p11, b.p12 = cond_pass, cond_fail
-        else:
-            b.p22, b.p32 = cond_pass, cond_fail
-        combining = 1.0 - (1.0 - phi_dir) * (1.0 - hop2)
-        term_both = combining * hop1_joint * guard * guard
-        term_failed = phi_dir * failed_joint * guard
-        term_empty = phi_dir * p0 * guard
-        b.p_dsucc_dir = term_both + term_failed + term_empty
-        b.p_succ = b.p_h * b.p_dsucc_dir
-        return b
-
-    if scheme == "bstd":
-        b = _common(cfg, quad, scheme)
-        b.phi = phi_dir
-        b.pr_direct_fail = 1.0 - phi_dir
-        b.delta = delta_decode(cfg, quad)
-        b.lambda_eff = b.delta * cfg.lambda_sr
-        b.chi = chi_common(cfg, quad)
-        b.chi_indep = chi_bstd(cfg, quad)
-        b.pr_n1_zero = math.exp(-math.pi * b.lambda_eff * cfg.r_disc ** 2)
-        # The decoding-set void chance never exceeds the all-fail chance chi.
-        some_decoder = 1.0 - b.pr_n1_zero
-        fail_with_decoders = max(b.chi - b.pr_n1_zero, 0.0)
-        term_relay = (some_decoder - (1.0 - phi_dir) * fail_with_decoders) * guard
-        term_empty = phi_dir * b.pr_n1_zero * guard
-        b.p_dsucc_dir = term_relay + term_empty
-        b.p_succ = b.p_h * b.p_dsucc_dir
-        return b
-
-    raise UnsupportedScheme(f"no analytic expression for scheme {scheme!r}")
+BREAKDOWN_FIELDS = tuple(f.name for f in fields(AnalyticBreakdown) if f.name != "scheme")
 
 
 def analyze(cfg: SystemConfig, scheme: str,
             quad: QuadratureSpec = DEFAULT_QUAD) -> AnalyticBreakdown:
-    """Full analytic breakdown for one scheme under one configuration."""
+    """Full analytic breakdown for one scheme under one configuration.
+
+    p_succ = p_h * p_dsucc: the harvest probability ``p_h_kanter`` times the
+    chance that the destination decodes. Only the relay branch depends on
+    the scheme; guard_st and guard_sr are the same guard-zone factor.
+
+    bcc and bsir share one relay branch: the composite-channel and best-SIR
+    rules coincide under a single secondary transmit power. The hop-one
+    all-fail chance is ``psi31_bound`` (bcc) or ``omega1`` (bsir), which
+    differ only in their quadrature-failure context, and the selected relay
+    forwards over the far-field hop ``psi4_far_field``. bcc reports them as
+    psi31, psi3 = 1 - psi31 and psi4; bsir as omega1, omega and phi. Without
+    the direct link p_dsucc_sd = psi3 * psi4 * guard_st * guard_sr; psi3 is
+    already the joint chance that the disc holds a relay and one decodes, so
+    there is no empty-disc conditioning to divide out.
+
+    bstd runs the exact all-fail chance ``chi_common``. The transmitter guard
+    is one event per block and 1 - chi already carries it, so
+    p_dsucc_sd = (1 - chi) * guard_sr. The paper's independence form is kept
+    beside it as ``chi_indep``, with its thinning terms ``delta`` and
+    ``lambda_eff``.
+
+    The direct link is one last step, selection combining with the far-field
+    direct decode chance phi (the same value as psi4):
+    - bcc/bsir: a combining term where both the transmitter and the
+      forwarding relay are outside guard zones (squared guard factor), a
+      relay-failed term and an empty-disc term (one guard factor each).
+      p11/p12 (bcc) or p22/p32 (bsir) are the hop-one pass and fail chances
+      given a nonempty disc, 0 for a relay density of 0;
+    - bstd: the relay branch less the direct link's failure on decoding sets
+      that all fail, plus the direct link alone when the decoding set is
+      void (chance pr_n1_zero, which never exceeds chi).
+    """
     if scheme == "random_baseline":
         raise UnsupportedScheme(
             "random_baseline is a simulation-only reference; no analytic expression")
-    if cfg.direct_link:
-        return p_succ_direct(cfg, scheme, quad)
-    if scheme == "bcc":
-        return p_succ_bcc(cfg, quad)
-    if scheme == "bsir":
-        return p_succ_bsir(cfg, quad)
+    if scheme not in ("bcc", "bsir", "bstd"):
+        raise UnsupportedScheme(f"unknown scheme {scheme!r}")
+    guard = guard_zone_prob(cfg.lambda_p, cfg.r_gz)
+    b = AnalyticBreakdown(scheme=scheme, p_h=p_h_kanter(cfg, quad), guard_st=guard,
+                          guard_sr=guard, p_nonempty=p_nonempty(cfg))
+    phi = psi4_far_field(cfg, quad) if scheme != "bstd" or cfg.direct_link else None
     if scheme == "bstd":
-        return p_succ_bstd(cfg, quad)
-    raise UnsupportedScheme(f"unknown scheme {scheme!r}")
+        b.delta = delta_decode(cfg, quad)
+        b.lambda_eff = b.delta * cfg.lambda_sr
+        b.chi = chi_common(cfg, quad)
+        b.chi_indep = chi_bstd(cfg, quad)
+        relayed = 1.0 - b.chi  # success through relays, before guard_sr
+    else:
+        all_fail = psi31_bound(cfg, quad) if scheme == "bcc" else omega1(cfg, quad)
+        hop1 = 1.0 - all_fail
+        if scheme == "bcc":
+            b.psi31, b.psi3, b.psi4 = all_fail, hop1, phi
+        else:
+            b.omega1, b.omega, b.phi = all_fail, hop1, phi
+        relayed = hop1 * phi * guard
+
+    if not cfg.direct_link:
+        b.p_dsucc_sd = relayed * guard
+        b.p_succ = b.p_h * b.p_dsucc_sd
+        return b
+
+    b.phi = phi
+    b.pr_direct_fail = 1.0 - phi
+    if scheme == "bstd":
+        b.pr_n1_zero = math.exp(-math.pi * b.lambda_eff * cfg.r_disc ** 2)
+        empty = b.pr_n1_zero
+        fail_with_decoders = max(b.chi - empty, 0.0)
+        relay_terms = (1.0 - empty - b.pr_direct_fail * fail_with_decoders) * guard
+    else:
+        empty = 1.0 - b.p_nonempty
+        failed = max(1.0 - hop1 - empty, 0.0)
+        given = ((hop1 / b.p_nonempty, failed / b.p_nonempty) if b.p_nonempty > 0
+                 else (0.0, 0.0))
+        if scheme == "bcc":
+            b.p11, b.p12 = given
+        else:
+            b.p22, b.p32 = given
+        combining = 1.0 - b.pr_direct_fail * (1.0 - phi)
+        relay_terms = combining * hop1 * guard * guard + phi * failed * guard
+    b.p_dsucc_dir = relay_terms + phi * empty * guard
+    b.p_succ = b.p_h * b.p_dsucc_dir
+    return b
 
 
 def alpha4_selfcheck(cfg: SystemConfig, quad: QuadratureSpec = DEFAULT_QUAD):
@@ -872,8 +770,7 @@ def alpha4_selfcheck(cfg: SystemConfig, quad: QuadratureSpec = DEFAULT_QUAD):
         ("psi31", psi31_bound(cfg, quad, "closed"), psi31_bound(cfg, quad, "quad")),
         ("omega1", omega1(cfg, quad, "closed"), omega1(cfg, quad, "quad")),
         ("delta", delta_decode(cfg, quad, "closed"), delta_decode(cfg, quad, "quad")),
-        ("psi4", psi4_far_field(cfg, cfg.p_st_mw, quad, "closed"),
-         psi4_far_field(cfg, cfg.p_st_mw, quad, "quad")),
+        ("psi4", psi4_far_field(cfg, quad, "closed"), psi4_far_field(cfg, quad, "quad")),
         ("xi", float(xi_bstd(cfg.r_disc / 2.0, 1.0, cfg, quad, "closed")),
          float(xi_bstd(cfg.r_disc / 2.0, 1.0, cfg, quad, "quad"))),
     ]

@@ -19,8 +19,7 @@ from .analytics import (BREAKDOWN_FIELDS, QuadratureFailure,
                         UnsupportedScheme, alpha4_selfcheck, analyze)
 from .config import (NUMERIC_FIELDS, RAW_FIELDS, ConfigError, SystemConfig,
                      apply_overrides, load_config, parse_value, validate)
-from .simulate import (FLAG_NAMES, SCHEMES, default_workers, simulate,
-                       simulate_all)
+from .simulate import FLAG_NAMES, SCHEMES, simulate, simulate_all
 
 _CFG_LINEAR = ("p_t_mw", "p_st_mw", "gamma_th_lin")
 _SIM_FLAG_COLUMNS = tuple(n for n in FLAG_NAMES if n != "success")
@@ -300,8 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "workers", None) is None and hasattr(args, "workers"):
-        args.workers = default_workers()
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -38,13 +38,6 @@ def db_to_linear(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)
 
 
-def linear_to_db(x: float) -> float:
-    """Convert a positive linear ratio to dB."""
-    if not (math.isfinite(x) and x > 0):
-        raise ValueError(f"linear value must be finite and positive: {x!r}")
-    return 10.0 * math.log10(x)
-
-
 SLOT_POSITION_MODELS = ("independent", "static")
 # Threshold on the normalized harvested sum K above which the transmitter has
 # enough energy: "energy" balances harvested against required transmit energy;

@@ -65,13 +65,6 @@ class PointField:
     def slot_count(self) -> int:
         return self.marks.shape[1]
 
-    def distances_to(self, at) -> np.ndarray:
-        """Euclidean distances from each point to ``at``, clamped to EPS_MIN."""
-        if self.n == 0:
-            return np.empty(0)
-        delta = self.points - np.asarray(at, dtype=float)
-        return np.maximum(np.hypot(delta[:, 0], delta[:, 1]), EPS_MIN)
-
 
 def sample_disc_ppp(density: float, radius: float, center, rng,
                     slot_count: int = 1) -> PointField:
@@ -116,26 +109,6 @@ def is_clear_of_guard_zones(at, pr_field: PointField, r_gz: float) -> bool:
         return True
     delta = pr_field.points - np.asarray(at, dtype=float)
     return bool(np.min(np.hypot(delta[:, 0], delta[:, 1])) > r_gz)
-
-
-def empirical_laplace(samples, s: float) -> float:
-    """Mean of exp(-s*x) over a nonempty sample of nonnegative values."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.size == 0:
-        raise ValueError("empirical_laplace needs a nonempty sample")
-    if s < 0:
-        raise ValueError(f"s must be >= 0, got {s}")
-    return float(np.mean(np.exp(-s * samples)))
-
-
-def write_field_csv(field: PointField, fh) -> None:
-    """Debug dump of one realization: index, x, y, one column per slot mark."""
-    slots = ",".join(f"mark_{k}" for k in range(field.slot_count))
-    fh.write(f"index,x,y,{slots}\n")
-    for i in range(field.n):
-        marks = ",".join(format(v, ".9g") for v in field.marks[i])
-        fh.write(f"{i},{format(field.points[i, 0], '.9g')},"
-                 f"{format(field.points[i, 1], '.9g')},{marks}\n")
 
 
 # ---------------------------------------------------------------------------

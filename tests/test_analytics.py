@@ -20,12 +20,9 @@ from ehrelay.analytics import (AnalyticBreakdown, QuadratureSpec,
                                QuadratureFailure, chi_bstd, chi_common,
                                chi_integral, delta_decode,
                                gamma_pair, guard_zone_prob,
-                               interference_integral,
-                               interference_integral_quad, laplace_K, omega1,
+                               interference_integral, laplace_K, omega1,
                                p_h_gil_pelaez, p_h_levy_erf, p_nonempty,
-                               p_succ_bcc, p_succ_bsir, p_succ_bstd,
-                               p_succ_direct, psi3, psi31_bound,
-                               psi4_far_field, xi_bstd)
+                               psi31_bound, psi4_far_field, xi_bstd)
 from ehrelay.config import SystemConfig, harvest_threshold, validate
 from ehrelay.geometry import RngStream, shot_noise_batch
 
@@ -42,13 +39,6 @@ def test_interference_integral_values():
     assert interference_integral(0.0, 4.0) == 0.0
     assert interference_integral(1.0, 4.0) == pytest.approx(math.pi / 4.0, rel=1e-12)
     assert interference_integral(16.0, 4.0) == pytest.approx(math.pi, rel=1e-12)
-
-
-def test_interference_integral_quadrature_agreement():
-    for beta in (0.5, 1.0, 16.0, 250.0):
-        closed = interference_integral(beta, 4.0)
-        numeric = interference_integral_quad(beta, 4.0)
-        assert numeric == pytest.approx(closed, rel=1e-9)
 
 
 @pytest.mark.parametrize("alpha", [2.2, 2.5, 3.0, 3.5, 5.0])
@@ -83,8 +73,6 @@ def test_interference_integral_monotone_in_beta():
 def test_interference_integral_rejects_divergent_alpha():
     with pytest.raises(ValueError):
         interference_integral(1.0, 2.0)
-    with pytest.raises(ValueError):
-        interference_integral_quad(1.0, 1.9)
 
 
 def test_gamma_pair_alpha4_constant():
@@ -342,8 +330,9 @@ def test_psi31_limits():
     assert psi31_bound(cfg_with(lambda_sr=0.0)) == 1.0
     near_zero_th = cfg_with(gamma_th_db=-300.0)
     assert psi31_bound(near_zero_th) == pytest.approx(math.exp(-math.pi), rel=1e-7)
-    assert psi3(cfg_with(lambda_sr=0.0)) == 0.0
-    assert psi3(near_zero_th) == pytest.approx(1.0 - math.exp(-math.pi), rel=1e-6)
+    assert analyze(cfg_with(lambda_sr=0.0), "bcc").psi3 == 0.0
+    assert analyze(near_zero_th, "bcc").psi3 == pytest.approx(1.0 - math.exp(-math.pi),
+                                                              rel=1e-6)
 
 
 def test_omega1_limits():
@@ -514,19 +503,19 @@ def test_chi_common_stall_raises():
 
 def test_p_succ_zero_without_relays():
     empty = cfg_with(lambda_sr=0.0)
-    assert p_succ_bcc(empty).p_succ == 0.0
-    assert p_succ_bsir(empty).p_succ == 0.0
-    assert p_succ_bstd(empty).p_succ == 0.0
+    assert analyze(empty, "bcc").p_succ == 0.0
+    assert analyze(empty, "bsir").p_succ == 0.0
+    assert analyze(empty, "bstd").p_succ == 0.0
 
 
 def test_p_succ_vanishes_with_huge_guard_zone():
     walled = cfg_with(r_gz=30.0, r_max=100.0)
-    assert p_succ_bcc(walled).p_succ < 1e-9
-    assert p_succ_bstd(walled).p_succ < 1e-9
+    assert analyze(walled, "bcc").p_succ < 1e-9
+    assert analyze(walled, "bstd").p_succ < 1e-9
 
 
 def test_p_succ_bcc_composition(baseline):
-    b = p_succ_bcc(baseline)
+    b = analyze(baseline, "bcc")
     product = b.p_h * b.psi3 * b.psi4 * b.guard_st * b.guard_sr
     assert b.p_succ == pytest.approx(product, rel=1e-12)
     assert b.psi3 == pytest.approx(1.0 - b.psi31, rel=1e-12)
@@ -534,27 +523,27 @@ def test_p_succ_bcc_composition(baseline):
 
 def test_p_succ_bsir_gamma_to_zero_limit():
     cfg = cfg_with(gamma_th_db=-300.0)
-    b = p_succ_bsir(cfg)
+    b = analyze(cfg, "bsir")
     expected = b.p_h * b.p_nonempty * b.guard_st * b.guard_sr
     assert b.p_succ == pytest.approx(expected, rel=1e-6)
 
 
 def test_p_succ_bstd_composition(baseline):
-    b = p_succ_bstd(baseline)
+    b = analyze(baseline, "bstd")
     assert b.p_succ == pytest.approx(b.p_h * (1.0 - b.chi) * b.guard_sr, rel=1e-12)
     assert b.lambda_eff == pytest.approx(b.delta * baseline.lambda_sr, rel=1e-12)
 
 
 def test_p_succ_bstd_ideal_limit():
     cfg = cfg_with(gamma_th_db=-300.0, r_gz=0.0)
-    b = p_succ_bstd(cfg)
+    b = analyze(cfg, "bstd")
     assert b.p_succ == pytest.approx(b.p_h * p_nonempty(cfg), rel=1e-4)
 
 
 def test_direct_only_link_when_no_relays():
     cfg = cfg_with(lambda_sr=0.0, direct_link=True)
     for scheme in ("bcc", "bsir", "bstd"):
-        b = p_succ_direct(cfg, scheme)
+        b = analyze(cfg, scheme)
         expected = b.p_h * psi4_far_field(cfg) * b.guard_st
         assert b.p_succ == pytest.approx(expected, rel=1e-9)
 
@@ -564,10 +553,10 @@ def test_direct_gamma_to_zero_decode_terms_unity():
     g = guard_zone_prob(cfg.lambda_p, cfg.r_gz)
     p0 = 1.0 - p_nonempty(cfg)
     for scheme in ("bcc", "bsir"):
-        b = p_succ_direct(cfg, scheme)
+        b = analyze(cfg, scheme)
         expected = b.p_h * ((1.0 - p0) * g * g + p0 * g)
         assert b.p_succ == pytest.approx(expected, rel=1e-5)
-    b = p_succ_direct(cfg, "bstd")
+    b = analyze(cfg, "bstd")
     assert b.p_dsucc_dir == pytest.approx(g, rel=1e-4)
 
 
@@ -586,11 +575,6 @@ def test_breakdown_probability_fields_in_unit_interval():
             assert b.p_succ <= b.p_h + 1e-12
             bound = b.p_nonempty + (1.0 if cfg.direct_link else 0.0)
             assert b.p_succ <= bound + 1e-12
-
-
-def test_breakdown_csv_fields_cover_dataclass():
-    names = {f.name for f in dataclasses.fields(AnalyticBreakdown)} - {"scheme"}
-    assert set(an.BREAKDOWN_FIELDS) == names
 
 
 def test_analyze_rejects_random_baseline(baseline):

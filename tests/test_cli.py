@@ -91,6 +91,45 @@ def test_analyze_baseline_bcc(tmp_path, baseline_path):
     assert cell(out, "omega1") == ""  # not a factor of this scheme
 
 
+ANALYZE_HEADER = ("scheme,p_h,guard_st,guard_sr,p_nonempty,psi31,psi3,psi4,omega1,omega,"
+                  "phi,delta,lambda_eff,chi,chi_indep,p_dsucc_sd,pr_direct_fail,p11,p12,"
+                  "p22,p32,pr_n1_zero,p_dsucc_dir,p_succ")
+# The baseline analyze rows, factor by factor: which cells are empty and every
+# printed digit. bcc and bsir carry the same numbers under their own columns.
+ANALYZE_ROWS = {
+    ("bcc", "false"):
+        "bcc,0.908367029,0.969072426,0.969072426,0.956786082,0.0705441893,"
+        "0.929455811,0.247231789,,,,,,,,0.215797064,,,,,,,,0.196022938",
+    ("bcc", "true"):
+        "bcc,0.908367029,0.969072426,0.969072426,0.956786082,0.0705441893,"
+        "0.929455811,0.247231789,,,0.247231789,,,,,,0.752768211,0.971435338,"
+        "0.028564662,,,,0.395143599,0.358935417",
+    ("bsir", "false"):
+        "bsir,0.908367029,0.969072426,0.969072426,0.956786082,,,,0.0705441893,"
+        "0.929455811,0.247231789,,,,,0.215797064,,,,,,,,0.196022938",
+    ("bsir", "true"):
+        "bsir,0.908367029,0.969072426,0.969072426,0.956786082,,,,0.0705441893,"
+        "0.929455811,0.247231789,,,,,,0.752768211,,,0.971435338,0.028564662,,"
+        "0.395143599,0.358935417",
+    ("bstd", "false"):
+        "bstd,0.908367029,0.969072426,0.969072426,0.956786082,,,,,,,0.817900758,"
+        "0.817900758,0.610033255,0.511928916,0.37790602,,,,,,,,0.343277368",
+    ("bstd", "true"):
+        "bstd,0.908367029,0.969072426,0.969072426,0.956786082,,,,,,0.247231789,"
+        "0.817900758,0.817900758,0.610033255,0.511928916,,0.752768211,,,,,"
+        "0.0765729796,0.524061148,0.476039868",
+}
+
+
+@pytest.mark.parametrize("scheme,direct", sorted(ANALYZE_ROWS))
+def test_analyze_baseline_golden_row(scheme, direct, baseline_path, capsys):
+    assert run_cli(["analyze", "--config", baseline_path, "--scheme", scheme,
+                    "--direct_link", direct]) == 0
+    out, err = capsys.readouterr()
+    assert out == f"{ANALYZE_HEADER}\n{ANALYZE_ROWS[scheme, direct]}\n"
+    assert err == ""
+
+
 def test_analyze_no_primaries(tmp_path):
     out = tmp_path / "ana0.csv"
     assert run_cli(["analyze", "--scheme", "bcc", "--lambda_p", "0",

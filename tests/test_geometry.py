@@ -5,7 +5,6 @@ Poisson/exponential moments within 3 sigma; seeds are fixed so the suite is
 deterministic.
 """
 
-import io
 import math
 
 import numpy as np
@@ -13,10 +12,9 @@ import pytest
 
 from ehrelay import geometry as geo
 from ehrelay.geometry import (PointField, RngStream, clearance_batch,
-                              disc_ppp_batch, empirical_laplace,
-                              interference_sum, is_clear_of_guard_zones,
-                              sample_disc_ppp, shot_noise_batch,
-                              write_field_csv)
+                              disc_ppp_batch, interference_sum,
+                              is_clear_of_guard_zones, sample_disc_ppp,
+                              shot_noise_batch)
 
 
 def field_interference(field, at, tx_power, alpha):
@@ -127,13 +125,6 @@ def test_interference_distance_clamp():
     assert math.isfinite(val) and val == pytest.approx(geo.EPS_MIN ** -4.0)
 
 
-def test_empirical_laplace_basics():
-    assert empirical_laplace([0.0, 0.0, 0.0], 3.0) == 1.0
-    assert empirical_laplace([1.0, 2.0], 0.0) == 1.0
-    with pytest.raises(ValueError):
-        empirical_laplace([], 1.0)
-
-
 def test_interference_laplace_matches_closed_form():
     # Empirical Laplace transform of shot-noise interference vs the stable-law
     # form exp(-pi*lam*G(1.5)G(0.5)*sqrt(s*P)); truncation bias at r_max=150
@@ -186,14 +177,3 @@ def test_clearance_batch_agrees_with_predicate_stats():
     clear = clearance_batch(lam, r_gz, 10.0, n, RngStream(49, 0))
     p = math.exp(-math.pi * lam * r_gz ** 2)
     assert abs(clear.mean() - p) <= 3.0 * math.sqrt(p * (1 - p) / n)
-
-
-def test_field_csv_dump():
-    field = PointField(points=np.array([[1.0, 2.0], [3.0, 4.0]]),
-                       marks=np.array([[0.5, 1.5], [2.5, 3.5]]))
-    buf = io.StringIO()
-    write_field_csv(field, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "index,x,y,mark_0,mark_1"
-    assert lines[1] == "0,1,2,0.5,1.5"
-    assert len(lines) == 3
