@@ -130,12 +130,21 @@ class DiscBatch(NamedTuple):
     y: np.ndarray
 
 
-def segment_sums(values, counts) -> np.ndarray:
-    """Sums of the consecutive segments of ``values`` whose lengths are ``counts``."""
+def segment_starts(counts) -> np.ndarray:
+    """Index of the first value of each segment whose lengths are ``counts``."""
+    return np.cumsum(counts) - counts
+
+
+def segment_sums(values, counts, first=None) -> np.ndarray:
+    """Sums of the consecutive segments of ``values`` whose lengths are
+    ``counts``; ``first`` passes ``segment_starts(counts)`` when the caller
+    has it already."""
     sums = np.zeros(len(counts))
     present = counts > 0
     if len(values):
-        sums[present] = np.add.reduceat(values, (np.cumsum(counts) - counts)[present])
+        if first is None:
+            first = segment_starts(counts)
+        sums[present] = np.add.reduceat(values, first[present])
     return sums
 
 
@@ -166,10 +175,14 @@ def shot_noise_batch(density: float, r_max: float, alpha: float,
     gen = as_generator(rng)
     counts = gen.poisson(density * math.pi * r_max * r_max, n_samples)
     total = int(counts.sum())
-    # r^(-alpha) = (r_max^2 u)^(-alpha/2) for r = r_max*sqrt(u), clamped at EPS_MIN.
-    radii_sq = np.maximum(r_max * r_max * gen.random(total), EPS_MIN * EPS_MIN)
-    gains = gen.standard_exponential(total)
-    return segment_sums(gains * radii_sq ** (-0.5 * alpha), counts)
+    # r^(-alpha) = (r_max^2 u)^(-alpha/2) for r = r_max*sqrt(u), clamped at
+    # EPS_MIN; one buffer, worked in place.
+    loss = gen.random(total)
+    loss *= r_max * r_max
+    np.maximum(loss, EPS_MIN * EPS_MIN, out=loss)
+    np.power(loss, -0.5 * alpha, out=loss)
+    loss *= gen.standard_exponential(total)
+    return segment_sums(loss, counts)
 
 
 def clearance_batch(density: float, r_gz: float, r_max: float,

@@ -43,7 +43,8 @@ import numpy as np
 
 from .config import SystemConfig, harvest_threshold
 from .geometry import (EPS_MIN, DiscBatch, RngStream, as_generator,
-                       disc_ppp_batch, segment_sums, shot_noise_batch)
+                       disc_ppp_batch, segment_starts, segment_sums,
+                       shot_noise_batch)
 
 SCHEMES = ("bcc", "bsir", "bstd", "random_baseline")
 # random_baseline is a uniform-pick reference, not part of the analyzed
@@ -133,9 +134,19 @@ def harvested_energy(cfg: SystemConfig, dedicated, reused):
     return cfg.a * dedicated + (1.0 - cfg.a) / 2.0 * reused
 
 
-def _path_loss(d2, alpha: float):
-    """max(d, EPS_MIN)^(-alpha), from squared distances d2."""
-    return np.maximum(d2, EPS_MIN * EPS_MIN) ** (-0.5 * alpha)
+def _path_loss(d2, alpha: float) -> np.ndarray:
+    """max(d, EPS_MIN)^(-alpha), from an array of squared distances d2; a
+    new array, so callers may scale it in place."""
+    loss = np.maximum(d2, EPS_MIN * EPS_MIN)
+    return np.power(loss, -0.5 * alpha, out=loss)
+
+
+def _d2_from(points: DiscBatch, x0: float = 0.0) -> np.ndarray:
+    """Squared distances of the points from (x0, 0)."""
+    d2 = points.x - x0
+    d2 *= d2
+    d2 += points.y * points.y
+    return d2
 
 
 def _safe_ratio(signal, interference):
@@ -144,29 +155,41 @@ def _safe_ratio(signal, interference):
     return np.divide(signal, interference, out=empty, where=interference > 0.0)
 
 
-def _received(counts, gains, d2, alpha: float) -> np.ndarray:
+def _received(counts, first, gains, d2, alpha: float) -> np.ndarray:
     """Per-segment sum of gains * path loss; segments as in ``segment_sums``."""
-    return segment_sums(gains * _path_loss(d2, alpha), counts)
+    loss = _path_loss(d2, alpha)
+    loss *= gains
+    return segment_sums(loss, counts, first)
 
 
-def _none_within(counts, d2, radius: float) -> np.ndarray:
+def _none_within(counts, first, d2, radius: float) -> np.ndarray:
     """Per segment: no point within ``radius`` (squared distances d2)."""
-    return segment_sums(d2 <= radius * radius, counts) == 0
+    return segment_sums(d2 <= radius * radius, counts, first) == 0
 
 
-def _first(counts):
-    return np.cumsum(counts) - counts
-
-
-def _pair_d2(points: DiscBatch, other: DiscBatch):
+def _pair_d2(points: DiscBatch, other: DiscBatch, other_first):
     """Squared distances from every point to every point of ``other`` in its
-    trial, grouped by point; returns (pairs per point, squared distances)."""
+    trial, grouped by point; ``other_first`` holds the segment starts of
+    ``other``. Returns (pairs per point, their segment starts, squared
+    distances)."""
     per = other.counts[points.owner]
-    j = (np.repeat(_first(other.counts)[points.owner] - _first(per), per)
-         + np.arange(per.sum()))
-    d2 = ((np.repeat(points.x, per) - other.x[j]) ** 2
-          + (np.repeat(points.y, per) - other.y[j]) ** 2)
-    return per, d2
+    first = segment_starts(per)
+    j = np.arange(per.sum())
+    j += np.repeat(other_first[points.owner] - first, per)
+    d2 = np.repeat(points.x, per)
+    d2 -= other.x[j]
+    d2 *= d2
+    dy = np.repeat(points.y, per)
+    dy -= other.y[j]
+    dy *= dy
+    d2 += dy
+    return per, first, d2
+
+
+def _split(values, sizes):
+    """Consecutive views of ``values`` with the given lengths."""
+    bounds = np.cumsum((0,) + sizes).tolist()
+    return [values[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _segmented_argmax(owner, first, present, metric) -> np.ndarray:
@@ -189,7 +212,7 @@ def _segmented_argmax(owner, first, present, metric) -> np.ndarray:
 
 
 def select_relay(cfg: SystemConfig, relays: DiscBatch, gains, relay_itf,
-                 sd_itf, pick):
+                 sd_itf, pick, first=None):
     """Forwarding relay of every trial in a block, under every scheme.
 
     ``gains`` holds the hop-one and hop-two fading gain of each relay,
@@ -198,14 +221,18 @@ def select_relay(cfg: SystemConfig, relays: DiscBatch, gains, relay_itf,
     uniform per trial for random_baseline. Returns (selected, sir_hop1,
     sir_hop2): ``selected[k, t]`` is the block-wide index of trial t's relay
     under SCHEMES[k], -1 when none qualifies. Ties go to the lowest index.
+    ``first`` passes the relays' segment starts when the caller has them.
     """
     gain_hop1, gain_hop2 = gains
     owner, counts = relays.owner, relays.counts
-    hop1 = gain_hop1 * _path_loss(relays.x ** 2 + relays.y ** 2, cfg.alpha)
+    hop1 = _path_loss(_d2_from(relays), cfg.alpha)
+    hop1 *= gain_hop1
     sir_hop1 = _safe_ratio(cfg.p_st_mw * hop1, relay_itf)
-    hop2 = gain_hop2 * _path_loss((relays.x - cfg.d_sd) ** 2 + relays.y ** 2, cfg.alpha)
+    hop2 = _path_loss(_d2_from(relays, cfg.d_sd), cfg.alpha)
+    hop2 *= gain_hop2
     sir_hop2 = _safe_ratio(cfg.p_st_mw * hop2, sd_itf[owner])
-    first = _first(counts)
+    if first is None:
+        first = segment_starts(counts)
     present = counts > 0
     uniform = first + np.minimum((pick * counts).astype(np.int64), counts - 1)
     selected = np.stack((
@@ -224,46 +251,52 @@ def run_realization(cfg: SystemConfig, rng, n: int) -> Outcomes:
     gen = as_generator(rng)
     alpha, p_t, d_sd = cfg.alpha, cfg.p_t_mw, cfg.d_sd
 
-    # Fixed draw order, shared by every scheme and direct-link setting.
+    # Fixed draw order, shared by every scheme and direct-link setting. One
+    # exponential draw is the concatenation of the draws of its parts, so a
+    # draw split into views gives the gains of separate draws.
     if cfg.slot_position_model == "static":
         slot2 = slot3 = disc_ppp_batch(cfg.lambda_p, cfg.r_max, n, gen)
-        d2_origin = slot2.x ** 2 + slot2.y ** 2
-        dedicated = _received(slot2.counts, gen.standard_exponential(d2_origin.size),
-                              d2_origin, alpha)
-        reused = _received(slot2.counts, gen.standard_exponential(d2_origin.size),
-                           d2_origin, alpha)
+        first2 = first3 = segment_starts(slot2.counts)
+        d2_origin = _d2_from(slot2)
+        harvest_gains = _split(gen.standard_exponential(2 * d2_origin.size),
+                               (d2_origin.size, d2_origin.size))
+        dedicated, reused = (_received(slot2.counts, first2, g, d2_origin, alpha)
+                             for g in harvest_gains)
     else:
         dedicated = shot_noise_batch(cfg.lambda_p, cfg.r_max, alpha, n, gen)
         reused = shot_noise_batch(cfg.lambda_p, cfg.r_max, alpha, n, gen)
         slot2 = disc_ppp_batch(cfg.lambda_p, cfg.r_max, n, gen)
         slot3 = disc_ppp_batch(cfg.lambda_p, cfg.r_max, n, gen)
+        first2, first3 = segment_starts(slot2.counts), segment_starts(slot3.counts)
     receivers = disc_ppp_batch(cfg.lambda_p, cfg.r_disc + cfg.r_gz, n, gen)
     relays = disc_ppp_batch(cfg.lambda_sr, cfg.r_disc, n, gen)
-    pairs_per_relay, d2_pairs = _pair_d2(relays, slot2)
-    gains = (gen.standard_exponential(relays.x.size),
-             gen.standard_exponential(relays.x.size))
-    gains_relay_itf = gen.standard_exponential(d2_pairs.size)
-    gains_sd_s2 = gen.standard_exponential(slot2.x.size)
-    gains_sd_s3 = gen.standard_exponential(slot3.x.size)
-    gain_direct = gen.standard_exponential(n)
+    pairs_per_relay, first_pairs, d2_pairs = _pair_d2(relays, slot2, first2)
+    sizes = (relays.x.size, relays.x.size, d2_pairs.size, slot2.x.size,
+             slot3.x.size, n)
+    (gain_hop1, gain_hop2, gains_relay_itf, gains_sd_s2, gains_sd_s3,
+     gain_direct) = _split(gen.standard_exponential(sum(sizes)), sizes)
     pick = gen.random(n)
 
     k_value = harvested_energy(cfg, dedicated, reused)
     harvest_ok = k_value >= harvest_threshold(cfg)
-    st_clear = _none_within(receivers.counts, receivers.x ** 2 + receivers.y ** 2,
-                            cfg.r_gz)
-    relay_clear = _none_within(*_pair_d2(relays, receivers), cfg.r_gz)
+    first_rx = segment_starts(receivers.counts)
+    st_clear = _none_within(receivers.counts, first_rx, _d2_from(receivers), cfg.r_gz)
+    relay_clear = _none_within(*_pair_d2(relays, receivers, first_rx), cfg.r_gz)
 
-    i_sd_s2 = p_t * _received(slot2.counts, gains_sd_s2,
-                              (slot2.x - d_sd) ** 2 + slot2.y ** 2, alpha)
-    i_sd_s3 = p_t * _received(slot3.counts, gains_sd_s3,
-                              (slot3.x - d_sd) ** 2 + slot3.y ** 2, alpha)
-    relay_itf = p_t * _received(pairs_per_relay, gains_relay_itf, d2_pairs, alpha)
-    direct_ok = _safe_ratio(cfg.p_st_mw * gain_direct * _path_loss(d_sd * d_sd, alpha),
+    i_sd_s2 = p_t * _received(slot2.counts, first2, gains_sd_s2,
+                              _d2_from(slot2, d_sd), alpha)
+    i_sd_s3 = p_t * _received(slot3.counts, first3, gains_sd_s3,
+                              _d2_from(slot3, d_sd), alpha)
+    relay_itf = p_t * _received(pairs_per_relay, first_pairs, gains_relay_itf,
+                                d2_pairs, alpha)
+    # A scalar power: numpy's vectorized power may differ from it in the last bit.
+    direct_loss = max(d_sd * d_sd, EPS_MIN * EPS_MIN) ** (-0.5 * alpha)
+    direct_ok = _safe_ratio(cfg.p_st_mw * gain_direct * direct_loss,
                             i_sd_s2) >= cfg.gamma_th_lin
 
-    selected, sir_hop1, sir_hop2 = select_relay(cfg, relays, gains, relay_itf,
-                                                i_sd_s3, pick)
+    first_relay = segment_starts(relays.counts)
+    selected, sir_hop1, sir_hop2 = select_relay(cfg, relays, (gain_hop1, gain_hop2),
+                                                relay_itf, i_sd_s3, pick, first_relay)
     hop1_ok = sir_hop1 >= cfg.gamma_th_lin
     decode_count = np.bincount(relays.owner[hop1_ok], minlength=n)
     nonempty = relays.counts >= 1
@@ -291,7 +324,7 @@ def run_realization(cfg: SystemConfig, rng, n: int) -> Outcomes:
         flags[k] = (harvest_ok, st_clear, nonempty, sr_decode, sr_clear,
                     sd_decode, direct_ok, harvest_ok & st_clear & reach)
 
-    local = np.where(selected >= 0, selected - _first(relays.counts), -1)
+    local = np.where(selected >= 0, selected - first_relay, -1)
     return Outcomes(flags=flags, relay_count=relays.counts,
                     decode_count=decode_count, selected=local, k_value=k_value)
 
