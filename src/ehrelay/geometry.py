@@ -152,16 +152,26 @@ def disc_ppp_batch(density: float, radius: float, n_samples: int,
                    rng) -> DiscBatch:
     """n_samples independent homogeneous PPPs on a disc centered at the origin.
 
-    Counts are Poisson(density * pi * radius^2); given its count, a sample's
-    points are uniform on the disc (polar sampling with radius ~ sqrt(u)).
+    Each sample is drawn as a PPP of the same density on the enclosing square
+    [-radius, radius]^2 (a Poisson(density * 4 * radius^2) count of uniform
+    points) and restricted to the disc. A PPP restricted to a subregion is a
+    PPP of the same density on it (restriction theorem), so the kept counts
+    are Poisson(density * pi * radius^2) and, given its count, a sample's
+    points are uniform on the disc: the draw is exact, and it needs no sqrt,
+    cos or sin.
     """
     gen = as_generator(rng)
-    counts = gen.poisson(density * math.pi * radius * radius, n_samples)
-    owner = np.repeat(np.arange(n_samples), counts)
-    radii = radius * np.sqrt(gen.random(owner.size))
-    # Angles in [-pi, pi): numpy's sin and cos are faster there than on [0, 2*pi).
-    angles = 2.0 * math.pi * gen.random(owner.size) - math.pi
-    return DiscBatch(counts, owner, radii * np.cos(angles), radii * np.sin(angles))
+    drawn = gen.poisson(density * 4.0 * radius * radius, n_samples)
+    total = int(drawn.sum())
+    xy = gen.random(2 * total)
+    xy *= 2.0 * radius
+    xy -= radius
+    x, y = xy[:total], xy[total:]
+    r2 = x * x
+    r2 += y * y
+    keep = np.flatnonzero(r2 <= radius * radius)
+    owner = np.repeat(np.arange(n_samples), drawn)[keep]
+    return DiscBatch(np.bincount(owner, minlength=n_samples), owner, x[keep], y[keep])
 
 
 def shot_noise_batch(density: float, r_max: float, alpha: float,
