@@ -192,22 +192,25 @@ def _split(values, sizes):
     return [values[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _segmented_argmax(owner, first, present, metric) -> np.ndarray:
-    """Per trial, the index of its relay with the largest metric, else -1.
+def _segmented_argmax(owner, first, present, metrics) -> np.ndarray:
+    """Per metric and trial, the index of the trial's relay with the largest
+    metric, else -1.
 
-    ``owner`` (ascending) gives each relay's trial, ``first`` each trial's
-    first relay and ``present`` whether it has any. Ties go to the lowest
-    index; a metric of -inf marks an ineligible relay.
+    ``metrics`` has one row per metric and one column per relay; ``owner``
+    (ascending) gives each relay's trial, ``first`` each trial's first relay
+    and ``present`` whether it has any. Ties go to the lowest index; a metric
+    of -inf marks an ineligible relay.
     """
-    best = np.full(first.size, -np.inf)
-    if metric.size:
-        best[present] = np.maximum.reduceat(metric, first[present])
-    hit = np.flatnonzero((metric == best[owner]) & (metric > -np.inf))
-    hit_owner = owner[hit]
-    lead = np.ones(hit.size, dtype=bool)
-    lead[1:] = hit_owner[1:] != hit_owner[:-1]
-    selected = np.full(first.size, -1)
-    selected[hit_owner[lead]] = hit[lead]
+    selected = np.full((len(metrics), first.size), -1)
+    relays = metrics.shape[1]
+    if relays:
+        starts = first[present]
+        best = np.full(selected.shape, -np.inf)
+        best[:, present] = np.maximum.reduceat(metrics, starts, axis=1)
+        hit = (metrics == best[:, owner]) & (metrics > -np.inf)
+        lowest = np.minimum.reduceat(np.where(hit, np.arange(relays), relays),
+                                     starts, axis=1)
+        selected[:, present] = np.where(lowest < relays, lowest, -1)
     return selected
 
 
@@ -234,14 +237,12 @@ def select_relay(cfg: SystemConfig, relays: DiscBatch, gains, relay_itf,
     if first is None:
         first = segment_starts(counts)
     present = counts > 0
+    decoded_hop2 = np.where(sir_hop1 >= cfg.gamma_th_lin, sir_hop2, -np.inf)
     uniform = first + np.minimum((pick * counts).astype(np.int64), counts - 1)
-    selected = np.stack((
-        _segmented_argmax(owner, first, present, hop1),
-        _segmented_argmax(owner, first, present, sir_hop1),
+    selected = np.vstack((
         _segmented_argmax(owner, first, present,
-                          np.where(sir_hop1 >= cfg.gamma_th_lin, sir_hop2, -np.inf)),
-        np.where(present, uniform, -1),
-    ))
+                          np.stack((hop1, sir_hop1, decoded_hop2))),
+        np.where(present, uniform, -1)))
     return selected, sir_hop1, sir_hop2
 
 
@@ -300,29 +301,28 @@ def run_realization(cfg: SystemConfig, rng, n: int) -> Outcomes:
     hop1_ok = sir_hop1 >= cfg.gamma_th_lin
     decode_count = np.bincount(relays.owner[hop1_ok], minlength=n)
     nonempty = relays.counts >= 1
-    # Relay events with a trailing False, which selection index -1 reads.
-    hop1_at, hop2_at, clear_at = (np.append(v, False) for v in (
-        hop1_ok, sir_hop2 >= cfg.gamma_th_lin, relay_clear))
+    # Relay events with a trailing False column, which selection index -1
+    # reads; indexed by the selections, each gives a (scheme, trial) array.
+    events = np.zeros((3, relays.x.size + 1), dtype=bool)
+    events[:, :-1] = (hop1_ok, sir_hop2 >= cfg.gamma_th_lin, relay_clear)
+    sr_decode, sd_decode, sr_clear = events[:, selected]
+    sr_decode[SCHEMES.index("bstd")] = decode_count > 0
+    relay_branch = nonempty & sr_decode & sr_clear & sd_decode
+    if not cfg.direct_link:
+        reach = relay_branch
+    elif cfg.direct_literal_events:
+        # Exact decomposed event set: the direct branch only counts
+        # alongside a decoding, guard-cleared relay or when no relay
+        # decoded at all.
+        reach = ((sr_decode & sr_clear & (direct_ok | sd_decode))
+                 | (~sr_decode & direct_ok))
+    else:
+        reach = direct_ok | relay_branch
 
     flags = np.empty((len(SCHEMES), len(FLAG_NAMES), n), dtype=bool)
-    for k, scheme in enumerate(SCHEMES):
-        sel = selected[k]
-        sr_decode = decode_count > 0 if scheme == "bstd" else hop1_at[sel]
-        sr_clear = clear_at[sel]
-        sd_decode = hop2_at[sel]
-        relay_branch = nonempty & sr_decode & sr_clear & sd_decode
-        if not cfg.direct_link:
-            reach = relay_branch
-        elif cfg.direct_literal_events:
-            # Exact decomposed event set: the direct branch only counts
-            # alongside a decoding, guard-cleared relay or when no relay
-            # decoded at all.
-            reach = ((sr_decode & sr_clear & (direct_ok | sd_decode))
-                     | (~sr_decode & direct_ok))
-        else:
-            reach = direct_ok | relay_branch
-        flags[k] = (harvest_ok, st_clear, nonempty, sr_decode, sr_clear,
-                    sd_decode, direct_ok, harvest_ok & st_clear & reach)
+    for f, flag in enumerate((harvest_ok, st_clear, nonempty, sr_decode, sr_clear,
+                              sd_decode, direct_ok, harvest_ok & st_clear & reach)):
+        flags[:, f] = flag
 
     local = np.where(selected >= 0, selected - first_relay, -1)
     return Outcomes(flags=flags, relay_count=relays.counts,
