@@ -176,11 +176,14 @@ def _pair_d2(points: DiscBatch, other: DiscBatch, other_first):
     first = segment_starts(per)
     j = np.arange(per.sum())
     j += np.repeat(other_first[points.owner] - first, per)
-    d2 = np.repeat(points.x, per)
-    d2 -= other.x[j]
+    # (other - point)^2 has the bits of (point - other)^2. Gathering both
+    # coordinates first frees the index array early.
+    d2 = other.x[j]
+    dy = other.y[j]
+    del j
+    d2 -= np.repeat(points.x, per)
     d2 *= d2
-    dy = np.repeat(points.y, per)
-    dy -= other.y[j]
+    dy -= np.repeat(points.y, per)
     dy *= dy
     d2 += dy
     return per, first, d2
