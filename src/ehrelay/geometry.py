@@ -132,7 +132,7 @@ class DiscBatch(NamedTuple):
 
 def segment_starts(counts) -> np.ndarray:
     """Index of the first value of each segment whose lengths are ``counts``."""
-    return np.cumsum(counts) - counts
+    return counts.cumsum() - counts
 
 
 def segment_sums(values, counts, first=None) -> np.ndarray:
@@ -169,8 +169,8 @@ def disc_ppp_batch(density: float, radius: float, n_samples: int,
     x, y = xy[:total], xy[total:]
     r2 = x * x
     r2 += y * y
-    keep = np.flatnonzero(r2 <= radius * radius)
-    owner = np.repeat(np.arange(n_samples), drawn)[keep]
+    keep = (r2 <= radius * radius).nonzero()[0]
+    owner = np.arange(n_samples).repeat(drawn)[keep]
     return DiscBatch(np.bincount(owner, minlength=n_samples), owner, x[keep], y[keep])
 
 

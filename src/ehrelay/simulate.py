@@ -28,6 +28,7 @@ form; the acceptance tolerance absorbs the gap).
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import os
 import threading
@@ -175,15 +176,15 @@ def _pair_d2(points: DiscBatch, other: DiscBatch, other_first):
     per = other.counts[points.owner]
     first = segment_starts(per)
     j = np.arange(per.sum())
-    j += np.repeat(other_first[points.owner] - first, per)
+    j += (other_first[points.owner] - first).repeat(per)
     # (other - point)^2 has the bits of (point - other)^2. Gathering both
     # coordinates first frees the index array early.
     d2 = other.x[j]
     dy = other.y[j]
     del j
-    d2 -= np.repeat(points.x, per)
+    d2 -= points.x.repeat(per)
     d2 *= d2
-    dy -= np.repeat(points.y, per)
+    dy -= points.y.repeat(per)
     dy *= dy
     d2 += dy
     return per, first, d2
@@ -191,7 +192,7 @@ def _pair_d2(points: DiscBatch, other: DiscBatch, other_first):
 
 def _split(values, sizes):
     """Consecutive views of ``values`` with the given lengths."""
-    bounds = np.cumsum((0,) + sizes).tolist()
+    bounds = (0, *itertools.accumulate(sizes))
     return [values[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
