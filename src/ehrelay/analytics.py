@@ -503,7 +503,7 @@ def chi_integral(cfg: SystemConfig, quad: QuadratureSpec = DEFAULT_QUAD,
 
 
 def chi_bstd(cfg: SystemConfig, quad: QuadratureSpec = DEFAULT_QUAD,
-             method: str = "auto") -> float:
+             method: str = "auto", delta: float | None = None) -> float:
     """The paper's independence form of the bstd all-fail chance.
 
     exp(-lambda_sr * Delta * intint xi r dr dtheta) over the thinned field of
@@ -513,11 +513,13 @@ def chi_bstd(cfg: SystemConfig, quad: QuadratureSpec = DEFAULT_QUAD,
     chance; and it folds the transmitter guard event, one event per block,
     into the thinning Delta, which lowers it further. So 1 - chi_bstd is an
     upper bound on success. ``chi_common`` gives the exact value; ``analyze``
-    reports this one as ``chi_indep``.
+    reports this one as ``chi_indep``. ``delta`` passes the thinning factor
+    ``delta_decode(cfg, quad, method)`` when the caller has it already.
     """
     if cfg.lambda_sr == 0.0:
         return 1.0
-    delta = delta_decode(cfg, quad, method)
+    if delta is None:
+        delta = delta_decode(cfg, quad, method)
     return math.exp(-cfg.lambda_sr * delta * chi_integral(cfg, quad, method))
 
 
@@ -714,7 +716,7 @@ def analyze(cfg: SystemConfig, scheme: str,
         b.delta = delta_decode(cfg, quad)
         b.lambda_eff = b.delta * cfg.lambda_sr
         b.chi = chi_common(cfg, quad)
-        b.chi_indep = chi_bstd(cfg, quad)
+        b.chi_indep = chi_bstd(cfg, quad, delta=b.delta)
         relayed = 1.0 - b.chi  # success through relays, before guard_sr
     else:
         all_fail = psi31_bound(cfg, quad) if scheme == "bcc" else omega1(cfg, quad)

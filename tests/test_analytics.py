@@ -407,6 +407,21 @@ def test_chi_limits():
     assert chi_bstd(far) == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("overrides", [{}, {"alpha": 3.0, "r_max": 400.0}],
+                         ids=["closed", "quadrature"])
+@pytest.mark.parametrize("direct_link", [False, True])
+def test_analyze_bstd_evaluates_delta_once(monkeypatch, overrides, direct_link):
+    cfg = cfg_with(direct_link=direct_link, **overrides)
+    chi_indep = chi_bstd(cfg)
+    calls = []
+    real = an.delta_decode
+    monkeypatch.setattr(an, "delta_decode",
+                        lambda *args, **kw: calls.append(args) or real(*args, **kw))
+    b = analyze(cfg, "bstd")
+    assert len(calls) == 1
+    assert b.chi_indep == chi_indep
+
+
 def test_chi_against_brute_force_grid(baseline):
     # Independent oracle: midpoint rule in r, uniform (periodic) grid in theta,
     # 1000 x 1000 cells.
