@@ -98,6 +98,29 @@ def test_disc_batch_layout_and_counts():
     assert empty.owner.size == 0 and np.array_equal(empty.counts, [0, 0, 0])
 
 
+def test_disc_batch_is_an_exact_poisson_disc_field():
+    # The batch is drawn on the enclosing square and thinned to the disc, so
+    # counts must keep Poisson dispersion (a fixed-count or mis-thinned
+    # sampler fails), the points must be isotropic, and none may leave the disc.
+    samples = 50_000
+    batch = disc_ppp_batch(1.0, 1.0, samples, RngStream(54, 0))
+    mean = math.pi
+    assert abs(batch.counts.mean() - mean) <= 3.0 * math.sqrt(mean / samples)
+    # Var of the sample variance of Poisson counts: (mean + 2 mean^2) / samples.
+    var_sd = math.sqrt((mean + 2.0 * mean * mean) / samples)
+    assert abs(batch.counts.var(ddof=1) - mean) <= 3.0 * var_sd
+    points = batch.x.size
+    for sx, sy in ((1, 1), (-1, 1), (-1, -1), (1, -1)):
+        share = np.mean((sx * batch.x > 0) & (sy * batch.y > 0))
+        assert abs(share - 0.25) <= 3.0 * math.sqrt(0.25 * 0.75 / points)
+    for density, radius in ((1.0, 1.0), (0.01, 400.0)):
+        wide = disc_ppp_batch(density, radius, 20, RngStream(55, 0))
+        assert wide.x.size > 0
+        assert np.all(wide.x * wide.x + wide.y * wide.y <= radius * radius)
+        assert np.all(np.hypot(wide.x, wide.y) <= radius)
+        assert np.all(np.abs(wide.x) <= radius) and np.all(np.abs(wide.y) <= radius)
+
+
 def test_interference_trivial_cases():
     empty = PointField(points=np.empty((0, 2)), marks=np.empty((0, 1)))
     assert field_interference(empty, (0.0, 0.0), 1.0, 4.0) == 0.0

@@ -18,11 +18,12 @@ import pytest
 
 from ehrelay import analytics as an
 from ehrelay.config import SystemConfig, validate
-from ehrelay.geometry import DiscBatch, RngStream
-from ehrelay.simulate import (ELEMENT_BUDGET, FLAG_NAMES, SCHEMES, _path_loss,
-                              _safe_ratio, harvested_energy, outcomes,
-                              run_realization, select_relay, simulate,
-                              simulate_all, trials_per_block, wilson_interval)
+from ehrelay.geometry import DiscBatch, RngStream, disc_ppp_batch, segment_starts
+from ehrelay.simulate import (ELEMENT_BUDGET, FLAG_NAMES, SCHEMES, _pair_d2,
+                              _path_loss, _received, _safe_ratio,
+                              harvested_energy, outcomes, run_realization,
+                              select_relay, simulate, simulate_all,
+                              trials_per_block, wilson_interval)
 
 
 def cfg_with(**kw):
@@ -113,6 +114,77 @@ def test_estimate_ci_invariant():
     for k, n in ((0, 10), (3, 10), (10, 10), (250, 1000)):
         lo, hi = wilson_interval(k, n)
         assert 0.0 <= lo <= k / n <= hi <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# In-place kernel helpers: results against brute force, inputs left intact
+# ---------------------------------------------------------------------------
+
+RAGGED_POINTS = [[(0.1, 0.2), (0.5, -0.3)], [], [(1.0, 1.0)], [(0.0, 0.0), (-0.7, 0.4)], []]
+RAGGED_OTHER = [[(1.0, 2.0), (3.0, -4.0), (-5.0, 6.0)], [(7.0, 8.0)], [],
+                [(-1.0, -1.0), (0.0, 0.0)], [(2.5, 0.5)]]
+
+
+def snapshot(batch):
+    return [a.copy() for a in batch]
+
+
+def assert_unchanged(arrays, saved):
+    for a, b in zip(arrays, saved):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("other_groups", [RAGGED_OTHER, [[]] * 5],
+                         ids=["ragged", "empty-other"])
+def test_pair_d2_matches_brute_force(other_groups):
+    points, other = relay_block(RAGGED_POINTS), relay_block(other_groups)
+    saved = snapshot(points), snapshot(other)
+    per, first, d2 = _pair_d2(points, other, segment_starts(other.counts))
+    expected_per, expected = [], []
+    for trial, group in enumerate(RAGGED_POINTS):
+        for px, py in group:
+            partners = other_groups[trial]
+            expected_per.append(len(partners))
+            expected += [(px - ox) * (px - ox) + (py - oy) * (py - oy)
+                         for ox, oy in partners]
+    assert per.tolist() == expected_per
+    assert first.tolist() == (np.cumsum(expected_per) - expected_per).tolist()
+    assert d2.tolist() == expected   # bit for bit
+    assert_unchanged(points, saved[0])
+    assert_unchanged(other, saved[1])
+
+
+def test_received_leaves_inputs_unchanged():
+    counts = np.array([2, 0, 3])
+    first = segment_starts(counts)
+    gains = np.array([0.5, 1.5, 2.0, 0.25, 1.0])
+    d2 = np.array([4.0, 0.0, 1.0, 9.0, 0.25])
+    saved = gains.copy(), d2.copy(), counts.copy()
+    sums = _received(counts, first, gains, d2, 4.0)
+    loss = np.maximum(d2, 1e-12) ** -2.0
+    assert sums.tolist() == pytest.approx([0.5 / 16.0 + 1.5 * loss[1], 0.0,
+                                           2.0 + 0.25 / 81.0 + 16.0], rel=1e-12)
+    assert_unchanged((gains, d2, counts), saved)
+
+
+def test_static_harvest_sums_match_recomputation(baseline):
+    # Under the static model one field feeds both harvest sums, through the
+    # same distances: each sum must see them as drawn, not as a previous
+    # step left them.
+    cfg = validate(dataclasses.replace(baseline, slot_position_model="static"))
+    n = 60
+    out = run_realization(cfg, RngStream(332, 0), n)
+    gen = RngStream(332, 0).generator()
+    field = disc_ppp_batch(cfg.lambda_p, cfg.r_max, n, gen)
+    dedicated_gains = gen.standard_exponential(field.x.size)
+    reused_gains = gen.standard_exponential(field.x.size)
+    dist = np.maximum(np.hypot(field.x, field.y), 1e-6)
+    dedicated = np.zeros(n)
+    reused = np.zeros(n)
+    np.add.at(dedicated, field.owner, dedicated_gains * dist ** -cfg.alpha)
+    np.add.at(reused, field.owner, reused_gains * dist ** -cfg.alpha)
+    assert out.k_value == pytest.approx(harvested_energy(cfg, dedicated, reused),
+                                        rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
