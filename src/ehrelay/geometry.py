@@ -4,8 +4,12 @@ One ``PointField`` is one sampled realization of a homogeneous PPP inside a
 disc, carrying per-point unit-mean exponential power gains (one independent
 draw per slot). A ``DiscBatch`` holds many independent realizations drawn
 together as flat arrays, which is how the simulator draws its blocks of
-trials. All operations are pure given an ``RngStream``, so parallel workers
-owning disjoint stream ids reproduce identical results regardless of
+trials. ``disc_ppp_batch`` draws each one by thinning: a PPP of the same
+density on the enclosing square, keeping the points inside the disc. The
+restriction of a PPP to a subregion is a PPP of the same density there, so
+this is exact, and it needs no sqrt, cos or sin (``sample_disc_ppp`` keeps
+polar sampling). All operations are pure given an ``RngStream``, so parallel
+workers owning disjoint stream ids reproduce identical results regardless of
 scheduling.
 """
 
@@ -154,11 +158,13 @@ def disc_ppp_batch(density: float, radius: float, n_samples: int,
 
     Each sample is drawn as a PPP of the same density on the enclosing square
     [-radius, radius]^2 (a Poisson(density * 4 * radius^2) count of uniform
-    points) and restricted to the disc. A PPP restricted to a subregion is a
-    PPP of the same density on it (restriction theorem), so the kept counts
-    are Poisson(density * pi * radius^2) and, given its count, a sample's
-    points are uniform on the disc: the draw is exact, and it needs no sqrt,
-    cos or sin.
+    points) and restricted to the disc, keeping the points with
+    x^2 + y^2 <= radius^2. A PPP restricted to a subregion is a PPP of the
+    same density on it (Haenggi, Stochastic Geometry for Wireless Networks,
+    2012, ch. 2), so the kept counts are Poisson(density * pi * radius^2)
+    and, given its count, a sample's points are uniform on the disc: the
+    draw is exact. It draws 4/pi times as many points as it keeps, and needs
+    no sqrt, cos or sin.
     """
     gen = as_generator(rng)
     drawn = gen.poisson(density * 4.0 * radius * radius, n_samples)
