@@ -294,7 +294,7 @@ def run_realization(cfg: SystemConfig, rng, n: int) -> Outcomes:
                               _d2_from(slot3, d_sd), alpha)
     relay_itf = p_t * _received(pairs_per_relay, first_pairs, gains_relay_itf,
                                 d2_pairs, alpha)
-    # A scalar power: numpy's vectorized power may differ from it in the last bit.
+    # A scalar power: numpy's vectorized power can differ from it in the last bit.
     direct_loss = max(d_sd * d_sd, EPS_MIN * EPS_MIN) ** (-0.5 * alpha)
     direct_ok = _safe_ratio(cfg.p_st_mw * gain_direct * direct_loss,
                             i_sd_s2) >= cfg.gamma_th_lin
