@@ -263,10 +263,8 @@ def run_realization(cfg: SystemConfig, rng, n: int) -> Outcomes:
         slot2 = slot3 = disc_ppp_batch(cfg.lambda_p, cfg.r_max, n, gen)
         first2 = first3 = segment_starts(slot2.counts)
         d2_origin = _d2_from(slot2)
-        harvest_gains = _split(gen.standard_exponential(2 * d2_origin.size),
-                               (d2_origin.size, d2_origin.size))
         dedicated, reused = (_received(slot2.counts, first2, g, d2_origin, alpha)
-                             for g in harvest_gains)
+                             for g in gen.standard_exponential((2, d2_origin.size)))
     else:
         dedicated = shot_noise_batch(cfg.lambda_p, cfg.r_max, alpha, n, gen)
         reused = shot_noise_batch(cfg.lambda_p, cfg.r_max, alpha, n, gen)
