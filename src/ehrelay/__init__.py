@@ -10,14 +10,14 @@ Subpackages:
 """
 
 from .config import SystemConfig, validate, ConfigError
-from .analytics import AnalyticBreakdown, QuadratureSpec, analyze
+from .analytics import AnalyticBreakdown, analyze
 from .simulate import SCHEMES, EstimateCI, Outcomes, simulate, simulate_all
 
 __version__ = "0.1.0"
 
 __all__ = [
     "SystemConfig", "validate", "ConfigError",
-    "AnalyticBreakdown", "QuadratureSpec", "analyze",
+    "AnalyticBreakdown", "analyze",
     "SCHEMES", "EstimateCI", "Outcomes", "simulate", "simulate_all",
     "__version__",
 ]

@@ -1,14 +1,15 @@
 """Analytical success-probability machinery.
 
-Everything here is a pure function of a validated ``SystemConfig`` and a
-``QuadratureSpec``: Laplace transforms of the harvested sum, its upper tail
-(the harvest probability) from Kanter's phi-integral, the decode factors of
-each selection rule with their path-loss-4 closed forms, and ``analyze``,
-the one place where they compose into a success probability. Only the relay
-branch depends on the scheme; the harvest probability, guard factors and
-the direct link combine with it the same way for every scheme. The
-characteristic-function inversion of the harvested sum, with its
-oscillatory panel loop, is a cross-check only; ``analyze`` does not call it.
+Everything here is a pure function of a validated ``SystemConfig``: Laplace
+transforms of the harvested sum, its upper tail (the harvest probability)
+from Kanter's phi-integral, the decode factors of each selection rule in
+closed form at every path-loss exponent, with a quadrature evaluation of each
+kept as their oracle, and ``analyze``, the one place where they compose into
+a success probability. Only the relay branch depends on the scheme; the
+harvest probability, guard factors and the direct link combine with it the
+same way for every scheme. The characteristic-function inversion of the
+harvested sum, with its oscillatory panel loop, is a cross-check only;
+``analyze`` does not call it.
 """
 
 from __future__ import annotations
@@ -34,23 +35,12 @@ class QuadratureFailure(RuntimeError):
         super().__init__(f"{context}: quadrature stalled at relative change {achieved:.3g}")
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Node counts and tolerances for the numeric integration paths."""
-
-    nodes: int = 128           # starting Gauss-Legendre node count
-    rel_tol: float = 1e-9      # doubling stops once relative change is below this
-    osc_tol: float = 1e-12     # envelope cutoff for the oscillatory inversion
-    max_doublings: int = 7
-
-    def __post_init__(self):
-        if self.nodes < 16:
-            raise ValueError(f"node count must be >= 16, got {self.nodes}")
-        if self.rel_tol <= 0 or self.osc_tol <= 0:
-            raise ValueError("tolerances must be positive")
-
-
-DEFAULT_QUAD = QuadratureSpec()
+# Node doubling stops once the relative change is at most REL_TOL. The
+# generic integrals start at 128 Gauss-Legendre nodes and double at most 7
+# times.
+REL_TOL = 1e-9
+_START_NODES = 128
+_MAX_DOUBLINGS = 7
 
 
 @lru_cache(maxsize=32)
@@ -83,11 +73,10 @@ def _settle(evaluate, n: int, doublings: int, rel_tol: float, context: str) -> f
     raise QuadratureFailure(context, change / max(abs(value), 1e-300))
 
 
-def integrate_doubling(f, a: float, b: float, quad: QuadratureSpec,
-                       context: str = "integral") -> float:
+def integrate_doubling(f, a: float, b: float, context: str = "integral") -> float:
     """Gauss-Legendre on [a, b], doubling nodes until the value settles."""
-    return _settle(lambda n: _gl_integrate(f, a, b, n), quad.nodes,
-                   quad.max_doublings, quad.rel_tol, context)
+    return _settle(lambda n: _gl_integrate(f, a, b, n), _START_NODES,
+                   _MAX_DOUBLINGS, REL_TOL, context)
 
 
 def gamma_pair(alpha: float) -> float:
@@ -153,7 +142,7 @@ def p_h_levy_erf(cfg: SystemConfig) -> float:
     return math.erf(levy_scale(cfg) / (2.0 * math.sqrt(sigma)))
 
 
-def p_h_gil_pelaez(cfg: SystemConfig, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
+def p_h_gil_pelaez(cfg: SystemConfig) -> float:
     """Harvest probability by characteristic-function inversion.
 
     Pr(K >= sigma) = 1/2 + (1/pi) * int_0^inf Im[e^(-j*w*sigma) Phi_K(w)]/w dw
@@ -179,8 +168,10 @@ def p_h_gil_pelaez(cfg: SystemConfig, quad: QuadratureSpec = DEFAULT_QUAD) -> fl
 
     # In v-space the integrand is
     #   (alpha/2) * exp(-C*cos(pi/alpha)*v) * sin(C*sin(pi/alpha)*v - sigma*v^(alpha/2)) / v
+    # The envelope is cut off once it falls below osc_tol.
+    osc_tol = 1e-12
     decay = c_scale * cosf
-    v_end = math.log(1.0 / quad.osc_tol) / decay
+    v_end = math.log(1.0 / osc_tol) / decay
 
     # Panel boundaries: width ~ pi / (local phase rate), evaluated conservatively
     # at the panel's far edge so no panel spans much more than half a cycle.
@@ -257,7 +248,7 @@ _P_H_BISECTIONS = 16
 _P_H_LOG_CUT = 40.0
 
 
-def p_h_kanter(cfg: SystemConfig, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
+def p_h_kanter(cfg: SystemConfig) -> float:
     """Harvest probability P(K >= sigma) from Kanter's phi-integral.
 
     K = C^(1/beta) * S with C = ``levy_scale``, beta = 2/alpha and S standard
@@ -274,7 +265,7 @@ def p_h_kanter(cfg: SystemConfig, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
     fallen below e^(-40) of the total, which keeps it short as alpha nears 2.
     When A(0+) * x^(-k) >= 1 the integrand is near 1 everywhere and [0, pi]
     runs in psi in one piece. Both pieces use Gauss-Legendre nodes, doubled
-    from 32 until the value settles to ``quad.rel_tol`` (at most 1024); a
+    from 32 until the value settles to ``REL_TOL`` (at most 1024); a
     stall raises ``QuadratureFailure`` with context "kanter harvest
     probability".
     """
@@ -324,8 +315,7 @@ def p_h_kanter(cfg: SystemConfig, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
             return (piece(0.0, math.exp(u_star), n, False)
                     + piece(u_star, u_end, n, True))
 
-    total = _settle(evaluate, _P_H_START_NODES,
-                    min(quad.max_doublings, _P_H_MAX_DOUBLINGS), quad.rel_tol,
+    total = _settle(evaluate, _P_H_START_NODES, _P_H_MAX_DOUBLINGS, REL_TOL,
                     "kanter harvest probability")
     return min(1.0, total / math.pi)
 
@@ -343,21 +333,16 @@ def p_nonempty(cfg: SystemConfig) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Per-scheme decode factors. Each factor has a general-alpha quadrature path
-# and, at alpha = 4, a closed form; the two must agree to ~1e-8 relative.
+# Per-scheme decode factors. Each rests on one Rayleigh link's chance to clear
+# the SIR threshold in the primary field, exp(-q*d^2) at every alpha
+# (``_decode_rate``), so the disc integrals have closed forms, and ``analyze``
+# runs those. method="quad" takes the path-loss constant and the disc
+# integrals by quadrature instead; it is the oracle the closed forms must
+# match to ~1e-8 relative.
 # ---------------------------------------------------------------------------
 
-def _resolve_method(cfg: SystemConfig, method: str) -> str:
-    if method == "auto":
-        return "closed" if cfg.alpha == 4.0 else "quad"
-    if method not in ("closed", "quad"):
-        raise ValueError(f"method must be auto/closed/quad, got {method!r}")
-    return method
-
-
 @lru_cache(maxsize=32)
-def _standard_pathloss_integral(alpha: float, nodes: int, rel_tol: float,
-                                max_doublings: int) -> float:
+def _standard_pathloss_integral(alpha: float) -> float:
     """Numeric value of int_0^inf y/(1 + y^alpha) dy.
 
     The substitution x = beta^(1/alpha)*y reduces the path-loss integral at
@@ -372,120 +357,106 @@ def _standard_pathloss_integral(alpha: float, nodes: int, rel_tol: float,
     for every alpha > 2, so node doubling settles at a few hundred nodes even
     as alpha approaches 2.
     """
-    quad = QuadratureSpec(nodes=nodes, rel_tol=rel_tol, max_doublings=max_doublings)
     context = "standardized path-loss integral"
     below = integrate_doubling(lambda t: 0.5 / (1.0 + t ** (0.5 * alpha)),
-                               0.0, 1.0, quad, context)
+                               0.0, 1.0, context)
     above = integrate_doubling(lambda t: 1.0 / (1.0 + t ** (alpha / (alpha - 2.0))),
-                               0.0, 1.0, quad, context)
+                               0.0, 1.0, context)
     return below + above / (alpha - 2.0)
 
 
-def _decode_kernel(cfg: SystemConfig, distances, method: str, quad: QuadratureSpec):
-    """Per-link decode probability at the given distances.
+def _decode_rate(cfg: SystemConfig, method: str = "closed") -> float:
+    """q in exp(-q*d^2), the decode kernel's exponent per squared meter.
 
-    exp(-2*pi*lambda_p * II(gamma*p_t*d^alpha / p_st)) where II is the
-    path-loss integral; this is the interference-averaged chance that one
+    q = 2*pi*lambda_p * II(1) * (gamma*p_t/p_st)^(2/alpha), where II(1) is the
+    path-loss integral at beta = 1: ``interference_integral`` ("closed") or
+    its quadrature ``_standard_pathloss_integral`` ("quad").
+    """
+    if method == "closed":
+        integral = interference_integral(1.0, cfg.alpha)
+    elif method == "quad":
+        integral = _standard_pathloss_integral(cfg.alpha)
+    else:
+        raise ValueError(f"method must be closed/quad, got {method!r}")
+    return 2.0 * math.pi * cfg.lambda_p * integral * (
+        cfg.gamma_th_lin * cfg.p_t_mw / cfg.p_st_mw) ** (2.0 / cfg.alpha)
+
+
+def _decode_kernel(cfg: SystemConfig, dist_sq, method: str = "closed"):
+    """Per-link decode probability at the given squared distances.
+
+    exp(-2*pi*lambda_p * II(gamma*p_t*d^alpha / p_st)) = exp(-q*d^2) with II
+    the path-loss integral; this is the interference-averaged chance that one
     Rayleigh link at distance d clears the SIR threshold.
     """
-    distances = np.asarray(distances, dtype=float)
-    beta = cfg.gamma_th_lin * cfg.p_t_mw * distances ** cfg.alpha / cfg.p_st_mw
+    return np.exp(-_decode_rate(cfg, method) * np.asarray(dist_sq, dtype=float))
+
+
+def _disc_mean_kernel(cfg: SystemConfig, method: str, context: str) -> float:
+    """Decode chance of one relay placed uniformly in the disc.
+
+    int_0^R exp(-q*r^2) * 2r/R^2 dr = (1 - exp(-q*R^2)) / (q*R^2).
+    """
+    radius = cfg.r_disc
     if method == "quad":
-        scale = _standard_pathloss_integral(cfg.alpha, quad.nodes, quad.rel_tol,
-                                            quad.max_doublings)
-    else:
-        scale = interference_integral(1.0, cfg.alpha)
-    return np.exp(-2.0 * math.pi * cfg.lambda_p * scale * beta ** (2.0 / cfg.alpha))
+        return integrate_doubling(
+            lambda r: _decode_kernel(cfg, r * r, method) * 2.0 * r / radius ** 2,
+            0.0, radius, context)
+    q_area = _decode_rate(cfg, method) * radius ** 2
+    if q_area == 0.0:
+        return 1.0
+    return -math.expm1(-q_area) / q_area
 
 
-def _alpha4_rate(cfg: SystemConfig) -> float:
-    """q in exp(-q*d^2), the alpha=4 decode kernel exponent per squared meter."""
-    return (math.pi ** 2 / 2.0) * cfg.lambda_p * math.sqrt(
-        cfg.gamma_th_lin * cfg.p_t_mw / cfg.p_st_mw)
-
-
-def _all_fail_bound(cfg: SystemConfig, method: str, quad: QuadratureSpec,
-                    context: str) -> float:
+def _all_fail_bound(cfg: SystemConfig, method: str, context: str) -> float:
     """Probability that no relay in the disc clears the first-hop threshold.
 
-    exp(-2*pi*lambda_sr * int_0^R kernel(l) * l dl); shared by the composite
-    channel and best-SIR selection rules, which coincide under a single
-    secondary transmit power.
+    exp(-lambda_sr*pi*R^2 * mean kernel over the disc); shared by the
+    composite channel and best-SIR selection rules, which coincide under a
+    single secondary transmit power.
     """
-    if cfg.lambda_sr == 0.0:
-        return 1.0
-    if method == "closed":
-        q = _alpha4_rate(cfg)
-        if q == 0.0:
-            inner = cfg.r_disc ** 2 / 2.0
-        else:
-            inner = -math.expm1(-q * cfg.r_disc ** 2) / (2.0 * q)
-    else:
-        inner = integrate_doubling(
-            lambda l: _decode_kernel(cfg, l, method, quad) * l,
-            0.0, cfg.r_disc, quad, context=context)
-    return math.exp(-2.0 * math.pi * cfg.lambda_sr * inner)
+    mean = _disc_mean_kernel(cfg, method, context)
+    return math.exp(-math.pi * cfg.lambda_sr * cfg.r_disc ** 2 * mean)
 
 
-def psi31_bound(cfg: SystemConfig, quad: QuadratureSpec = DEFAULT_QUAD,
-                method: str = "auto") -> float:
+def psi31_bound(cfg: SystemConfig, method: str = "closed") -> float:
     """Chance the best composite-channel relay fails to decode hop one."""
-    return _all_fail_bound(cfg, _resolve_method(cfg, method), quad, "psi31")
+    return _all_fail_bound(cfg, method, "psi31")
 
 
-def omega1(cfg: SystemConfig, quad: QuadratureSpec = DEFAULT_QUAD,
-           method: str = "auto") -> float:
+def omega1(cfg: SystemConfig, method: str = "closed") -> float:
     """Chance that every relay's instantaneous first-hop SIR is below threshold."""
-    return _all_fail_bound(cfg, _resolve_method(cfg, method), quad, "omega1")
+    return _all_fail_bound(cfg, method, "omega1")
 
 
-def psi4_far_field(cfg: SystemConfig, quad: QuadratureSpec = DEFAULT_QUAD,
-                   method: str = "auto") -> float:
+def psi4_far_field(cfg: SystemConfig, method: str = "closed") -> float:
     """Far-field second-hop decode probability at the destination.
 
     The forwarding distance is approximated by the transmitter-destination
     separation d_sd, so the same value serves the relayed hop and the direct
     link.
     """
-    return float(_decode_kernel(cfg, cfg.d_sd, _resolve_method(cfg, method), quad))
+    return float(_decode_kernel(cfg, cfg.d_sd ** 2, method))
 
 
-def delta_decode(cfg: SystemConfig, quad: QuadratureSpec = DEFAULT_QUAD,
-                 method: str = "auto") -> float:
+def delta_decode(cfg: SystemConfig, method: str = "closed") -> float:
     """Chance a uniformly placed relay decodes hop one with the transmitter
     outside every guard zone (the guard factor is part of the definition)."""
-    method = _resolve_method(cfg, method)
-    guard = guard_zone_prob(cfg.lambda_p, cfg.r_gz)
-    if method == "closed":
-        q = _alpha4_rate(cfg)
-        if q == 0.0:
-            body = 1.0
-        else:
-            body = -math.expm1(-q * cfg.r_disc ** 2) / (q * cfg.r_disc ** 2)
-    else:
-        body = integrate_doubling(
-            lambda r: _decode_kernel(cfg, r, method, quad)
-            * 2.0 * r / cfg.r_disc ** 2,
-            0.0, cfg.r_disc, quad, context="delta")
-    return body * guard
+    return (_disc_mean_kernel(cfg, method, "delta")
+            * guard_zone_prob(cfg.lambda_p, cfg.r_gz))
 
 
-def xi_bstd(r, theta, cfg: SystemConfig, quad: QuadratureSpec = DEFAULT_QUAD,
-            method: str = "auto"):
+def xi_bstd(r, theta, cfg: SystemConfig, method: str = "closed"):
     """Interference-averaged decode chance of one decoding relay at polar
     (r, theta) forwarding to the destination over its exact distance."""
-    method = _resolve_method(cfg, method)
     r = np.asarray(r, dtype=float)
     theta = np.asarray(theta, dtype=float)
     f_sq = r ** 2 + cfg.d_sd ** 2 - 2.0 * r * cfg.d_sd * np.cos(theta)
-    dist = np.sqrt(np.maximum(f_sq, 0.0))
-    return _decode_kernel(cfg, dist, method, quad)
+    return _decode_kernel(cfg, np.maximum(f_sq, 0.0), method)
 
 
-def chi_integral(cfg: SystemConfig, quad: QuadratureSpec = DEFAULT_QUAD,
-                 method: str = "auto") -> float:
+def chi_integral(cfg: SystemConfig) -> float:
     """Tensor-product quadrature of xi(r, theta)*r over the relay disc."""
-    method = _resolve_method(cfg, method)
 
     def evaluate(n: int) -> float:
         x, w = _leggauss(n)
@@ -495,15 +466,14 @@ def chi_integral(cfg: SystemConfig, quad: QuadratureSpec = DEFAULT_QUAD,
         t_weights = math.pi * w
         grid_r = r_nodes[:, None]
         grid_t = t_nodes[None, :]
-        vals = xi_bstd(grid_r, grid_t, cfg, quad, method) * grid_r
+        vals = xi_bstd(grid_r, grid_t, cfg) * grid_r
         return float(r_weights @ vals @ t_weights)
 
-    return _settle(evaluate, max(32, quad.nodes // 2), quad.max_doublings,
-                   quad.rel_tol, "chi double integral")
+    return _settle(evaluate, _START_NODES // 2, _MAX_DOUBLINGS, REL_TOL,
+                   "chi double integral")
 
 
-def chi_bstd(cfg: SystemConfig, quad: QuadratureSpec = DEFAULT_QUAD,
-             method: str = "auto", delta: float | None = None) -> float:
+def chi_bstd(cfg: SystemConfig, delta: float | None = None) -> float:
     """The paper's independence form of the bstd all-fail chance.
 
     exp(-lambda_sr * Delta * intint xi r dr dtheta) over the thinned field of
@@ -514,13 +484,13 @@ def chi_bstd(cfg: SystemConfig, quad: QuadratureSpec = DEFAULT_QUAD,
     into the thinning Delta, which lowers it further. So 1 - chi_bstd is an
     upper bound on success. ``chi_common`` gives the exact value; ``analyze``
     reports this one as ``chi_indep``. ``delta`` passes the thinning factor
-    ``delta_decode(cfg, quad, method)`` when the caller has it already.
+    ``delta_decode(cfg)`` when the caller has it already.
     """
     if cfg.lambda_sr == 0.0:
         return 1.0
     if delta is None:
-        delta = delta_decode(cfg, quad, method)
-    return math.exp(-cfg.lambda_sr * delta * chi_integral(cfg, quad, method))
+        delta = delta_decode(cfg)
+    return math.exp(-cfg.lambda_sr * delta * chi_integral(cfg))
 
 
 # Outer-integral truncation: each neglected piece of the expectation over the
@@ -534,7 +504,7 @@ _CHI_START_NODES = 48
 _CHI_MAX_DOUBLINGS = 3
 
 
-def chi_common(cfg: SystemConfig, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
+def chi_common(cfg: SystemConfig) -> float:
     """Chance that no relay in the decoding set reaches the destination.
 
     chi = 1 - g_st * (1 - E_I[exp(-lambda_sr * G(gamma * I / p_st))]) with
@@ -553,7 +523,7 @@ def chi_common(cfg: SystemConfig, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
     Gauss-Legendre (r) by midpoint (theta in [0, pi], mirror-symmetric)
     grid. Below y_flat, where G(u) is within the truncation bound of G(0),
     the integrand is replaced by its constant times the CDF. Every node
-    count doubles until chi settles to ``quad.rel_tol``; a stall raises
+    count doubles until chi settles to ``REL_TOL``; a stall raises
     ``QuadratureFailure`` with context "chi common interference".
     """
     if cfg.lambda_sr == 0.0:
@@ -569,7 +539,6 @@ def chi_common(cfg: SystemConfig, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
         # Interference cannot matter (no primaries or a zero threshold), so
         # every relay decodes both hops and G = pi*R^2.
         return 1.0 - guard * -math.expm1(-mean_relays)
-    kernel_method = _resolve_method(cfg, "auto")
 
     # Range of Y. A >= A(0+) bounds P(Y < y_lo); P(S > x) <= x^-beta/(1 - 1/e)
     # bounds the upper tail; 1 - exp(-lam*G(u)) <= lam*pi*R^2*exp(-u*f_min^alpha)
@@ -607,7 +576,7 @@ def chi_common(cfg: SystemConfig, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
         f_sq = (r[:, None] ** 2 + cfg.d_sd ** 2
                 - 2.0 * r[:, None] * cfg.d_sd * np.cos(theta[None, :]))
         f_pow = np.maximum(f_sq, 0.0).ravel() ** (alpha / 2.0)
-        kernel = _decode_kernel(cfg, r, kernel_method, quad)
+        kernel = _decode_kernel(cfg, r * r)
         weights = np.repeat(kernel * r * (0.5 * radius * wr) * (2.0 * math.pi / m), m)
 
         g = np.multiply.outer(-np.exp(y + log_u), f_pow)
@@ -617,8 +586,7 @@ def chi_common(cfg: SystemConfig, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
                    + half * float(np.sum(wy * density * -np.expm1(-lam * g))))
         return 1.0 - guard * success
 
-    return _settle(evaluate, _CHI_START_NODES,
-                   min(quad.max_doublings, _CHI_MAX_DOUBLINGS), quad.rel_tol,
+    return _settle(evaluate, _CHI_START_NODES, _CHI_MAX_DOUBLINGS, REL_TOL,
                    "chi common interference")
 
 
@@ -668,8 +636,7 @@ class UnsupportedScheme(ValueError):
 BREAKDOWN_FIELDS = tuple(f.name for f in fields(AnalyticBreakdown) if f.name != "scheme")
 
 
-def analyze(cfg: SystemConfig, scheme: str,
-            quad: QuadratureSpec = DEFAULT_QUAD) -> AnalyticBreakdown:
+def analyze(cfg: SystemConfig, scheme: str) -> AnalyticBreakdown:
     """Full analytic breakdown for one scheme under one configuration.
 
     p_succ = p_h * p_dsucc: the harvest probability ``p_h_kanter`` times the
@@ -679,7 +646,8 @@ def analyze(cfg: SystemConfig, scheme: str,
     bcc and bsir share one relay branch: the composite-channel and best-SIR
     rules coincide under a single secondary transmit power. The hop-one
     all-fail chance is ``psi31_bound`` (bcc) or ``omega1`` (bsir), which
-    differ only in their quadrature-failure context, and the selected relay
+    differ only in the failure context of their quadrature oracle, and the
+    selected relay
     forwards over the far-field hop ``psi4_far_field``. bcc reports them as
     psi31, psi3 = 1 - psi31 and psi4; bsir as omega1, omega and phi. Without
     the direct link p_dsucc_sd = psi3 * psi4 * guard_st * guard_sr; psi3 is
@@ -709,17 +677,17 @@ def analyze(cfg: SystemConfig, scheme: str,
     if scheme not in ("bcc", "bsir", "bstd"):
         raise UnsupportedScheme(f"unknown scheme {scheme!r}")
     guard = guard_zone_prob(cfg.lambda_p, cfg.r_gz)
-    b = AnalyticBreakdown(scheme=scheme, p_h=p_h_kanter(cfg, quad), guard_st=guard,
+    b = AnalyticBreakdown(scheme=scheme, p_h=p_h_kanter(cfg), guard_st=guard,
                           guard_sr=guard, p_nonempty=p_nonempty(cfg))
-    phi = psi4_far_field(cfg, quad) if scheme != "bstd" or cfg.direct_link else None
+    phi = psi4_far_field(cfg) if scheme != "bstd" or cfg.direct_link else None
     if scheme == "bstd":
-        b.delta = delta_decode(cfg, quad)
+        b.delta = delta_decode(cfg)
         b.lambda_eff = b.delta * cfg.lambda_sr
-        b.chi = chi_common(cfg, quad)
-        b.chi_indep = chi_bstd(cfg, quad, delta=b.delta)
+        b.chi = chi_common(cfg)
+        b.chi_indep = chi_bstd(cfg, delta=b.delta)
         relayed = 1.0 - b.chi  # success through relays, before guard_sr
     else:
-        all_fail = psi31_bound(cfg, quad) if scheme == "bcc" else omega1(cfg, quad)
+        all_fail = psi31_bound(cfg) if scheme == "bcc" else omega1(cfg)
         hop1 = 1.0 - all_fail
         if scheme == "bcc":
             b.psi31, b.psi3, b.psi4 = all_fail, hop1, phi
@@ -755,7 +723,7 @@ def analyze(cfg: SystemConfig, scheme: str,
     return b
 
 
-def alpha4_selfcheck(cfg: SystemConfig, quad: QuadratureSpec = DEFAULT_QUAD):
+def alpha4_selfcheck(cfg: SystemConfig):
     """Closed-form vs quadrature agreement at alpha = 4.
 
     Returns (name, closed, quadrature, relative difference) tuples; callers
@@ -769,12 +737,12 @@ def alpha4_selfcheck(cfg: SystemConfig, quad: QuadratureSpec = DEFAULT_QUAD):
         return abs(a - b) / max(abs(a), abs(b), 1e-300)
 
     pairs = [
-        ("psi31", psi31_bound(cfg, quad, "closed"), psi31_bound(cfg, quad, "quad")),
-        ("omega1", omega1(cfg, quad, "closed"), omega1(cfg, quad, "quad")),
-        ("delta", delta_decode(cfg, quad, "closed"), delta_decode(cfg, quad, "quad")),
-        ("psi4", psi4_far_field(cfg, quad, "closed"), psi4_far_field(cfg, quad, "quad")),
-        ("xi", float(xi_bstd(cfg.r_disc / 2.0, 1.0, cfg, quad, "closed")),
-         float(xi_bstd(cfg.r_disc / 2.0, 1.0, cfg, quad, "quad"))),
+        ("psi31", psi31_bound(cfg, "closed"), psi31_bound(cfg, "quad")),
+        ("omega1", omega1(cfg, "closed"), omega1(cfg, "quad")),
+        ("delta", delta_decode(cfg, "closed"), delta_decode(cfg, "quad")),
+        ("psi4", psi4_far_field(cfg, "closed"), psi4_far_field(cfg, "quad")),
+        ("xi", float(xi_bstd(cfg.r_disc / 2.0, 1.0, cfg, "closed")),
+         float(xi_bstd(cfg.r_disc / 2.0, 1.0, cfg, "quad"))),
     ]
     for name, closed, quad_val in pairs:
         checks.append((name, closed, quad_val, rel(closed, quad_val)))

@@ -10,6 +10,7 @@ carries the linear values alongside the dB originals. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 
@@ -43,8 +44,8 @@ def _write_row(fh, cells) -> None:
     fh.write(",".join(_fmt(c) for c in cells) + "\n")
 
 
-def _worker_count(text: str) -> int:
-    """argparse type of --workers: an integer of at least 1."""
+def _at_least_one(text: str) -> int:
+    """argparse type of --trials and --workers: an integer of at least 1."""
     try:
         value = int(text)
     except ValueError:
@@ -86,15 +87,27 @@ def _config_cells(cfg: SystemConfig):
     return [getattr(cfg, name) for name in _config_columns()]
 
 
-def _open_out(args):
+@contextlib.contextmanager
+def _output(args):
+    """The CSV destination: the --out file, or stdout if it is absent or '-'."""
     if args.out in (None, "-"):
-        return sys.stdout, False
-    return open(args.out, "w", encoding="utf-8", newline=""), True
+        yield sys.stdout
+        return
+    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        yield fh
 
 
 def _grid_values(args):
     if args.values:
-        return [float(v) for v in args.values.split(",") if v.strip() != ""]
+        values = []
+        for text in args.values.split(","):
+            if text.strip() == "":
+                continue
+            try:
+                values.append(float(text))
+            except ValueError:
+                raise ConfigError([f"--values: {text.strip()!r} is not a number"])
+        return values
     if args.grid_from is None or args.grid_to is None or args.steps is None:
         return None
     if args.steps < 1:
@@ -138,8 +151,7 @@ def _emit_selfcheck_warnings(cfg) -> None:
 def cmd_simulate(args) -> int:
     cfg = validate(_load_config(args))
     result = simulate(cfg, args.scheme, args.trials, args.seed, workers=args.workers)
-    fh, close = _open_out(args)
-    try:
+    with _output(args) as fh:
         header = (["scheme"] + list(_config_columns())
                   + ["trials", "seed", "success_rate", "ci_low", "ci_high"]
                   + [f"freq_{name}" for name in _SIM_FLAG_COLUMNS])
@@ -149,9 +161,6 @@ def cmd_simulate(args) -> int:
                + [result.trials, result.seed, est.p_hat, est.ci_low, est.ci_high]
                + [result.flag_frequencies[name] for name in _SIM_FLAG_COLUMNS])
         _write_row(fh, row)
-    finally:
-        if close:
-            fh.close()
     return 0
 
 
@@ -159,13 +168,9 @@ def cmd_analyze(args) -> int:
     cfg = validate(_load_config(args))
     breakdown = analyze(cfg, args.scheme)
     _emit_selfcheck_warnings(cfg)
-    fh, close = _open_out(args)
-    try:
+    with _output(args) as fh:
         _write_row(fh, ["scheme"] + list(BREAKDOWN_FIELDS))
         _write_row(fh, [breakdown.scheme] + _breakdown_cells(breakdown))
-    finally:
-        if close:
-            fh.close()
     return 0
 
 
@@ -181,8 +186,7 @@ def cmd_sweep(args) -> int:
             raise ConfigError([f"unknown scheme {scheme!r}"])
     configs = _grid_configs(base, args.param, values)
 
-    fh, close = _open_out(args)
-    try:
+    with _output(args) as fh:
         _write_row(fh, ["param", "value", "scheme", "trials", "seed",
                         "sim_p_succ", "ci_low", "ci_high", "ana_p_succ"])
         for value, cfg in zip(values, configs):
@@ -197,9 +201,6 @@ def cmd_sweep(args) -> int:
                 _write_row(fh, [args.param, value, scheme, args.trials,
                                 args.seed, est.p_hat, est.ci_low, est.ci_high,
                                 ana])
-    finally:
-        if close:
-            fh.close()
     return 0
 
 
@@ -215,9 +216,8 @@ def cmd_compare(args) -> int:
         points = [(None, validate(base))]
         param = ""
 
-    fh, close = _open_out(args)
     inside = 0
-    try:
+    with _output(args) as fh:
         _write_row(fh, ["param", "value", "scheme", "trials", "seed", "sim_p_succ",
                         "ci_low", "ci_high"] + list(BREAKDOWN_FIELDS)
                    + ["gap", "gap_in_ci"])
@@ -232,9 +232,6 @@ def cmd_compare(args) -> int:
             _write_row(fh, [param, value, args.scheme, args.trials, args.seed,
                             est.p_hat, est.ci_low, est.ci_high]
                        + _breakdown_cells(breakdown) + [gap, in_ci])
-    finally:
-        if close:
-            fh.close()
     print(f"compare: analytic value inside 95% Wilson interval at "
           f"{inside}/{len(points)} points", file=sys.stderr)
     return 0
@@ -252,9 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
         _add_config_arguments(p)
         if schemes:
             p.add_argument("--scheme", required=True, choices=SCHEMES)
-        p.add_argument("--trials", type=int, default=30000)
+        p.add_argument("--trials", type=_at_least_one, default=30000)
         p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--workers", type=_worker_count, default=None,
+        p.add_argument("--workers", type=_at_least_one, default=None,
                        help="parallel workers (default: EHRELAY_WORKERS or 1); "
                             "any value reproduces --workers 1 output exactly")
         p.add_argument("--out", metavar="FILE", default=None,

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ehrelay import analytics as an
-from ehrelay.analytics import (AnalyticBreakdown, QuadratureSpec,
+from ehrelay.analytics import (AnalyticBreakdown,
                                UnsupportedScheme, alpha4_selfcheck, analyze,
                                QuadratureFailure, chi_bstd, chi_common,
                                chi_integral, delta_decode,
@@ -45,11 +45,10 @@ def test_interference_integral_values():
 def test_standard_pathloss_integral_matches_closed_form(alpha):
     # The decode kernels' quadrature constant, also for alpha near 2, where
     # node doubling on the semi-infinite map used to stall.
-    from ehrelay.analytics import DEFAULT_QUAD, _standard_pathloss_integral
+    from ehrelay.analytics import _standard_pathloss_integral
     _standard_pathloss_integral.cache_clear()
     t0 = time.perf_counter()
-    value = _standard_pathloss_integral(alpha, DEFAULT_QUAD.nodes, DEFAULT_QUAD.rel_tol,
-                                        DEFAULT_QUAD.max_doublings)
+    value = _standard_pathloss_integral(alpha)
     assert time.perf_counter() - t0 < 1.0
     assert value == pytest.approx(interference_integral(1.0, alpha), rel=1e-10)
 
@@ -375,24 +374,64 @@ def test_delta_limits():
     assert delta_decode(crowded) < 1e-6
 
 
+DUAL_PATH_CONFIGS = [
+    {},
+    {"lambda_p": 3e-3},
+    {"p_st_dbm": 5.0},
+    {"gamma_th_db": -5.0},
+    {"lambda_sr": 2.0, "d_sd": 1.5},
+]
+
+
+def assert_closed_matches_quadrature(cfg):
+    for fn in (psi31_bound, omega1, delta_decode, psi4_far_field):
+        assert fn(cfg, method="quad") == pytest.approx(
+            fn(cfg, method="closed"), rel=1e-8), fn.__name__
+    xc = float(xi_bstd(0.4, 2.0, cfg, method="closed"))
+    xq = float(xi_bstd(0.4, 2.0, cfg, method="quad"))
+    assert xq == pytest.approx(xc, rel=1e-8)
+
+
 def test_dual_path_identities_alpha4():
-    grid = [
-        cfg_with(),
-        cfg_with(lambda_p=3e-3),
-        cfg_with(p_st_dbm=5.0),
-        cfg_with(gamma_th_db=-5.0),
-        cfg_with(lambda_sr=2.0, d_sd=1.5),
-    ]
-    for cfg in grid:
-        for fn in (psi31_bound, omega1, delta_decode):
-            closed = fn(cfg, method="closed")
-            numeric = fn(cfg, method="quad")
-            assert numeric == pytest.approx(closed, rel=1e-8)
-        assert psi4_far_field(cfg, method="quad") == pytest.approx(
-            psi4_far_field(cfg, method="closed"), rel=1e-8)
-        xc = float(xi_bstd(0.4, 2.0, cfg, method="closed"))
-        xq = float(xi_bstd(0.4, 2.0, cfg, method="quad"))
-        assert xq == pytest.approx(xc, rel=1e-8)
+    for overrides in DUAL_PATH_CONFIGS:
+        assert_closed_matches_quadrature(cfg_with(**overrides))
+
+
+# r_max per alpha keeps the truncated primary field valid; the decode factors
+# do not depend on it.
+AWAY_FROM_ALPHA4 = {2.5: 5000.0, 3.0: 400.0, 3.5: 100.0, 5.0: 50.0, 6.0: 50.0}
+
+
+@pytest.mark.parametrize("alpha", sorted(AWAY_FROM_ALPHA4))
+def test_closed_forms_match_quadrature_at_every_alpha(alpha):
+    # The decode kernel is exp(-q*d^2) at every alpha, so the disc integrals
+    # keep their closed forms away from alpha = 4; quadrature is the oracle.
+    for overrides in DUAL_PATH_CONFIGS:
+        assert_closed_matches_quadrature(cfg_with(
+            alpha=alpha, r_max=AWAY_FROM_ALPHA4[alpha], trunc_epsilon=1e12, **overrides))
+
+
+@pytest.mark.parametrize("method", ["auto", "exact", ""])
+def test_decode_factors_reject_unknown_method(baseline, method):
+    for fn in (psi31_bound, omega1, delta_decode, psi4_far_field):
+        with pytest.raises(ValueError):
+            fn(baseline, method=method)
+    with pytest.raises(ValueError):
+        xi_bstd(0.4, 2.0, baseline, method=method)
+
+
+@pytest.mark.parametrize("alpha,r_max", [(3.0, 400.0), (5.0, 50.0)])
+@pytest.mark.parametrize("direct_link", [False, True])
+def test_analyze_runs_no_quadrature_for_decode_factors(monkeypatch, alpha, r_max,
+                                                        direct_link):
+    def stalled(*args, **kw):
+        raise AssertionError("analyze reached a decode-factor quadrature")
+
+    monkeypatch.setattr(an, "integrate_doubling", stalled)
+    monkeypatch.setattr(an, "_standard_pathloss_integral", stalled)
+    cfg = cfg_with(alpha=alpha, r_max=r_max, direct_link=direct_link)
+    for scheme in ("bcc", "bsir", "bstd"):
+        assert 0.0 <= analyze(cfg, scheme).p_succ <= 1.0
 
 
 def test_alpha4_selfcheck_reports_small_differences(baseline):
@@ -505,10 +544,11 @@ def test_chi_common_limits():
     assert chi_common(cfg_with(d_sd=40.0, r_max=160.0)) == pytest.approx(1.0, abs=1e-6)
 
 
-def test_chi_common_stall_raises():
+def test_chi_common_stall_raises(monkeypatch):
     # A destination near the disc edge needs more levels than one doubling.
+    monkeypatch.setattr(an, "_CHI_MAX_DOUBLINGS", 1)
     with pytest.raises(QuadratureFailure) as info:
-        chi_common(cfg_with(d_sd=1.05), QuadratureSpec(max_doublings=1))
+        chi_common(cfg_with(d_sd=1.05))
     assert info.value.context == "chi common interference"
 
 
@@ -596,9 +636,3 @@ def test_analyze_rejects_random_baseline(baseline):
     with pytest.raises(UnsupportedScheme):
         analyze(baseline, "random_baseline")
 
-
-def test_quadrature_spec_bounds():
-    with pytest.raises(ValueError):
-        QuadratureSpec(nodes=8)
-    with pytest.raises(ValueError):
-        QuadratureSpec(rel_tol=0.0)

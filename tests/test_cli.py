@@ -130,6 +130,65 @@ def test_analyze_baseline_golden_row(scheme, direct, baseline_path, capsys):
     assert err == ""
 
 
+# The baseline rows away from alpha = 4, where the decode factors take the
+# same closed forms: every printed digit.
+ALPHA_ARGS = {"3": ["--alpha", "3", "--r_max", "400"], "5": ["--alpha", "5"]}
+ANALYZE_ROWS_BY_ALPHA = {
+    ("3", "bcc", "false"):
+        "bcc,1,0.969072426,0.969072426,0.956786082,0.141011215,0.858988785,"
+        "0.0160643613,,,,,,,,0.0129587595,,,,,,,,0.0129587595",
+    ("3", "bcc", "true"):
+        "bcc,1,0.969072426,0.969072426,0.956786082,0.141011215,0.858988785,"
+        "0.0160643613,,,0.0160643613,,,,,,0.983935639,0.897785619,0.102214381,"
+        ",,,0.027904541,0.027904541",
+    ("3", "bsir", "false"):
+        "bsir,1,0.969072426,0.969072426,0.956786082,,,,0.141011215,0.858988785,"
+        "0.0160643613,,,,,0.0129587595,,,,,,,,0.0129587595",
+    ("3", "bsir", "true"):
+        "bsir,1,0.969072426,0.969072426,0.956786082,,,,0.141011215,0.858988785,"
+        "0.0160643613,,,,,,0.983935639,,,0.897785619,0.102214381,,0.027904541,"
+        "0.027904541",
+    ("3", "bstd", "false"):
+        "bstd,1,0.969072426,0.969072426,0.956786082,,,,,,,0.604257631,"
+        "0.604257631,0.93236603,0.919858417,0.0655422159,,,,,,,,0.0655422159",
+    ("3", "bstd", "true"):
+        "bstd,1,0.969072426,0.969072426,0.956786082,,,,,,0.0160643613,"
+        "0.604257631,0.604257631,0.93236603,0.919858417,,0.983935639,,,,,"
+        "0.149818407,0.0800568516,0.0800568516",
+    ("5", "bcc", "false"):
+        "bcc,0.56841446,0.969072426,0.969072426,0.956786082,0.0578912754,"
+        "0.942108725,0.451708307,,,,,,,,0.399642416,,,,,,,,0.227162528",
+    ("5", "bcc", "true"):
+        "bcc,0.56841446,0.969072426,0.969072426,0.956786082,0.0578912754,"
+        "0.942108725,0.451708307,,,0.451708307,,,,,,0.548291693,0.98465973,"
+        "0.0153402704,,,,0.644104248,0.366118168",
+    ("5", "bsir", "false"):
+        "bsir,0.56841446,0.969072426,0.969072426,0.956786082,,,,0.0578912754,"
+        "0.942108725,0.451708307,,,,,0.399642416,,,,,,,,0.227162528",
+    ("5", "bsir", "true"):
+        "bsir,0.56841446,0.969072426,0.969072426,0.956786082,,,,0.0578912754,"
+        "0.942108725,0.451708307,,,,,,0.548291693,,,0.98465973,0.0153402704,,"
+        "0.644104248,0.366118168",
+    ("5", "bstd", "false"):
+        "bstd,0.56841446,0.969072426,0.969072426,0.956786082,,,,,,,0.878875909,"
+        "0.878875909,0.442651143,0.29531226,0.540111409,,,,,,,,0.307007135",
+    ("5", "bstd", "true"):
+        "bstd,0.56841446,0.969072426,0.969072426,0.956786082,,,,,,0.451708307,"
+        "0.878875909,0.878875909,0.442651143,0.29531226,,0.548291693,,,,,"
+        "0.0632240761,0.733876664,0.417146107",
+}
+
+
+@pytest.mark.parametrize("alpha,scheme,direct", sorted(ANALYZE_ROWS_BY_ALPHA))
+def test_analyze_golden_row_away_from_alpha4(alpha, scheme, direct, baseline_path,
+                                             capsys):
+    assert run_cli(["analyze", "--config", baseline_path, "--scheme", scheme,
+                    "--direct_link", direct] + ALPHA_ARGS[alpha]) == 0
+    out, err = capsys.readouterr()
+    assert out == f"{ANALYZE_HEADER}\n{ANALYZE_ROWS_BY_ALPHA[alpha, scheme, direct]}\n"
+    assert err == ""
+
+
 def test_analyze_no_primaries(tmp_path):
     out = tmp_path / "ana0.csv"
     assert run_cli(["analyze", "--scheme", "bcc", "--lambda_p", "0",
@@ -201,6 +260,15 @@ def test_sweep_aborts_on_invalid_grid_point(capsys):
     assert "alpha=2" in err and "alpha must exceed 2" in err
 
 
+@pytest.mark.parametrize("command", ["sweep", "compare"])
+@pytest.mark.parametrize("values,bad", [("a,b", "a"), ("0,x2", "x2")])
+def test_non_numeric_grid_value_rejected(command, values, bad, capsys):
+    scheme = ["--schemes", "bcc"] if command == "sweep" else ["--scheme", "bcc"]
+    assert run_cli([command, "--param", "p_st_dbm", f"--values={values}",
+                    "--trials", "10"] + scheme) == 2
+    assert f"{bad!r} is not a number" in capsys.readouterr().err
+
+
 def test_sweep_needs_grid(capsys):
     assert run_cli(["sweep", "--schemes", "bcc", "--trials", "10"]) == 2
 
@@ -259,6 +327,17 @@ def test_workers_below_one_rejected(value, capsys):
     assert run_cli(["simulate", "--scheme", "bcc", "--trials", "5",
                     f"--workers={value}"]) == 2
     assert "--workers: must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,args", [
+    ("simulate", ["--scheme", "bcc"]),
+    ("sweep", ["--schemes", "bcc", "--param", "p_st_dbm", "--values=0"]),
+    ("compare", ["--scheme", "bcc"]),
+])
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_trials_below_one_rejected(command, args, value, capsys):
+    assert run_cli([command, f"--trials={value}"] + args) == 2
+    assert "argument --trials: must be at least 1" in capsys.readouterr().err
 
 
 def test_no_pool_worker_outlives_a_cli_run(baseline_path):
