@@ -455,21 +455,49 @@ def xi_bstd(r, theta, cfg: SystemConfig, method: str = "closed"):
     return _decode_kernel(cfg, np.maximum(f_sq, 0.0), method)
 
 
+_RING_PANELS = 10  # log-radius panels, each 2 wide, see _destination_rings
+
+
+def _destination_rings(cfg: SystemConfig, n: int, q: float):
+    """Radial nodes rho around the destination and their weights on the disc.
+
+    sum(weights * h(rho)) approximates intint_disc exp(-q*r^2) * h(f) dA, r and
+    f the distances from the transmitter and the destination: a weight is rho
+    times its radial weight times exp(-q*r^2) integrated over the arc of radius
+    rho inside the disc, its half-angle from the law of cosines. Each arc and
+    the arc piece take n/2 Gauss-Legendre nodes, the piece mapped by
+    rho = a + (b - a)*(3s^2 - 2s^3) to smooth its square-root ends. Full
+    circles (destination inside the disc) take n/4 per log-radius panel; the
+    disc the panels leave out holds under e^-40 of the relay disc.
+    """
+    d, radius = cfg.d_sd, cfg.r_disc
+    lo, hi = abs(d - radius), d + radius
+    x, w = _leggauss(n // 2)
+    s = 0.5 * (x + 1.0)
+    rho = lo + (hi - lo) * s * s * (3.0 - 2.0 * s)
+    step = 3.0 * (hi - lo) * s * (1.0 - s) * w
+    if d < radius:
+        xl, wl = _leggauss(n // 4)
+        circles = lo * np.exp(np.add.outer(2.0 * np.arange(-_RING_PANELS, 0), xl + 1.0))
+        rho = np.concatenate([rho, circles.ravel()])
+        step = np.concatenate([step, (circles * wl).ravel()])
+    cos_edge = (d * d + rho * rho - radius * radius) / (2.0 * d * rho)
+    half_angle = np.arccos(np.clip(cos_edge, -1.0, 1.0))
+    r_sq = d * d + rho[:, None] ** 2 - 2.0 * d * rho[:, None] * np.cos(
+        np.multiply.outer(half_angle, s))
+    return rho, rho * step * half_angle * (np.exp(-q * r_sq) @ w)
+
+
 def chi_integral(cfg: SystemConfig) -> float:
-    """Tensor-product quadrature of xi(r, theta)*r over the relay disc."""
+    """intint xi(r, theta)*r dr dtheta over the relay disc: exp(-q*rho^2)
+    summed over ``_destination_rings`` with arc angles (q = 0) as weights."""
+    q = _decode_rate(cfg)
 
     def evaluate(n: int) -> float:
-        x, w = _leggauss(n)
-        r_nodes = 0.5 * cfg.r_disc * (x + 1.0)
-        r_weights = 0.5 * cfg.r_disc * w
-        t_nodes = math.pi * (x + 1.0)
-        t_weights = math.pi * w
-        grid_r = r_nodes[:, None]
-        grid_t = t_nodes[None, :]
-        vals = xi_bstd(grid_r, grid_t, cfg) * grid_r
-        return float(r_weights @ vals @ t_weights)
+        rho, arcs = _destination_rings(cfg, n, 0.0)
+        return float(arcs @ np.exp(-q * rho * rho))
 
-    return _settle(evaluate, _START_NODES // 2, _MAX_DOUBLINGS, REL_TOL,
+    return _settle(evaluate, _START_NODES // 4, _MAX_DOUBLINGS, REL_TOL,
                    "chi double integral")
 
 
@@ -497,10 +525,10 @@ def chi_bstd(cfg: SystemConfig, delta: float | None = None) -> float:
 # destination interference weighs at most exp(-_CHI_TAIL_LOG).
 _CHI_TAIL_LOG = math.log(1e16)
 # Outer (log-interference) nodes at the first level; each level uses twice as
-# many phi nodes and a quarter as many disc nodes per axis.
+# many phi nodes and passes its count to ``_destination_rings``.
 _CHI_START_NODES = 48
-# The last level evaluates G on a 384 x 9216 grid (28 MB); more doublings
-# would grow that matrix eightfold each.
+# The last level evaluates G on a 384 x 192 grid, 384 x 1152 (3.5 MB) with the
+# destination inside the disc; the outer integral sets the level reached.
 _CHI_MAX_DOUBLINGS = 3
 
 
@@ -519,12 +547,13 @@ def chi_common(cfg: SystemConfig) -> float:
     so Y = log(I / c^(1/beta)) has P(Y <= y) = (1/pi) int exp(-A(phi) e^(-k*y))
     dphi, k = beta/(1-beta) (see ``kanter_a``), and its density is the
     phi-integral of k*z*exp(-z), z = A(phi) e^(-k*y). The expectation over Y
-    runs on Gauss-Legendre nodes; G is evaluated at each of them on a
-    Gauss-Legendre (r) by midpoint (theta in [0, pi], mirror-symmetric)
-    grid. Below y_flat, where G(u) is within the truncation bound of G(0),
-    the integrand is replaced by its constant times the CDF. Every node
-    count doubles until chi settles to ``REL_TOL``; a stall raises
-    ``QuadratureFailure`` with context "chi common interference".
+    runs on Gauss-Legendre nodes; G(u) = sum_j w_j * exp(-u * rho_j^alpha)
+    on ``_destination_rings``, whose log-radius rings resolve the peak at a
+    destination inside the disc for every u. Below y_flat, where G(u) is
+    within the truncation bound of G(0), the integrand is replaced by its
+    constant times the CDF. Every node count doubles until chi settles to
+    ``REL_TOL``; a stall raises ``QuadratureFailure`` with context
+    "chi common interference".
     """
     if cfg.lambda_sr == 0.0:
         return 1.0
@@ -569,17 +598,8 @@ def chi_common(cfg: SystemConfig) -> float:
         z = np.multiply.outer(np.exp(-k * y), a_phi)
         density = k * ((z * np.exp(-z)) @ w_phi)
 
-        m = n // 4
-        xr, wr = _leggauss(m)
-        r = 0.5 * radius * (xr + 1.0)
-        theta = (np.arange(m) + 0.5) * (math.pi / m)
-        f_sq = (r[:, None] ** 2 + cfg.d_sd ** 2
-                - 2.0 * r[:, None] * cfg.d_sd * np.cos(theta[None, :]))
-        f_pow = np.maximum(f_sq, 0.0).ravel() ** (alpha / 2.0)
-        kernel = _decode_kernel(cfg, r * r)
-        weights = np.repeat(kernel * r * (0.5 * radius * wr) * (2.0 * math.pi / m), m)
-
-        g = np.multiply.outer(-np.exp(y + log_u), f_pow)
+        rho, weights = _destination_rings(cfg, n, _decode_rate(cfg))
+        g = np.multiply.outer(-np.exp(y + log_u), rho ** alpha)
         np.exp(g, out=g)
         g = g @ weights
         success = (-math.expm1(-lam * weights.sum()) * cdf_a

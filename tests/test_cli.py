@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from ehrelay import analytics
 from ehrelay.analytics import p_h_levy_erf
 from ehrelay.cli import main
 from ehrelay.config import SystemConfig, validate
@@ -211,9 +212,10 @@ def test_analyze_rejects_random_baseline(capsys):
     assert "random_baseline" in capsys.readouterr().err
 
 
-def test_analyze_quadrature_failure_exit_code(capsys):
-    # A destination inside the relay disc puts a sharp interference peak on
-    # the disc grid of the common-interference chi, which does not settle.
+def test_analyze_quadrature_failure_exit_code(capsys, monkeypatch):
+    # With no node doubling allowed, the common-interference chi cannot show
+    # that it settled, so it raises its documented stall.
+    monkeypatch.setattr(analytics, "_CHI_MAX_DOUBLINGS", 0)
     assert run_cli(["analyze", "--scheme", "bstd", "--d_sd", "0.5"]) == 3
     assert "quadrature" in capsys.readouterr().err
 

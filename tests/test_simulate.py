@@ -366,6 +366,17 @@ def test_direct_link_bstd_matches_analytics(baseline):
     assert abs(result.estimate.p_hat - breakdown.p_succ) <= 0.05
 
 
+def test_bstd_matches_analytics_inside_disc(baseline):
+    # The destination inside the relay disc, where chi_common integrates the
+    # interference peak at the destination in log-radius rings. The relay
+    # branch alone: with the direct link, analyze keeps its independent
+    # direct-link combination, whose gap shows at any d_sd.
+    cfg = validate(dataclasses.replace(baseline, d_sd=0.5))
+    result = simulate(cfg, "bstd", 20_000, seed=332)
+    breakdown = an.analyze(cfg, "bstd")
+    assert abs(result.estimate.p_hat - breakdown.p_succ) <= 0.02
+
+
 def test_bstd_branch_matches_common_interference_oracle(baseline):
     """Relay-branch probability vs a semi-analytic oracle that keeps the
     destination interference common to all decoding relays (no independence
