@@ -691,6 +691,8 @@ def analyze(cfg: SystemConfig, scheme: str) -> AnalyticBreakdown:
       that all fail, plus the direct link alone when the decoding set is
       void (chance pr_n1_zero, which never exceeds chi).
     """
+    if not cfg.validated:
+        raise ValueError("config must pass validate() before analysis")
     if scheme == "random_baseline":
         raise UnsupportedScheme(
             "random_baseline is a simulation-only reference; no analytic expression")

@@ -18,11 +18,11 @@ import numpy as np
 
 from .analytics import (BREAKDOWN_FIELDS, QuadratureFailure,
                         UnsupportedScheme, alpha4_selfcheck, analyze)
-from .config import (NUMERIC_FIELDS, RAW_FIELDS, ConfigError, SystemConfig,
-                     apply_overrides, load_config, parse_value, validate)
+from .config import (LINEAR_FIELDS, NUMERIC_FIELDS, RAW_FIELDS, ConfigError,
+                     SystemConfig, apply_overrides, load_config, parse_value,
+                     validate)
 from .simulate import FLAG_NAMES, SCHEMES, simulate, simulate_all
 
-_CFG_LINEAR = ("p_t_mw", "p_st_mw", "gamma_th_lin")
 _SIM_FLAG_COLUMNS = tuple(n for n in FLAG_NAMES if n != "success")
 
 
@@ -79,12 +79,8 @@ def _load_config(args) -> SystemConfig:
     return apply_overrides(cfg, overrides)
 
 
-def _config_columns():
-    return tuple(RAW_FIELDS) + _CFG_LINEAR
-
-
 def _config_cells(cfg: SystemConfig):
-    return [getattr(cfg, name) for name in _config_columns()]
+    return [getattr(cfg, name) for name in RAW_FIELDS + LINEAR_FIELDS]
 
 
 @contextlib.contextmanager
@@ -152,7 +148,7 @@ def cmd_simulate(args) -> int:
     cfg = validate(_load_config(args))
     result = simulate(cfg, args.scheme, args.trials, args.seed, workers=args.workers)
     with _output(args) as fh:
-        header = (["scheme"] + list(_config_columns())
+        header = (["scheme"] + list(RAW_FIELDS + LINEAR_FIELDS)
                   + ["trials", "seed", "success_rate", "ci_low", "ci_high"]
                   + [f"freq_{name}" for name in _SIM_FLAG_COLUMNS])
         _write_row(fh, header)
@@ -181,9 +177,13 @@ def cmd_sweep(args) -> int:
     if not values:
         raise ConfigError(["sweep needs --values or --from/--to/--steps"])
     schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
-    for scheme in schemes:
+    if not schemes:
+        raise ConfigError(["--schemes names no scheme"])
+    for i, scheme in enumerate(schemes):
         if scheme not in SCHEMES:
             raise ConfigError([f"unknown scheme {scheme!r}"])
+        if scheme in schemes[:i]:
+            raise ConfigError([f"--schemes names {scheme!r} twice"])
     configs = _grid_configs(base, args.param, values)
 
     with _output(args) as fh:

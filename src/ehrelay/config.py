@@ -2,15 +2,17 @@
 
 All internal computation runs in linear units (mW, meters, dimensionless
 ratios); dB and dBm appear only at the configuration and reporting boundary.
-A config is usable by the other modules only after ``validate`` has attached
-the pre-computed linear fields.
+A config is usable by the other modules only after ``validate`` has set its
+linear-unit fields; each field's kind (bool, choice string, number or
+optional number) is read from its declaration.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 
 
 class ConfigError(ValueError):
@@ -49,8 +51,11 @@ HARVEST_THRESHOLD_MODES = ("energy", "energy-over-a")
 class SystemConfig:
     """All physical and protocol parameters of one network scenario.
 
-    Raw fields use the units stated in their names; the trailing ``*_mw`` /
-    ``*_lin`` fields are derived by ``validate`` and are ``None`` until then.
+    Raw fields use the units stated in their names. A ``None`` default marks
+    an optional number, a ``str`` default a choice among ``choices``. The
+    trailing ``*_mw`` / ``*_lin`` fields are not constructor arguments: only
+    ``validate`` sets them, on the copy it returns, so any ``replace`` copy
+    starts out unvalidated.
     """
 
     lambda_p: float = 0.01        # density of PTs and PRs, nodes per m^2
@@ -69,31 +74,48 @@ class SystemConfig:
     p_min_dbm: float | None = None   # optional lower feasibility bound on p_st
     p_max_dbm: float | None = None   # optional upper feasibility bound on p_st
     direct_link: bool = False     # whether the direct ST-SD link exists
-    slot_position_model: str = "independent"
-    harvest_threshold_mode: str = "energy"
+    slot_position_model: str = field(
+        default="independent", metadata={"choices": SLOT_POSITION_MODELS})
+    harvest_threshold_mode: str = field(
+        default="energy", metadata={"choices": HARVEST_THRESHOLD_MODES})
     direct_literal_events: bool = False  # restrict the direct branch to the exact decomposed event set
     trunc_epsilon: float = 0.1    # allowed mean tail interference, fraction of p_st
-    # Derived linear-unit fields, populated by validate().
-    p_t_mw: float | None = None
-    p_st_mw: float | None = None
-    gamma_th_lin: float | None = None
+    # Linear-unit values of p_t_dbm, p_st_dbm and gamma_th_db, set by validate().
+    p_t_mw: float | None = field(default=None, init=False)
+    p_st_mw: float | None = field(default=None, init=False)
+    gamma_th_lin: float | None = field(default=None, init=False)
 
     @property
     def validated(self) -> bool:
         return self.p_t_mw is not None
 
 
-# Raw (user-settable) fields in declaration order; derived fields excluded.
-RAW_FIELDS = tuple(
-    f.name for f in dataclasses.fields(SystemConfig)
-    if f.name not in ("p_t_mw", "p_st_mw", "gamma_th_lin")
-)
-
-_BOOL_FIELDS = ("direct_link", "direct_literal_events")
-_STR_FIELDS = ("slot_position_model", "harvest_threshold_mode")
-_OPTIONAL_FIELDS = ("p_min_dbm", "p_max_dbm")
+# Raw (user-settable) fields in declaration order, and the linear fields
+# validate() sets, in the order of the CSV columns.
+_RAW = {f.name: f for f in dataclasses.fields(SystemConfig) if f.init}
+RAW_FIELDS = tuple(_RAW)
+LINEAR_FIELDS = tuple(f.name for f in dataclasses.fields(SystemConfig) if not f.init)
 # Raw fields that take a number (the sweepable ones).
-NUMERIC_FIELDS = tuple(n for n in RAW_FIELDS if n not in _BOOL_FIELDS + _STR_FIELDS)
+NUMERIC_FIELDS = tuple(n for n, f in _RAW.items()
+                       if not isinstance(f.default, (bool, str)))
+
+
+def _kind_problem(f: dataclasses.Field, value):
+    """The diagnostic for a raw field value of the wrong kind, else None.
+
+    Numbers are finite reals (NumPy floats included, bools not).
+    """
+    if isinstance(f.default, bool):
+        if not isinstance(value, bool):
+            return f"{f.name} must be a boolean, got {value!r}"
+    elif isinstance(f.default, str):
+        if value not in f.metadata["choices"]:
+            return f"{f.name} must be one of {f.metadata['choices']}, got {value!r}"
+    elif not ((f.default is None and value is None)
+              or (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                  and math.isfinite(value))):
+        return f"{f.name} must be a finite number, got {value!r}"
+    return None
 
 
 def truncation_tail_mean(cfg: SystemConfig) -> float:
@@ -108,23 +130,15 @@ def truncation_tail_mean(cfg: SystemConfig) -> float:
 
 
 def validate(cfg: SystemConfig) -> SystemConfig:
-    """Check every invariant and return a config with linear fields attached.
+    """Check every invariant and return a copy with the linear fields set.
 
-    Raises ``ConfigError`` carrying one diagnostic per violated invariant.
-    Validating an already-validated config returns an identical value.
+    Every raw field is first checked against its kind; the range rules run
+    once all kinds hold. Raises ``ConfigError`` carrying one diagnostic per
+    violated invariant. Validating an already-validated config returns an
+    identical value.
     """
-    problems = []
-
-    def _finite(name, value):
-        if value is None or not math.isfinite(value):
-            problems.append(f"{name} must be finite, got {value!r}")
-            return False
-        return True
-
-    for name in ("lambda_p", "lambda_sr", "p_t_dbm", "p_st_dbm", "eta", "a",
-                 "t_block", "alpha", "r_disc", "r_gz", "gamma_th_db", "d_sd",
-                 "r_max", "trunc_epsilon"):
-        _finite(name, getattr(cfg, name))
+    problems = [p for p in (_kind_problem(f, getattr(cfg, name))
+                            for name, f in _RAW.items()) if p]
     if problems:
         raise ConfigError(problems)
 
@@ -134,34 +148,17 @@ def validate(cfg: SystemConfig) -> SystemConfig:
         problems.append(f"a in open interval (0,1), got {cfg.a}")
     if not 0.0 < cfg.eta <= 1.0:
         problems.append(f"eta in half-open interval (0,1], got {cfg.eta}")
-    if cfg.lambda_p < 0.0:
-        problems.append(f"lambda_p must be >= 0, got {cfg.lambda_p}")
-    if cfg.lambda_sr < 0.0:
-        problems.append(f"lambda_sr must be >= 0, got {cfg.lambda_sr}")
-    if not cfg.r_disc > 0.0:
-        problems.append(f"r_disc must be > 0, got {cfg.r_disc}")
-    if not cfg.d_sd > 0.0:
-        problems.append(f"d_sd must be > 0, got {cfg.d_sd}")
-    if cfg.r_gz < 0.0:
-        problems.append(f"r_gz must be >= 0, got {cfg.r_gz}")
-    if not cfg.t_block > 0.0:
-        problems.append(f"t_block must be > 0, got {cfg.t_block}")
-    if not cfg.trunc_epsilon > 0.0:
-        problems.append(f"trunc_epsilon must be > 0, got {cfg.trunc_epsilon}")
+    for name in ("lambda_p", "lambda_sr", "r_gz"):
+        if getattr(cfg, name) < 0.0:
+            problems.append(f"{name} must be >= 0, got {getattr(cfg, name)}")
+    for name in ("r_disc", "d_sd", "t_block", "trunc_epsilon"):
+        if not getattr(cfg, name) > 0.0:
+            problems.append(f"{name} must be > 0, got {getattr(cfg, name)}")
 
     min_r_max = 2.0 * max(cfg.r_disc, cfg.d_sd)
     if cfg.r_max < min_r_max:
         problems.append(
             f"r_max must be >= 2*max(r_disc, d_sd) = {min_r_max}, got {cfg.r_max}")
-
-    if cfg.slot_position_model not in SLOT_POSITION_MODELS:
-        problems.append(
-            f"slot_position_model must be one of {SLOT_POSITION_MODELS}, "
-            f"got {cfg.slot_position_model!r}")
-    if cfg.harvest_threshold_mode not in HARVEST_THRESHOLD_MODES:
-        problems.append(
-            f"harvest_threshold_mode must be one of {HARVEST_THRESHOLD_MODES}, "
-            f"got {cfg.harvest_threshold_mode!r}")
 
     if cfg.p_min_dbm is not None and cfg.p_st_dbm < cfg.p_min_dbm:
         problems.append(
@@ -181,12 +178,11 @@ def validate(cfg: SystemConfig) -> SystemConfig:
     if problems:
         raise ConfigError(problems)
 
-    return dataclasses.replace(
-        cfg,
-        p_t_mw=dbm_to_linear(cfg.p_t_dbm),
-        p_st_mw=dbm_to_linear(cfg.p_st_dbm),
-        gamma_th_lin=db_to_linear(cfg.gamma_th_db),
-    )
+    linear = dataclasses.replace(cfg)  # init=False fields start as None
+    object.__setattr__(linear, "p_t_mw", dbm_to_linear(cfg.p_t_dbm))
+    object.__setattr__(linear, "p_st_mw", dbm_to_linear(cfg.p_st_dbm))
+    object.__setattr__(linear, "gamma_th_lin", db_to_linear(cfg.gamma_th_db))
+    return linear
 
 
 def harvest_threshold(cfg: SystemConfig) -> float:
@@ -204,17 +200,17 @@ def harvest_threshold(cfg: SystemConfig) -> float:
 
 def parse_value(name: str, text: str):
     """The typed value of raw field ``name`` written as ``text``."""
-    text = text.strip()
-    if name in _BOOL_FIELDS:
+    text, default = text.strip(), _RAW[name].default
+    if isinstance(default, bool):
         lowered = text.lower()
         if lowered in ("true", "yes", "1", "on"):
             return True
         if lowered in ("false", "no", "0", "off"):
             return False
         raise ConfigError([f"{name} must be a boolean, got {text!r}"])
-    if name in _STR_FIELDS:
+    if isinstance(default, str):
         return text
-    if name in _OPTIONAL_FIELDS and text.lower() in ("none", ""):
+    if default is None and text.lower() in ("none", ""):
         return None
     try:
         return float(text)
@@ -222,7 +218,7 @@ def parse_value(name: str, text: str):
         raise ConfigError([f"{name} must be numeric, got {text!r}"]) from None
 
 
-def parse_config_text(text: str, base: SystemConfig | None = None) -> SystemConfig:
+def parse_config_text(text: str) -> SystemConfig:
     """Parse a flat ``key = value`` config (one pair per line, # comments)."""
     overrides = {}
     problems = []
@@ -240,17 +236,18 @@ def parse_config_text(text: str, base: SystemConfig | None = None) -> SystemConf
         overrides[key] = parse_value(key, value)
     if problems:
         raise ConfigError(problems)
-    return dataclasses.replace(base or SystemConfig(), **overrides)
+    return SystemConfig(**overrides)
 
 
-def load_config(path: str, base: SystemConfig | None = None) -> SystemConfig:
+def load_config(path: str) -> SystemConfig:
     """Read a config file; the result still needs ``validate``."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), base=base)
+        return parse_config_text(fh.read())
 
 
 def apply_overrides(cfg: SystemConfig, overrides: dict) -> SystemConfig:
-    """Return a copy of ``cfg`` with the given raw fields replaced."""
+    """Return a copy of ``cfg`` with the given raw fields replaced; like any
+    ``replace`` copy, it needs ``validate`` again."""
     unknown = sorted(set(overrides) - set(RAW_FIELDS))
     if unknown:
         raise ConfigError([f"unknown config field {name!r}" for name in unknown])

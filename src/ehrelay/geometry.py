@@ -65,10 +65,6 @@ class PointField:
     def n(self) -> int:
         return self.points.shape[0]
 
-    @property
-    def slot_count(self) -> int:
-        return self.marks.shape[1]
-
 
 def sample_disc_ppp(density: float, radius: float, center, rng,
                     slot_count: int = 1) -> PointField:

@@ -583,6 +583,19 @@ def test_p_succ_zero_without_relays():
     assert analyze(empty, "bstd").p_succ == 0.0
 
 
+@pytest.mark.parametrize("direct", [False, True])
+def test_bstd_without_primaries(direct):
+    # lambda_p = 0: no interference, so every relay decodes and chi is the
+    # empty-disc chance; nothing is harvested, so p_succ is 0.
+    cfg = cfg_with(lambda_p=0.0, direct_link=direct)
+    assert chi_common(cfg) == pytest.approx(math.exp(-math.pi), rel=1e-12)  # 0.0432139183
+    b = analyze(cfg, "bstd")
+    assert b.p_succ == 0.0
+    for field in dataclasses.fields(AnalyticBreakdown)[1:]:
+        value = getattr(b, field.name)
+        assert value is None or 0.0 <= value <= 1.0, (field.name, value)
+
+
 def test_p_succ_vanishes_with_huge_guard_zone():
     walled = cfg_with(r_gz=30.0, r_max=100.0)
     assert analyze(walled, "bcc").p_succ < 1e-9

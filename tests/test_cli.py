@@ -271,6 +271,17 @@ def test_non_numeric_grid_value_rejected(command, values, bad, capsys):
     assert f"{bad!r} is not a number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("schemes,message", [
+    (",", "--schemes names no scheme"), ("bcc,bcc", "--schemes names 'bcc' twice"),
+])
+def test_sweep_rejects_empty_or_repeated_schemes(schemes, message, tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    assert run_cli(["sweep", "--param", "p_st_dbm", "--values=0", "--schemes",
+                    schemes, "--trials", "10", "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_needs_grid(capsys):
     assert run_cli(["sweep", "--schemes", "bcc", "--trials", "10"]) == 2
 
