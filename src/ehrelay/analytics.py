@@ -1,15 +1,12 @@
 """Analytical success-probability machinery.
 
 Everything here is a pure function of a validated ``SystemConfig``: Laplace
-transforms of the harvested sum, its upper tail (the harvest probability)
-from Kanter's phi-integral, the decode factors of each selection rule in
-closed form at every path-loss exponent, with a quadrature evaluation of each
-kept as their oracle, and ``analyze``, the one place where they compose into
-a success probability. Only the relay branch depends on the scheme; the
-harvest probability, guard factors and the direct link combine with it the
-same way for every scheme. The characteristic-function inversion of the
-harvested sum, with its oscillatory panel loop, is a cross-check only;
-``analyze`` does not call it.
+transforms of the harvested sum; one positive-stable tail rule from Kanter's
+phi-integral for the harvest probability and, by parts, the bstd all-fail
+chance; closed-form decode factors of each selection rule at every path-loss
+exponent, each with a quadrature oracle; and ``analyze``, where they compose
+into a success probability (only the relay branch depends on the scheme).
+The characteristic-function inversion of the harvested sum is a cross-check.
 """
 
 from __future__ import annotations
@@ -209,65 +206,95 @@ def p_h_gil_pelaez(cfg: SystemConfig) -> float:
     return min(1.0, max(0.0, 0.5 + refined / math.pi))
 
 
-def kanter_a(phi, beta: float):
-    """Zolotarev's function A(phi) of Kanter's positive-stable representation.
-
-    A standard positive-stable S of index beta in (0, 1), with
-    E[exp(-s*S)] = exp(-s^beta), satisfies
-    P(S <= x) = (1/pi) * int_0^pi exp(-A(phi) * x^(-beta/(1-beta))) dphi,
-    where A(phi) = sin(beta*phi)^(beta/(1-beta)) * sin((1-beta)*phi)
-    / sin(phi)^(1/(1-beta)) rises from (1-beta)*beta^(beta/(1-beta)) at
-    phi = 0+ to infinity at phi = pi (Kanter 1975, Ann. Probab.).
-    """
-    return np.exp(_log_kanter_a_reflected(math.pi - phi, beta))
-
-
 def _log_kanter_a_reflected(psi, beta: float):
-    """log A(pi - psi) of ``kanter_a``, every sine taken from psi.
+    """log A(pi - psi), A Zolotarev's function in Kanter's representation.
 
-    sin(phi) = sin(psi) and sin(beta*phi) = sin((1-beta)*pi + beta*psi), so
-    nothing cancels as phi approaches pi, where A grows without bound.
+    A standard positive-stable S of index beta, E[exp(-s*S)] = exp(-s^beta),
+    has P(S > x) = (1/pi) int_0^pi -expm1(-A(phi) x^(-k)) dphi, k = beta/(1-beta),
+    A(phi) = sin(beta*phi)^k * sin((1-beta)*phi) / sin(phi)^(1/(1-beta)) rising
+    from (1-beta)*beta^k at phi = 0+ to infinity at pi (Kanter 1975, Ann.
+    Probab.). Sines taken from psi = pi - phi do not cancel near phi = pi. A
+    float runs on ``math``, several times faster than numpy on one value.
     """
     k = beta / (1.0 - beta)
-    return (k * np.log(np.sin((1.0 - beta) * math.pi + beta * psi))
-            + np.log(np.sin((1.0 - beta) * (math.pi - psi)))
-            - np.log(np.sin(psi)) / (1.0 - beta))
+    xp = math if isinstance(psi, float) else np
+    return (k * xp.log(xp.sin((1.0 - beta) * math.pi + beta * psi))
+            + xp.log(xp.sin((1.0 - beta) * (math.pi - psi)))
+            - xp.log(xp.sin(psi)) / (1.0 - beta))
 
 
-# Gauss-Legendre nodes per piece at the first level of the harvest-probability
-# integral; five doublings cap it at 1024.
-_P_H_START_NODES = 32
-_P_H_MAX_DOUBLINGS = 5
-# Bisection for where log(x^(-k) * A) crosses a level, in u = log(pi - phi)
-# from log(1e-300) to log(pi): 16 halvings place it within 0.011 in u.
-_P_H_LOG_PSI_MIN = math.log(1e-300)
-_P_H_BISECTIONS = 16
 # The integrand is 1 to double precision once x^(-k) * A exceeds e^40; the
 # part of [0, phi*] where x^(-k) * A < e^(-40) * psi*/pi adds less than
 # e^(-40) * psi*, against a total above psi*/2, so it is left out.
-_P_H_LOG_CUT = 40.0
+_TAIL_LOG_CUT = 40.0
+# One more log-psi panel per this much range of log x^(-k). A level raises
+# QuadratureFailure past _TAIL_BUDGET (x, phi) pairs (34 MB), as alpha nears 2.
+_TAIL_PANEL_SPAN = 8.0
+_TAIL_BUDGET = 1 << 22
+
+
+def _stable_tail_rule(log_t_lo: float, log_t_hi: float, beta: float):
+    """One phi rule for P(S > x) at every log x^(-k) in [log_t_lo, log_t_hi].
+
+    Returns tail(log_t, n): P(S > x) at each log x^(-k) in log_t on n
+    Gauss-Legendre nodes per piece (see ``_log_kanter_a_reflected``), its
+    expm1 form exact to full relative precision deep in the tail. The
+    integrand is about 1 where A * x^(-k) >= 1, next to phi = pi, and falls as
+    a power of psi = pi - phi below that, so [0, psi*] runs in psi, psi* the
+    crossing of the least x^(-k) (a coarse bisection), and [psi*, pi] in
+    log(psi) on one panel and one more per ``_TAIL_PANEL_SPAN`` of range, up to
+    where the integrand of the greatest x^(-k) is below e^(-40) of its total.
+    """
+    k = beta / (1.0 - beta)
+    log_a_min = math.log((1.0 - beta) * beta ** k)  # log A(0+), A's least value
+    log_pi = math.log(math.pi)
+
+    def crossing(log_t: float, level: float, lo: float) -> float:
+        """log(psi) at which log(x^(-k) * A) falls to level; log(pi) if never."""
+        if log_t + log_a_min >= level:
+            return log_pi
+        hi = log_pi
+        for _ in range(16):  # from [log(1e-300), log(pi)] to within 0.011
+            mid = 0.5 * (lo + hi)
+            if log_t + _log_kanter_a_reflected(math.exp(mid), beta) >= level:
+                lo = mid
+            else:
+                hi = mid
+        return lo
+
+    # Row 0 of the node grid is [0, psi*] in psi, the other rows log-psi panels.
+    u_star = crossing(log_t_lo, 0.0, math.log(1e-300))
+    starts, halves = [0.0], [0.5 * math.pi]
+    if u_star < log_pi:
+        u_end = crossing(log_t_hi, -_TAIL_LOG_CUT - (log_pi - u_star), u_star)
+        panels = 1 + math.ceil((log_t_hi - log_t_lo) / _TAIL_PANEL_SPAN)
+        starts += [u_star + j * (u_end - u_star) / panels for j in range(panels)]
+        halves = [0.5 * math.exp(u_star)] + [0.5 * (u_end - u_star) / panels] * panels
+    starts, halves = np.array(starts)[:, None], np.array(halves)[:, None]
+
+    def tail(log_t, n: int):
+        x, w = _leggauss(n)
+        nodes = starts + halves * (x + 1.0)
+        weights = halves * (w / math.pi)
+        nodes[1:] = np.exp(nodes[1:])
+        weights[1:] *= nodes[1:]
+        if np.size(log_t) * nodes.size > _TAIL_BUDGET:
+            raise QuadratureFailure("positive-stable tail rule", math.inf)
+        v = np.add.outer(log_t, _log_kanter_a_reflected(nodes.ravel(), beta))
+        np.minimum(v, _TAIL_LOG_CUT, out=v)
+        return -(np.expm1(-np.exp(v, out=v), out=v) @ weights.ravel())
+
+    return tail
 
 
 def p_h_kanter(cfg: SystemConfig) -> float:
     """Harvest probability P(K >= sigma) from Kanter's phi-integral.
 
-    K = C^(1/beta) * S with C = ``levy_scale``, beta = 2/alpha and S standard
-    positive stable, so with x = sigma / C^(1/beta) and k = beta/(1-beta)
-    (see ``kanter_a``)
-        P(K >= sigma) = (1/pi) int_0^pi -expm1(-A(phi) * x^(-k)) dphi,
-    a smooth, non-oscillatory integrand whose expm1 form keeps a tiny p_h to
-    full relative precision. The integrand is about 1 where
-    A(phi) * x^(-k) >= 1, next to phi = pi, and falls as a power of
-    psi = pi - phi below that, so the integral splits at the crossing phi*
-    (found by a coarse bisection; it need not be exact): [phi*, pi] runs
-    directly in psi, [0, phi*] in u = log(psi), where the integrand becomes
-    smooth and exponential in u; the u-range stops where the integrand has
-    fallen below e^(-40) of the total, which keeps it short as alpha nears 2.
-    When A(0+) * x^(-k) >= 1 the integrand is near 1 everywhere and [0, pi]
-    runs in psi in one piece. Both pieces use Gauss-Legendre nodes, doubled
-    from 32 until the value settles to ``REL_TOL`` (at most 1024); a
-    stall raises ``QuadratureFailure`` with context "kanter harvest
-    probability".
+    K = C^(1/beta) * S, C = ``levy_scale``, beta = 2/alpha, S standard positive
+    stable, so P(K >= sigma) = P(S > sigma / C^(1/beta)) on the
+    ``_stable_tail_rule`` of this one x. Nodes double from 32 per piece until
+    the value settles to ``REL_TOL`` (at most 1024); a stall raises
+    ``QuadratureFailure`` with context "kanter harvest probability".
     """
     sigma = harvest_threshold(cfg)
     if sigma <= 0.0:
@@ -277,47 +304,9 @@ def p_h_kanter(cfg: SystemConfig) -> float:
     beta = 2.0 / cfg.alpha
     k = beta / (1.0 - beta)
     log_t = -k * (math.log(sigma) - math.log(levy_scale(cfg)) / beta)  # log x^(-k)
-    log_a_min = math.log((1.0 - beta) * beta ** k)  # log A(0+), A's least value
-    log_pi = math.log(math.pi)
-
-    def crossing(level: float, lo: float) -> float:
-        """log(psi) at which log(x^(-k) * A) falls to level; log(pi) if never."""
-        if log_t + log_a_min >= level:
-            return log_pi
-        hi = log_pi
-        for _ in range(_P_H_BISECTIONS):
-            mid = 0.5 * (lo + hi)
-            if log_t + _log_kanter_a_reflected(math.exp(mid), beta) >= level:
-                lo = mid
-            else:
-                hi = mid
-        return lo
-
-    def piece(lo: float, hi: float, n: int, in_log: bool) -> float:
-        x, w = _leggauss(n)
-        half = 0.5 * (hi - lo)
-        nodes = lo + half * (x + 1.0)
-        psi = np.exp(nodes) if in_log else nodes
-        exponent = np.minimum(log_t + _log_kanter_a_reflected(psi, beta), _P_H_LOG_CUT)
-        vals = -np.expm1(-np.exp(exponent))
-        if in_log:
-            vals *= psi
-        return half * float(w @ vals)
-
-    u_star = crossing(0.0, _P_H_LOG_PSI_MIN)
-    if u_star == log_pi:
-        def evaluate(n: int) -> float:
-            return piece(0.0, math.pi, n, False)
-    else:
-        u_end = crossing(-_P_H_LOG_CUT - (log_pi - u_star), u_star)
-
-        def evaluate(n: int) -> float:
-            return (piece(0.0, math.exp(u_star), n, False)
-                    + piece(u_star, u_end, n, True))
-
-    total = _settle(evaluate, _P_H_START_NODES, _P_H_MAX_DOUBLINGS, REL_TOL,
-                    "kanter harvest probability")
-    return min(1.0, total / math.pi)
+    tail = _stable_tail_rule(log_t, log_t, beta)
+    return min(1.0, _settle(lambda n: float(tail(log_t, n)), 32, 5, REL_TOL,
+                            "kanter harvest probability"))
 
 
 def guard_zone_prob(lambda_p: float, r_gz: float) -> float:
@@ -463,29 +452,30 @@ def _destination_rings(cfg: SystemConfig, n: int, q: float):
 
     sum(weights * h(rho)) approximates intint_disc exp(-q*r^2) * h(f) dA, r and
     f the distances from the transmitter and the destination: a weight is rho
-    times its radial weight times exp(-q*r^2) integrated over the arc of radius
-    rho inside the disc, its half-angle from the law of cosines. Each arc and
-    the arc piece take n/2 Gauss-Legendre nodes, the piece mapped by
-    rho = a + (b - a)*(3s^2 - 2s^3) to smooth its square-root ends. Full
-    circles (destination inside the disc) take n/4 per log-radius panel; the
-    disc the panels leave out holds under e^-40 of the relay disc.
+    times its radial weight times exp(-q*r^2) over the arc of radius rho inside
+    the disc (the arc's angle at q = 0). The arc piece takes n/2 Gauss-Legendre
+    nodes, mapped by rho = a + (b - a)*(3s^2 - 2s^3) to smooth its square-root
+    ends, each arc n/4, and full circles (destination inside the disc) n/4 per
+    log-radius panel; the disc they leave out holds under e^-40 of the disc.
     """
     d, radius = cfg.d_sd, cfg.r_disc
     lo, hi = abs(d - radius), d + radius
     x, w = _leggauss(n // 2)
+    xq, wq = _leggauss(n // 4)
     s = 0.5 * (x + 1.0)
     rho = lo + (hi - lo) * s * s * (3.0 - 2.0 * s)
     step = 3.0 * (hi - lo) * s * (1.0 - s) * w
     if d < radius:
-        xl, wl = _leggauss(n // 4)
-        circles = lo * np.exp(np.add.outer(2.0 * np.arange(-_RING_PANELS, 0), xl + 1.0))
+        circles = lo * np.exp(np.add.outer(2.0 * np.arange(-_RING_PANELS, 0), xq + 1.0))
         rho = np.concatenate([rho, circles.ravel()])
-        step = np.concatenate([step, (circles * wl).ravel()])
+        step = np.concatenate([step, (circles * wq).ravel()])
     cos_edge = (d * d + rho * rho - radius * radius) / (2.0 * d * rho)
     half_angle = np.arccos(np.clip(cos_edge, -1.0, 1.0))
+    if q == 0.0:
+        return rho, 2.0 * rho * step * half_angle
     r_sq = d * d + rho[:, None] ** 2 - 2.0 * d * rho[:, None] * np.cos(
-        np.multiply.outer(half_angle, s))
-    return rho, rho * step * half_angle * (np.exp(-q * r_sq) @ w)
+        np.multiply.outer(half_angle, 0.5 * (xq + 1.0)))
+    return rho, rho * step * half_angle * (np.exp(-q * r_sq) @ wq)
 
 
 def chi_integral(cfg: SystemConfig) -> float:
@@ -524,12 +514,11 @@ def chi_bstd(cfg: SystemConfig, delta: float | None = None) -> float:
 # Outer-integral truncation: each neglected piece of the expectation over the
 # destination interference weighs at most exp(-_CHI_TAIL_LOG).
 _CHI_TAIL_LOG = math.log(1e16)
-# Outer (log-interference) nodes at the first level; each level uses twice as
-# many phi nodes and passes its count to ``_destination_rings``.
+# The first level, passed to ``_destination_rings``; a y-panel takes a sixth,
+# a tail-rule piece a quarter.
 _CHI_START_NODES = 48
-# The last level evaluates G on a 384 x 192 grid, 384 x 1152 (3.5 MB) with the
-# destination inside the disc; the outer integral sets the level reached.
 _CHI_MAX_DOUBLINGS = 3
+_CHI_PANEL_WIDTH = 2.0
 
 
 def chi_common(cfg: SystemConfig) -> float:
@@ -544,16 +533,13 @@ def chi_common(cfg: SystemConfig) -> float:
 
     I is positive stable of index beta = 2/alpha with
     E[exp(-s*I)] = exp(-c * s^beta), c = lambda_p*pi*gamma_pair(alpha)*p_t^beta,
-    so Y = log(I / c^(1/beta)) has P(Y <= y) = (1/pi) int exp(-A(phi) e^(-k*y))
-    dphi, k = beta/(1-beta) (see ``kanter_a``), and its density is the
-    phi-integral of k*z*exp(-z), z = A(phi) e^(-k*y). The expectation over Y
-    runs on Gauss-Legendre nodes; G(u) = sum_j w_j * exp(-u * rho_j^alpha)
-    on ``_destination_rings``, whose log-radius rings resolve the peak at a
-    destination inside the disc for every u. Below y_flat, where G(u) is
-    within the truncation bound of G(0), the integrand is replaced by its
-    constant times the CDF. Every node count doubles until chi settles to
-    ``REL_TOL``; a stall raises ``QuadratureFailure`` with context
-    "chi common interference".
+    so Y = log(I / c^(1/beta)) is the log of a standard positive-stable S.
+    With h(y) = 1 - exp(-lambda_sr * G(u_unit * e^y)), the expectation runs
+    by parts, E[h(Y)] = h(y_a) + int_{y_a}^{y_hi} h'(y) * P(Y > y) dy, with
+    h' = lambda_sr * exp(-lambda_sr * G) * dG/dy; G and dG/dy are sums over
+    ``_destination_rings`` and P(Y > y) comes from one ``_stable_tail_rule``
+    over every y node. Node counts double until chi settles to ``REL_TOL``;
+    a stall raises ``QuadratureFailure`` ("chi common interference").
     """
     if cfg.lambda_sr == 0.0:
         return 1.0
@@ -569,42 +555,56 @@ def chi_common(cfg: SystemConfig) -> float:
         # every relay decodes both hops and G = pi*R^2.
         return 1.0 - guard * -math.expm1(-mean_relays)
 
-    # Range of Y. A >= A(0+) bounds P(Y < y_lo); P(S > x) <= x^-beta/(1 - 1/e)
-    # bounds the upper tail; 1 - exp(-lam*G(u)) <= lam*pi*R^2*exp(-u*f_min^alpha)
-    # bounds the integrand beyond the nearest relay-destination distance, and
-    # lam*(G(0) - G(u)) <= u*lam*pi*R^2*f_max^alpha its change below y_flat.
-    tail = _CHI_TAIL_LOG
-    a_min = (1.0 - beta) * beta ** k
-    y_lo = -math.log(tail / a_min) / k
-    y_hi = (tail - math.log1p(-math.exp(-1.0))) / beta
+    # Range of Y. A >= A(0+) bounds P(Y < y_lo). Beyond y_hi the piece left out
+    # is at most h(y_hi) * P(Y > y_hi): P(S > x) <= x^-beta/(1 - 1/e), and
+    # h <= lam*pi*Gamma(1 + beta)*u^-beta (G over the plane) or, past the
+    # nearest relay, h <= lam*pi*R^2*exp(-u*f_min^alpha). Below y_flat h moves
+    # by at most lam*(G(0) - G(u)) <= u*lam*pi*R^2*f_max^alpha.
+    cut = _CHI_TAIL_LOG
+    y_lo = -math.log(cut / ((1.0 - beta) * beta ** k)) / k
     log_u = math.log(u_unit)
+    upper = cut - math.log1p(-math.exp(-1.0))
+    y_hi = min(upper / beta, (upper + math.log(lam * math.pi * math.gamma(1.0 + beta))
+                              - beta * log_u) / (2.0 * beta))
     f_min = cfg.d_sd - radius
     if f_min > 0.0:
-        y_hi = min(y_hi, math.log(tail + math.log(max(mean_relays, 1.0)))
+        y_hi = min(y_hi, math.log(cut + math.log(max(mean_relays, 1.0)))
                    - alpha * math.log(f_min) - log_u)
     y_hi = max(y_hi, y_lo)
-    y_flat = -tail - math.log(mean_relays) - alpha * math.log(cfg.d_sd + radius) - log_u
+    y_flat = -cut - math.log(mean_relays) - alpha * math.log(cfg.d_sd + radius) - log_u
     y_a = min(max(y_lo, y_flat), y_hi)
 
+    # Panel edges at y_c - 3, y_c, y_c + 3 (u_unit * e^y_c * f^alpha = 1 turns G
+    # over) for f the farthest relay and |d_sd - r_disc|, the nearest or where
+    # arcs become circles; panels at most _CHI_PANEL_WIDTH wide between them,
+    # doubling in width beyond.
+    turns = sorted({min(max(-log_u - alpha * math.log(f) + shift, y_a), y_hi)
+                    for f in (cfg.d_sd + radius, abs(f_min)) if f > 0.0
+                    for shift in (-3.0, 0.0, 3.0)})
+    edges = turns[:1]
+    for right in turns[1:]:
+        parts = math.ceil((right - edges[-1]) / _CHI_PANEL_WIDTH)
+        edges += [edges[-1] + (right - edges[-1]) * j / parts for j in range(1, parts + 1)]
+    width = _CHI_PANEL_WIDTH
+    while edges[0] > y_a or edges[-1] < y_hi:
+        edges = [max(edges[0] - width, y_a)] + edges + [min(edges[-1] + width, y_hi)]
+        width *= 2.0
+    edges = np.unique(edges)
+    lefts, half = edges[:-1, None], 0.5 * (edges[1:] - edges[:-1])[:, None]
+    tail = _stable_tail_rule(-k * y_hi, -k * y_a, beta)
+    q, u_a = _decode_rate(cfg), math.exp(y_a + log_u)
+
     def evaluate(n: int) -> float:
-        xp, wp = _leggauss(2 * n)
-        a_phi = kanter_a(0.5 * math.pi * (xp + 1.0), beta)
-        w_phi = 0.5 * wp  # (1/pi) * (pi/2) * Gauss-Legendre weights on [0, pi]
-        cdf_a = float(np.exp(-math.exp(-k * y_a) * a_phi) @ w_phi)
-
-        xy, wy = _leggauss(n)
-        half = 0.5 * (y_hi - y_a)
-        y = y_a + half * (xy + 1.0)
-        z = np.multiply.outer(np.exp(-k * y), a_phi)
-        density = k * ((z * np.exp(-z)) @ w_phi)
-
-        rho, weights = _destination_rings(cfg, n, _decode_rate(cfg))
-        g = np.multiply.outer(-np.exp(y + log_u), rho ** alpha)
-        np.exp(g, out=g)
-        g = g @ weights
-        success = (-math.expm1(-lam * weights.sum()) * cdf_a
-                   + half * float(np.sum(wy * density * -np.expm1(-lam * g))))
-        return 1.0 - guard * success
+        xy, wy = _leggauss(n // 6)
+        y = (lefts + half * (xy + 1.0)).ravel()
+        rho, w = _destination_rings(cfg, n, q)
+        rho_a = rho ** alpha
+        u = np.exp(y + log_u)
+        e = np.exp(np.multiply.outer(-u, rho_a))
+        # -h'(y) * P(Y > y) / lam at the y nodes.
+        slope = (e @ (w * rho_a)) * u * np.exp(-lam * (e @ w)) * tail(-k * y, n // 4)
+        h_a = -math.expm1(-lam * float(w @ np.exp(-u_a * rho_a)))
+        return 1.0 - guard * (h_a - lam * float((half * wy).ravel() @ slope))
 
     return _settle(evaluate, _CHI_START_NODES, _CHI_MAX_DOUBLINGS, REL_TOL,
                    "chi common interference")

@@ -23,7 +23,7 @@ from ehrelay.analytics import (AnalyticBreakdown,
                                interference_integral, laplace_K, omega1,
                                p_h_gil_pelaez, p_h_levy_erf, p_nonempty,
                                psi31_bound, psi4_far_field, xi_bstd)
-from ehrelay.config import SystemConfig, harvest_threshold, validate
+from ehrelay.config import ConfigError, SystemConfig, harvest_threshold, validate
 from ehrelay.geometry import RngStream, shot_noise_batch
 
 
@@ -306,6 +306,81 @@ def test_bcc_bsir_breakdown_properties(alpha, log_lambda, p_st, gamma, d_gamma,
     assert breakdown(lambda_sr=lambda_sr + d_lambda_sr).p_nonempty >= b.p_nonempty
 
 
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(alpha=st.floats(2.2, 8.0),
+       log_lambda=st.floats(-8.0, -1.0),
+       p_st=st.floats(-10.0, 15.0),
+       gamma=st.floats(-20.0, 20.0),
+       d_gamma=st.floats(0.0, 10.0),
+       lambda_sr=st.floats(0.0, 5.0),
+       r_disc=st.floats(0.1, 5.0),
+       d_sd=st.floats(0.1, 10.0),
+       r_gz=st.floats(0.0, 3.0),
+       direct=st.booleans())
+def test_bstd_breakdown_properties(alpha, log_lambda, p_st, gamma, d_gamma, lambda_sr,
+                                   r_disc, d_sd, r_gz, direct):
+    # The bstd twin of the property above: analyze returns (a QuadratureFailure
+    # fails the test) with every field in range.
+    base = dict(alpha=alpha, lambda_p=10.0 ** log_lambda, p_st_dbm=p_st,
+                gamma_th_db=gamma, lambda_sr=lambda_sr, r_disc=r_disc, d_sd=d_sd,
+                r_gz=r_gz, direct_link=direct, r_max=2.0 * max(r_disc, d_sd),
+                trunc_epsilon=1e12)
+
+    def breakdown(**changes):
+        b = analyze(cfg_with(**{**base, **changes}), "bstd")
+        _assert_probabilities(b)
+        return b
+
+    b = breakdown()
+    harder = breakdown(gamma_th_db=gamma + d_gamma)
+    if not direct:
+        # chi settles to REL_TOL relative, so p_succ may rise by that much.
+        assert harder.p_succ <= b.p_succ + an.REL_TOL
+
+
+def _assert_probabilities(b):
+    """Every field of a breakdown in [0, 1]; lambda_eff, a density, >= 0."""
+    for name in an.BREAKDOWN_FIELDS:
+        value = getattr(b, name)
+        upper = math.inf if name == "lambda_eff" else 1.0
+        assert value is None or 0.0 <= value <= upper, name
+
+
+def _sampled_configs():
+    """399 valid configs from 424 draws (seed 7) over the sampled space.
+
+    One draw per field in this order: alpha U(2.3, 6), lambda_p 10^U(-6, -1),
+    p_st_dbm U(-10, 15), d_sd U(0.3, 5), r_gz U(0, 2), gamma_th_db U(-15, 5),
+    lambda_sr U(0.1, 20), r_max from (50, 100, 400, 2000), and the direct link
+    with chance 0.3; draws that validate rejects are skipped.
+    """
+    rng = np.random.default_rng(7)
+    configs = []
+    for _ in range(424):
+        draw = dict(alpha=rng.uniform(2.3, 6.0), lambda_p=10.0 ** rng.uniform(-6.0, -1.0),
+                    p_st_dbm=rng.uniform(-10.0, 15.0), d_sd=rng.uniform(0.3, 5.0),
+                    r_gz=rng.uniform(0.0, 2.0), gamma_th_db=rng.uniform(-15.0, 5.0),
+                    lambda_sr=rng.uniform(0.1, 20.0),
+                    r_max=float(rng.choice([50.0, 100.0, 400.0, 2000.0])))
+        draw["direct_link"] = bool(rng.uniform() < 0.3)
+        try:
+            configs.append(cfg_with(**draw))
+        except ConfigError:
+            pass
+    return configs
+
+
+def test_bstd_total_on_sampled_configs():
+    # bstd analyze returns on every sampled config: the destination inside,
+    # at the edge of and outside the relay disc, and primaries from dense to
+    # sparse, where the interference that matters lies deep in the
+    # positive-stable tail.
+    configs = _sampled_configs()
+    assert len(configs) == 399
+    for cfg in configs:
+        _assert_probabilities(analyze(cfg, "bstd"))
+
+
 # ---------------------------------------------------------------------------
 # Guard zones and relay-presence factors
 # ---------------------------------------------------------------------------
@@ -497,46 +572,56 @@ def test_destination_rings_cover_the_disc(alpha, r_max, d_sd):
 
 def test_kanter_cdf_matches_levy_law():
     # At beta = 1/2 the standard positive-stable law (Laplace transform
-    # exp(-sqrt(s))) is Levy with CDF erfc(1/(2*sqrt(x))).
-    x_nodes, w_nodes = np.polynomial.legendre.leggauss(200)
-    phi = 0.5 * math.pi * (x_nodes + 1.0)
-    a_phi = an.kanter_a(phi, 0.5)
-    for x in (0.05, 0.3, 1.0, 4.0, 30.0):
-        kanter = float(np.exp(-a_phi / x) @ (0.5 * w_nodes))
-        assert kanter == pytest.approx(math.erfc(0.5 / math.sqrt(x)), abs=1e-10)
+    # exp(-sqrt(s))) is Levy with upper tail erf(1/(2*sqrt(x))); k = 1, so
+    # log x^(-k) = -log x. One rule covers x from 0.05 into the deep tail.
+    x = np.geomspace(0.05, 1e12, 60)
+    tail = an._stable_tail_rule(-math.log(x[-1]), -math.log(x[0]), 0.5)
+    exact = np.array([math.erf(0.5 / math.sqrt(v)) for v in x])
+    for n in (64, 128):
+        assert tail(-np.log(x), n) == pytest.approx(exact, rel=1e-9)
     # chi_common bounds the lower tail of the law by A's value at phi = 0+.
+    phi = np.linspace(1e-6, math.pi - 1e-3, 2001)
     for beta in (0.2, 0.4, 0.5, 2.0 / 3.0, 0.9):
-        a = an.kanter_a(np.linspace(1e-6, math.pi - 1e-3, 2001), beta)
-        assert np.all(np.diff(a) > 0.0)
+        log_a = an._log_kanter_a_reflected(math.pi - phi, beta)
+        assert np.all(np.diff(log_a) > 0.0)
         k = beta / (1.0 - beta)
-        assert a[0] == pytest.approx((1.0 - beta) * beta ** k, rel=1e-6)
+        assert math.exp(log_a[0]) == pytest.approx((1.0 - beta) * beta ** k, rel=1e-6)
+        assert an._log_kanter_a_reflected(math.pi - 0.3, beta) == pytest.approx(
+            an._log_kanter_a_reflected(np.array([math.pi - 0.3]), beta)[0], rel=1e-14)
 
 
 @pytest.mark.parametrize("overrides", [{}, {"lambda_p": 3e-3, "p_st_dbm": 5.0},
                                        {"d_sd": 0.5},
-                                       {"d_sd": 0.5, "lambda_p": 3e-3, "p_st_dbm": 5.0}])
+                                       {"d_sd": 0.5, "lambda_p": 3e-3, "p_st_dbm": 5.0},
+                                       {"lambda_p": 3e-5, "p_st_dbm": 10.0},
+                                       {"lambda_p": 1e-6},
+                                       {"lambda_p": 1e-5, "d_sd": 0.5}])
 def test_chi_common_against_levy_oracle(overrides):
     # Independent oracle at alpha = 4: the destination interference is Levy
     # with scale c = C^2/2 (C the coefficient of sqrt(s) in its Laplace
-    # exponent), density sqrt(c/(2 pi)) x^(-3/2) exp(-c/(2x)). Uniform grid in
-    # log x, midpoint grid of 120 x 120 cells over the relay disc. With the
-    # destination inside the disc (d_sd = 0.5) the oracle is 2.6e-6 from
-    # chi_common at 120 x 120 cells, 2.4e-7 at 400 x 400 and 5.9e-8 at 800 x 800.
+    # exponent), density sqrt(c/(2 pi)) x^(-3/2) exp(-c/(2x)) and upper tail
+    # erf(sqrt(c/(2x))). Uniform grid in log x, the probability beyond it from
+    # the erf tail, midpoint grid over the relay disc. With the destination inside the disc
+    # (d_sd = 0.5) the oracle is 2.6e-6 from chi_common at 120 x 120 cells,
+    # 2.4e-7 at 400 x 400 and 5.9e-8 at 800 x 800. Sparse primaries put the
+    # interference that matters deep in the Levy tail, up to log(x/c) ~ 30;
+    # they take 300 x 300 cells and a log-x step of 0.02 up to 45.
     cfg = cfg_with(**overrides)
+    n, step, end = (300, 0.02, 45.0) if cfg.lambda_p < 1e-4 else (120, 0.05, 30.0)
     q = (math.pi ** 2 / 2.0) * cfg.lambda_p * math.sqrt(
         cfg.gamma_th_lin * cfg.p_t_mw / cfg.p_st_mw)
     c_levy = (math.pi * cfg.lambda_p * (math.pi / 2.0) * math.sqrt(cfg.p_t_mw)) ** 2 / 2.0
-    n = 120
     r = ((np.arange(n) + 0.5) * cfg.r_disc / n)[:, None]
     th = ((np.arange(n) + 0.5) * 2.0 * math.pi / n)[None, :]
     f4 = ((r ** 2 + cfg.d_sd ** 2 - 2.0 * r * cfg.d_sd * np.cos(th)) ** 2).ravel()
     cell = np.broadcast_to(np.exp(-q * r ** 2) * r * (cfg.r_disc / n) * (2.0 * math.pi / n),
                            (n, n)).ravel()
-    step = 0.05
-    x = c_levy * np.exp(np.arange(-6.0, 30.0, step))
+    x = c_levy * np.exp(np.arange(-6.0, end, step))
     log_density = np.sqrt(c_levy / (2.0 * math.pi * x)) * np.exp(-c_levy / (2.0 * x))
     g = np.array([cell @ np.exp(-cfg.gamma_th_lin * xi / cfg.p_st_mw * f4) for xi in x])
-    success = step * np.sum(log_density * -np.expm1(-cfg.lambda_sr * g))
+    h = -np.expm1(-cfg.lambda_sr * g)
+    beyond = math.erf(math.sqrt(c_levy / (2.0 * x[-1] * math.exp(0.5 * step))))
+    success = step * np.sum(log_density * h) + beyond * h[-1]
     oracle = 1.0 - math.exp(-math.pi * cfg.lambda_p * cfg.r_gz ** 2) * success
     assert chi_common(cfg) == pytest.approx(oracle, abs=1e-4)
 
@@ -565,11 +650,23 @@ def test_chi_common_limits():
 
 
 def test_chi_common_stall_raises(monkeypatch):
-    # A destination near the disc edge needs more levels than one doubling.
+    # A destination at the disc edge needs more levels than one doubling (it
+    # settles after three).
     monkeypatch.setattr(an, "_CHI_MAX_DOUBLINGS", 1)
     with pytest.raises(QuadratureFailure) as info:
-        chi_common(cfg_with(d_sd=1.05))
+        chi_common(cfg_with(d_sd=1.0))
     assert info.value.context == "chi common interference"
+
+
+def test_chi_common_near_alpha_2_raises_within_budget():
+    # As alpha nears 2 the tail rule's span k*(y_hi - y_a), k = beta/(1-beta),
+    # grows without bound; a level past the budget raises at once instead of
+    # allocating it. alpha 2.05 still returns.
+    near = dict(lambda_p=1e-6, r_max=50.0, trunc_epsilon=1e300)
+    assert 0.0 <= chi_common(cfg_with(alpha=2.05, **near)) <= 1.0
+    with pytest.raises(QuadratureFailure) as info:
+        chi_common(cfg_with(alpha=2.001, **near))
+    assert info.value.context == "positive-stable tail rule"
 
 
 # ---------------------------------------------------------------------------
