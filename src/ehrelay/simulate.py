@@ -15,6 +15,10 @@ results are bit-identical for any ``workers``. The draw order inside a block
 does not depend on the scheme or on the direct-link switches, so runs that
 differ only in those see the same networks.
 
+Workers: a call runs its first share of blocks in the calling thread and
+sends each other share down the duplex pipe of a persistent worker process,
+so no helper thread competes with the kernel. A worker ends at EOF.
+
 Slot structure per trial: two harvesting contributions (the dedicated slot
 plus the opportunistically reused forwarding slot), then the
 transmitter-to-relay slot, then the relay-to-destination slot. Primary
@@ -27,18 +31,13 @@ form; the acceptance tolerance absorbs the gap).
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import itertools
 import math
 import os
 import threading
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from functools import partial
-from multiprocessing import parent_process
-from multiprocessing.connection import wait
-from multiprocessing.util import Finalize
 
 import numpy as np
 
@@ -353,78 +352,78 @@ def outcomes(cfg: SystemConfig, trials: int, seed: int) -> Outcomes:
                        for f in dataclasses.fields(Outcomes)})
 
 
-# The process-wide worker pool: built by the first call that needs one, reused
-# by every later call that needs the same size, replaced when a call needs
-# another size. Starting workers once per process rather than once per call
-# is what lets short runs, such as the grid points of a sweep, gain from them.
-_pool: ProcessPoolExecutor | None = None
-_pool_size = 0
-_pool_exit: Finalize | None = None
-_pool_lock = threading.Lock()   # one pooled call at a time per process
+_workers: list = []   # the process-wide worker set: (process, our end of its pipe)
+_workers_lock = threading.Lock()   # one pooled call at a time per process
 
 
-def _drop_pool() -> None:
-    """Shut the pool down, if there is one; the next call builds a new one."""
-    global _pool
-    pool, _pool = _pool, None
-    if pool is not None:
-        _pool_exit.cancel()
-        pool.shutdown(cancel_futures=True)
+def _serve(conn) -> None:
+    """Worker loop: send back the counts of every (cfg, seed, blocks)
+    received, or the exception raised; return at EOF."""
+    with contextlib.suppress(EOFError):   # raised by recv() alone
+        while True:
+            task = conn.recv()
+            try:
+                reply = _count_blocks(*task)
+            except Exception as exc:
+                reply = exc
+            conn.send(reply)
 
 
-def _forget_pool() -> None:
-    # A forked child inherits the pool object but not its manager thread, so
-    # work submitted to it would never run: the child builds its own pool. It
-    # also takes a fresh lock, which a parent thread may have held at the fork.
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
+def _drop_workers() -> None:
+    """End the workers, if any; the next call builds a new set."""
+    global _workers
+    workers, _workers = _workers, []
+    for process, conn in workers:
+        conn.close()
+        if process.pid is not None:   # started
+            process.terminate()
+            process.join()
 
 
-os.register_at_fork(after_in_child=_forget_pool)
+def _forget_workers() -> None:
+    # A forked child, a new worker too, closes its copies of the parent's pipe
+    # ends (a pair is registered before its worker starts), so that those
+    # workers see EOF when the parent ends; and takes a fresh lock, which a
+    # parent thread may have held at the fork.
+    global _workers, _workers_lock
+    for _, conn in _workers:
+        conn.close()
+    _workers, _workers_lock = [], threading.Lock()
 
 
-def _exit_with_parent() -> None:
-    """Pool worker initializer: end the worker when the process that owns
-    the pool dies without shutting it down, as when killed by a signal;
-    workers idle between calls would otherwise wait for work for ever."""
-    sentinel = parent_process().sentinel
-    threading.Thread(target=lambda: (wait([sentinel]), os._exit(1)),
-                     daemon=True).start()
-
-
-def _pool_of(size: int) -> ProcessPoolExecutor:
-    global _pool, _pool_size, _pool_exit
-    if _pool is None or _pool_size != size:
-        _drop_pool()
-        _pool = ProcessPoolExecutor(max_workers=size, initializer=_exit_with_parent)
-        _pool_size = size
-        # Shut down at exit. A multiprocessing child joins its child
-        # processes at exit and would wait on idle pool workers forever, so
-        # this runs among multiprocessing's exit finalizers: before that join,
-        # and before the finalizers (priority 10) that stop the pool's queues.
-        _pool_exit = Finalize(None, _drop_pool, exitpriority=20)
-    return _pool
+os.register_at_fork(after_in_child=_forget_workers)
 
 
 def _pooled_counts(cfg: SystemConfig, seed: int, tasks) -> np.ndarray:
     """Sum of ``_count_blocks`` over ``tasks``: the first runs in this
-    process, each other one on its own pool process."""
-    count = partial(_count_blocks, cfg, seed)
-    size = len(tasks) - 1
-    with _pool_lock:
+    process, each other one on its own worker."""
+    with _workers_lock:
+        if (len(_workers) != len(tasks) - 1
+                or not all(process.is_alive() for process, _ in _workers)):
+            from multiprocessing import Pipe, Process   # imported by pooled runs alone
+            _drop_workers()
+            for _ in tasks[1:]:
+                conn, child_end = Pipe()
+                process = Process(target=_serve, args=(child_end,), daemon=True)
+                _workers.append((process, conn))   # before start(): see _forget_workers
+                process.start()
+                child_end.close()
         try:
-            futures = [_pool_of(size).submit(count, task) for task in tasks[1:]]
-        except (BrokenProcessPool, RuntimeError):
-            # The pool broke or was shut down while idle. Nothing of this
-            # call has run yet, so a fresh pool gives the same counts.
-            _drop_pool()
-            futures = [_pool_of(size).submit(count, task) for task in tasks[1:]]
-        counts = count(tasks[0])
-        try:
-            return counts + sum(future.result() for future in futures)
-        except BrokenProcessPool:
-            _drop_pool()
+            for (_, conn), task in zip(_workers, tasks[1:]):
+                conn.send((cfg, seed, task))
+            counts = _count_blocks(cfg, seed, tasks[0])
+            replies = [conn.recv() for _, conn in _workers]
+        except (EOFError, OSError) as exc:
+            from concurrent.futures.process import BrokenProcessPool
+            _drop_workers()
+            raise BrokenProcessPool("a simulation worker ended during the call") from exc
+        except BaseException:
+            _drop_workers()   # replies may be pending; a new set starts clean
             raise
+    for reply in replies:
+        if isinstance(reply, Exception):
+            raise reply
+    return counts + sum(replies)
 
 
 def default_workers() -> int:
@@ -445,12 +444,12 @@ def simulate_all(cfg: SystemConfig, trials: int, seed: int,
     is integer-exact per block, and each block owns stream (seed, block), so
     the result is bit-identical for any worker count. With more than one
     worker and block, the blocks are split into one contiguous share per
-    worker, at most one per block; this process runs the first share and a
-    process pool the others. The pool is built on first use and reused by
-    later calls (and every grid point of a sweep); it is replaced when a call
-    needs another size, dropped after it breaks or in a forked child, and
-    shut down at exit. Results are never cached: every call draws its blocks
-    afresh.
+    worker, at most one per block; this process runs the first share and
+    the worker set the others, and re-raises what a worker raised. The set
+    is built on first use and reused by later calls (and every grid point of
+    a sweep); it is replaced when a call needs another size or an idle
+    worker died, dropped when one dies during a call (``BrokenProcessPool``),
+    rebuilt in a forked child and ended at exit. Results are never cached.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

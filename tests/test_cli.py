@@ -402,6 +402,24 @@ def test_no_pool_worker_outlives_a_killed_run():
     assert not left
 
 
+def test_spawned_workers_match_one_worker():
+    # The start method macOS defaults to: workers import the package afresh.
+    script = ("import multiprocessing\n"
+              "from ehrelay.config import SystemConfig, validate\n"
+              "from ehrelay.simulate import simulate_all, trials_per_block\n"
+              "multiprocessing.set_start_method('spawn')\n"
+              "cfg = validate(SystemConfig())\n"
+              "trials = 2 * trials_per_block(cfg) + 5\n"
+              "many = simulate_all(cfg, trials, 331, workers=3)\n"
+              "print(multiprocessing.get_start_method(),\n"
+              "      len(multiprocessing.active_children()),\n"
+              "      many == simulate_all(cfg, trials, 331, workers=1))\n")
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, env=_env_with_src(), timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["spawn", "2", "True"]
+
+
 def _env_with_src():
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     return dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -9,6 +9,7 @@ import importlib
 import math
 import multiprocessing
 import os
+import signal
 import sys
 import threading
 from concurrent.futures.process import BrokenProcessPool
@@ -547,7 +548,7 @@ def test_simulate_validates_inputs(baseline):
 
 
 # ---------------------------------------------------------------------------
-# Worker pool life cycle. Each test starts at most two pool processes.
+# Worker set life cycle. Each test starts at most two worker processes.
 # ---------------------------------------------------------------------------
 
 sim_mod = importlib.import_module("ehrelay.simulate")
@@ -560,6 +561,12 @@ def _exit_in_worker(cfg, seed, blocks, parent=os.getpid()):
     return _real_count_blocks(cfg, seed, blocks)
 
 
+def _raise_in_worker(cfg, seed, blocks, parent=os.getpid()):
+    if os.getpid() != parent and seed == 332:
+        raise ValueError("raised in a worker")
+    return _real_count_blocks(cfg, seed, blocks)
+
+
 @pytest.fixture
 def three_blocks(baseline):
     """A run of three blocks at the baseline and its serial result."""
@@ -569,67 +576,98 @@ def three_blocks(baseline):
 
 def test_pool_reused_across_calls_and_bit_identical(baseline, three_blocks):
     trials, serial = three_blocks
-    sim_mod._drop_pool()
+    sim_mod._drop_workers()
     first = simulate_all(baseline, trials, seed=331, workers=2)
-    pool = sim_mod._pool
-    assert pool is not None and sim_mod._pool_size == 1
+    workers = list(sim_mod._workers)
+    assert len(workers) == 1
     second = simulate_all(baseline, trials, seed=331, workers=2)
-    assert sim_mod._pool is pool
+    assert sim_mod._workers == workers
     assert first == serial and second == serial
     assert simulate(baseline, "bsir", trials, seed=331, workers=2) == serial["bsir"]
-    assert sim_mod._pool is pool
+    assert sim_mod._workers == workers
 
 
 def test_pool_replaced_for_another_worker_count(baseline, three_blocks):
     trials, serial = three_blocks
     assert simulate_all(baseline, trials, seed=331, workers=2) == serial
-    small = sim_mod._pool
+    [small] = sim_mod._workers
     assert simulate_all(baseline, trials, seed=331, workers=3) == serial
-    assert sim_mod._pool is not small and sim_mod._pool_size == 2
+    assert len(sim_mod._workers) == 2 and small not in sim_mod._workers
+    assert not small[0].is_alive()
 
 
 def test_pool_never_larger_than_the_task_count(baseline, three_blocks):
     # A huge worker count splits three blocks into three one-block shares:
-    # this process runs one and the pool gets two processes, never more.
+    # this process runs one and the set gets two processes, never more.
     trials, serial = three_blocks
     assert simulate_all(baseline, trials, seed=331, workers=10 ** 6) == serial
-    assert sim_mod._pool_size == 2
+    assert len(sim_mod._workers) == 2
 
 
 def test_shut_down_pool_is_replaced(baseline, three_blocks):
     trials, serial = three_blocks
     simulate_all(baseline, trials, seed=331, workers=2)
-    dead = sim_mod._pool
-    dead.shutdown()
+    [dropped] = sim_mod._workers
+    sim_mod._drop_workers()
+    assert not dropped[0].is_alive()
     assert simulate_all(baseline, trials, seed=331, workers=2) == serial
-    assert sim_mod._pool is not dead
+    assert len(sim_mod._workers) == 1 and dropped not in sim_mod._workers
 
 
 def test_idle_broken_pool_is_replaced(baseline, three_blocks):
     trials, serial = three_blocks
     simulate_all(baseline, trials, seed=331, workers=2)
-    broken = sim_mod._pool
-    assert isinstance(broken.submit(os._exit, 1).exception(timeout=60),
-                      BrokenProcessPool)
+    [killed] = sim_mod._workers
+    os.kill(killed[0].pid, signal.SIGKILL)
+    killed[0].join(60)
+    assert killed[0].exitcode == -signal.SIGKILL
     assert simulate_all(baseline, trials, seed=331, workers=2) == serial
-    assert sim_mod._pool is not broken
+    assert len(sim_mod._workers) == 1 and killed not in sim_mod._workers
 
 
 def test_pool_broken_during_a_call_is_dropped(baseline, three_blocks, monkeypatch):
     trials, serial = three_blocks
-    sim_mod._drop_pool()   # the next pool forks with the patched counter
+    sim_mod._drop_workers()   # the next set forks with the patched counter
     monkeypatch.setattr(sim_mod, "_count_blocks", _exit_in_worker)
     with pytest.raises(BrokenProcessPool):
         simulate_all(baseline, trials, seed=331, workers=2)
-    assert sim_mod._pool is None
+    assert sim_mod._workers == []
     monkeypatch.undo()
     assert simulate_all(baseline, trials, seed=331, workers=2) == serial
 
 
+def test_worker_exception_reaches_the_caller(baseline, three_blocks, monkeypatch):
+    # Both workers raise; the caller reads both replies, so the set it keeps
+    # holds no stale reply for the next call.
+    trials, serial = three_blocks
+    sim_mod._drop_workers()   # the next set forks with the patched counter
+    monkeypatch.setattr(sim_mod, "_count_blocks", _raise_in_worker)
+    try:
+        with pytest.raises(ValueError, match="raised in a worker"):
+            simulate_all(baseline, trials, seed=332, workers=3)
+        workers = list(sim_mod._workers)
+        assert len(workers) == 2
+        assert simulate_all(baseline, trials, seed=331, workers=3) == serial
+        assert sim_mod._workers == workers
+    finally:
+        sim_mod._drop_workers()   # its workers keep the patched counter
+
+
+def test_pooled_call_starts_no_thread(baseline, three_blocks):
+    # The caller fans out and collects from its own thread, also when it
+    # builds the set.
+    trials, serial = three_blocks
+    sim_mod._drop_workers()
+    before = threading.active_count()
+    assert simulate_all(baseline, trials, seed=331, workers=2) == serial
+    assert simulate_all(baseline, trials, seed=331, workers=2) == serial
+    assert threading.active_count() == before
+
+
 def test_forked_child_runs_its_own_pool(baseline, three_blocks):
     trials, serial = three_blocks
-    simulate_all(baseline, trials, seed=331, workers=2)   # the child inherits this pool
-    assert sim_mod._pool is not None
+    simulate_all(baseline, trials, seed=331, workers=2)   # the child inherits this set
+    assert sim_mod._workers
     ctx = multiprocessing.get_context("fork")
     receive, send = ctx.Pipe(duplex=False)
 
