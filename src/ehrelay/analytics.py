@@ -88,19 +88,14 @@ def gamma_pair(alpha: float) -> float:
     return x / math.sin(x)
 
 
-def interference_integral(beta: float, alpha: float) -> float:
-    """Closed form of the path-loss integral int_0^inf x/(1 + x^alpha/beta) dx.
+def _field_scale(cfg: SystemConfig) -> float:
+    """lambda_p*pi*Gamma(1+2/alpha)*Gamma(1-2/alpha), the primary field's constant.
 
-    Evaluates to (pi/alpha) * beta^(2/alpha) / sin(2*pi/alpha); this is the
-    primitive behind every decode factor below.
+    Rayleigh shot noise I from primaries of density lambda_p, each at unit
+    power, has E[exp(-s*I)] = exp(-this * s^(2/alpha)); every factor below
+    rests on it.
     """
-    if beta < 0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
-    if alpha <= 2:
-        raise ValueError(f"alpha must exceed 2 for convergence, got {alpha}")
-    if beta == 0.0:
-        return 0.0
-    return (math.pi / alpha) * beta ** (2.0 / alpha) / math.sin(2.0 * math.pi / alpha)
+    return cfg.lambda_p * math.pi * gamma_pair(cfg.alpha)
 
 
 def laplace_K(s: float, cfg: SystemConfig) -> float:
@@ -120,7 +115,7 @@ def laplace_K(s: float, cfg: SystemConfig) -> float:
 def levy_scale(cfg: SystemConfig) -> float:
     """Coefficient C in laplace_K(s) = exp(-C * s^(2/alpha))."""
     weights = cfg.a ** (2.0 / cfg.alpha) + ((1.0 - cfg.a) / 2.0) ** (2.0 / cfg.alpha)
-    return cfg.lambda_p * math.pi * gamma_pair(cfg.alpha) * weights
+    return _field_scale(cfg) * weights
 
 
 def p_h_levy_erf(cfg: SystemConfig) -> float:
@@ -325,18 +320,17 @@ def p_nonempty(cfg: SystemConfig) -> float:
 # Per-scheme decode factors. Each rests on one Rayleigh link's chance to clear
 # the SIR threshold in the primary field, exp(-q*d^2) at every alpha
 # (``_decode_rate``), so the disc integrals have closed forms, and ``analyze``
-# runs those. method="quad" takes the path-loss constant and the disc
-# integrals by quadrature instead; it is the oracle the closed forms must
-# match to ~1e-8 relative.
+# runs those. method="quad" takes the field constant and the disc integrals
+# by quadrature instead; it is the oracle the closed forms must match to
+# ~1e-8 relative.
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=32)
 def _standard_pathloss_integral(alpha: float) -> float:
-    """Numeric value of int_0^inf y/(1 + y^alpha) dy.
+    """Numeric value of int_0^inf y/(1 + y^alpha) dy, gamma_pair(alpha)/2.
 
-    The substitution x = beta^(1/alpha)*y reduces the path-loss integral at
-    any beta to beta^(2/alpha) times this standardized integral, so the
-    quadrature path needs it only once per alpha.
+    2*pi*lambda_p times it is the field constant, so the quadrature path of
+    ``_decode_rate`` needs it only once per alpha.
 
     In s = log y the integrand y^2/(1 + y^alpha) decays as exp(2s) for
     s -> -inf and as exp(-(alpha-2)s) for s -> +inf. Mapping each half-line by
@@ -357,26 +351,27 @@ def _standard_pathloss_integral(alpha: float) -> float:
 def _decode_rate(cfg: SystemConfig, method: str = "closed") -> float:
     """q in exp(-q*d^2), the decode kernel's exponent per squared meter.
 
-    q = 2*pi*lambda_p * II(1) * (gamma*p_t/p_st)^(2/alpha), where II(1) is the
-    path-loss integral at beta = 1: ``interference_integral`` ("closed") or
-    its quadrature ``_standard_pathloss_integral`` ("quad").
+    q = c * (gamma*p_t/p_st)^(2/alpha) with c the field constant
+    lambda_p*pi*Gamma(1+2/alpha)*Gamma(1-2/alpha): ``_field_scale``
+    ("closed"), or 2*pi*lambda_p times the quadrature
+    ``_standard_pathloss_integral`` ("quad").
     """
     if method == "closed":
-        integral = interference_integral(1.0, cfg.alpha)
+        scale = _field_scale(cfg)
     elif method == "quad":
-        integral = _standard_pathloss_integral(cfg.alpha)
+        scale = 2.0 * math.pi * cfg.lambda_p * _standard_pathloss_integral(cfg.alpha)
     else:
         raise ValueError(f"method must be closed/quad, got {method!r}")
-    return 2.0 * math.pi * cfg.lambda_p * integral * (
-        cfg.gamma_th_lin * cfg.p_t_mw / cfg.p_st_mw) ** (2.0 / cfg.alpha)
+    return scale * (cfg.gamma_th_lin * cfg.p_t_mw / cfg.p_st_mw) ** (2.0 / cfg.alpha)
 
 
 def _decode_kernel(cfg: SystemConfig, dist_sq, method: str = "closed"):
     """Per-link decode probability at the given squared distances.
 
-    exp(-2*pi*lambda_p * II(gamma*p_t*d^alpha / p_st)) = exp(-q*d^2) with II
-    the path-loss integral; this is the interference-averaged chance that one
-    Rayleigh link at distance d clears the SIR threshold.
+    E[exp(-gamma*d^alpha*I/p_st)] = exp(-q*d^2) for the primary interference
+    I (Laplace exponent ``_field_scale`` * (p_t*s)^(2/alpha)); this is the
+    interference-averaged chance that one Rayleigh link at distance d clears
+    the SIR threshold.
     """
     return np.exp(-_decode_rate(cfg, method) * np.asarray(dist_sq, dtype=float))
 
@@ -397,25 +392,19 @@ def _disc_mean_kernel(cfg: SystemConfig, method: str, context: str) -> float:
     return -math.expm1(-q_area) / q_area
 
 
-def _all_fail_bound(cfg: SystemConfig, method: str, context: str) -> float:
-    """Probability that no relay in the disc clears the first-hop threshold.
-
-    exp(-lambda_sr*pi*R^2 * mean kernel over the disc); shared by the
-    composite channel and best-SIR selection rules, which coincide under a
-    single secondary transmit power.
-    """
-    mean = _disc_mean_kernel(cfg, method, context)
+def psi31_bound(cfg: SystemConfig, method: str = "closed") -> float:
+    """Chance the best composite-channel relay fails to decode hop one:
+    exp(-lambda_sr*pi*R^2 * mean kernel over the disc), as ``omega1``."""
+    mean = _disc_mean_kernel(cfg, method, "psi31")
     return math.exp(-math.pi * cfg.lambda_sr * cfg.r_disc ** 2 * mean)
 
 
-def psi31_bound(cfg: SystemConfig, method: str = "closed") -> float:
-    """Chance the best composite-channel relay fails to decode hop one."""
-    return _all_fail_bound(cfg, method, "psi31")
-
-
 def omega1(cfg: SystemConfig, method: str = "closed") -> float:
-    """Chance that every relay's instantaneous first-hop SIR is below threshold."""
-    return _all_fail_bound(cfg, method, "omega1")
+    """Chance that every relay's instantaneous first-hop SIR is below
+    threshold; the best-SIR and composite-channel rules coincide under one
+    secondary transmit power, so this is ``psi31_bound``'s value."""
+    mean = _disc_mean_kernel(cfg, method, "omega1")
+    return math.exp(-math.pi * cfg.lambda_sr * cfg.r_disc ** 2 * mean)
 
 
 def psi4_far_field(cfg: SystemConfig, method: str = "closed") -> float:
@@ -532,7 +521,7 @@ def chi_common(cfg: SystemConfig) -> float:
     block, so it multiplies the relay branch instead of thinning the relays.
 
     I is positive stable of index beta = 2/alpha with
-    E[exp(-s*I)] = exp(-c * s^beta), c = lambda_p*pi*gamma_pair(alpha)*p_t^beta,
+    E[exp(-s*I)] = exp(-c * s^beta), c = ``_field_scale`` * p_t^beta,
     so Y = log(I / c^(1/beta)) is the log of a standard positive-stable S.
     With h(y) = 1 - exp(-lambda_sr * G(u_unit * e^y)), the expectation runs
     by parts, E[h(Y)] = h(y_a) + int_{y_a}^{y_hi} h'(y) * P(Y > y) dy, with
@@ -547,7 +536,7 @@ def chi_common(cfg: SystemConfig) -> float:
     beta = 2.0 / alpha
     k = beta / (1.0 - beta)
     guard = guard_zone_prob(cfg.lambda_p, cfg.r_gz)
-    c_scale = cfg.lambda_p * math.pi * gamma_pair(alpha) * cfg.p_t_mw ** beta
+    c_scale = _field_scale(cfg) * cfg.p_t_mw ** beta
     u_unit = cfg.gamma_th_lin * c_scale ** (1.0 / beta) / cfg.p_st_mw  # u = u_unit*e^Y
     mean_relays = lam * math.pi * radius ** 2
     if u_unit == 0.0:
@@ -667,12 +656,11 @@ def analyze(cfg: SystemConfig, scheme: str) -> AnalyticBreakdown:
     rules coincide under a single secondary transmit power. The hop-one
     all-fail chance is ``psi31_bound`` (bcc) or ``omega1`` (bsir), which
     differ only in the failure context of their quadrature oracle, and the
-    selected relay
-    forwards over the far-field hop ``psi4_far_field``. bcc reports them as
-    psi31, psi3 = 1 - psi31 and psi4; bsir as omega1, omega and phi. Without
-    the direct link p_dsucc_sd = psi3 * psi4 * guard_st * guard_sr; psi3 is
-    already the joint chance that the disc holds a relay and one decodes, so
-    there is no empty-disc conditioning to divide out.
+    selected relay forwards over the far-field hop ``psi4_far_field``. bcc
+    reports them as psi31, psi3 = 1 - psi31 and psi4; bsir as omega1, omega
+    and phi. Without the direct link p_dsucc_sd = psi3 * psi4 * guard_st *
+    guard_sr; psi3 is already the joint chance that the disc holds a relay
+    and one decodes, so there is no empty-disc conditioning to divide out.
 
     bstd runs the exact all-fail chance ``chi_common``. The transmitter guard
     is one event per block and 1 - chi already carries it, so

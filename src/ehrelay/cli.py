@@ -20,8 +20,7 @@ import numpy as np
 from .analytics import (BREAKDOWN_FIELDS, QuadratureFailure,
                         UnsupportedScheme, alpha4_selfcheck, analyze)
 from .config import (LINEAR_FIELDS, NUMERIC_FIELDS, RAW_FIELDS, ConfigError,
-                     SystemConfig, apply_overrides, load_config, parse_value,
-                     validate)
+                     SystemConfig, apply_overrides, load_config, validate)
 from .simulate import FLAG_NAMES, SCHEMES, simulate, simulate_all
 
 _SIM_FLAG_COLUMNS = tuple(n for n in FLAG_NAMES if n != "success")
@@ -46,7 +45,7 @@ def _write_row(fh, cells) -> None:
 
 
 def _at_least_one(text: str) -> int:
-    """argparse type of --trials and --workers: an integer of at least 1."""
+    """argparse type of --trials, --workers and --steps: an integer of at least 1."""
     try:
         value = int(text)
     except ValueError:
@@ -64,20 +63,9 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _load_config(args) -> SystemConfig:
-    """The config file (or the defaults) with command-line overrides applied.
-
-    Override values are parsed like config-file values; the result still
-    needs ``validate``.
-    """
-    cfg = SystemConfig()
-    if args.config is not None:
-        try:
-            cfg = load_config(args.config)
-        except OSError as exc:
-            raise ConfigError([f"cannot read config file {args.config!r}: {exc}"])
-    overrides = {name: parse_value(name, getattr(args, name)) for name in RAW_FIELDS
-                 if getattr(args, name) is not None}
-    return apply_overrides(cfg, overrides)
+    """The --config file (or the defaults) with the --field overrides on top."""
+    return load_config(args.config, {name: getattr(args, name) for name in RAW_FIELDS
+                                     if getattr(args, name) is not None})
 
 
 def _config_cells(cfg: SystemConfig):
@@ -107,8 +95,6 @@ def _grid_values(args):
         return values
     if args.grid_from is None or args.grid_to is None or args.steps is None:
         return None
-    if args.steps < 1:
-        raise ConfigError(["sweep needs at least one grid point"])
     if args.spacing == "log":
         if args.grid_from <= 0 or args.grid_to <= 0:
             raise ConfigError(["log spacing needs positive endpoints"])
@@ -116,21 +102,26 @@ def _grid_values(args):
     return list(np.linspace(args.grid_from, args.grid_to, args.steps))
 
 
-def _grid_configs(base: SystemConfig, param, values):
-    """Validate every grid point up front; abort naming the first bad one."""
+def _grid_points(args, base: SystemConfig):
+    """(value, validated config) of every grid point, [] without a grid;
+    all are validated up front, and the first bad one aborts, named."""
+    values = _grid_values(args)
+    if not values:
+        return []
+    param = args.param
     if param is None:
         raise ConfigError(["a grid needs --param naming the swept config field"])
     if param not in NUMERIC_FIELDS:
         raise ConfigError([f"cannot sweep {param!r}; numeric fields: {NUMERIC_FIELDS}"])
-    configs = []
+    points = []
     for value in values:
         try:
-            configs.append(validate(apply_overrides(base, {param: value})))
+            points.append((value, validate(apply_overrides(base, {param: value}))))
         except ConfigError as exc:
             raise ConfigError(
                 [f"grid point {param}={_fmt(value)} invalid: {d}"
                  for d in exc.diagnostics])
-    return configs
+    return points
 
 
 def _breakdown_cells(breakdown):
@@ -173,10 +164,6 @@ def cmd_analyze(args) -> int:
 
 def cmd_sweep(args) -> int:
     base = _load_config(args)
-
-    values = _grid_values(args)
-    if not values:
-        raise ConfigError(["sweep needs --values or --from/--to/--steps"])
     schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
     if not schemes:
         raise ConfigError(["--schemes names no scheme"])
@@ -185,20 +172,18 @@ def cmd_sweep(args) -> int:
             raise ConfigError([f"unknown scheme {scheme!r}"])
         if scheme in schemes[:i]:
             raise ConfigError([f"--schemes names {scheme!r} twice"])
-    configs = _grid_configs(base, args.param, values)
+    points = _grid_points(args, base)
+    if not points:
+        raise ConfigError(["sweep needs --values or --from/--to/--steps"])
 
     with _output(args) as fh:
         _write_row(fh, ["param", "value", "scheme", "trials", "seed",
                         "sim_p_succ", "ci_low", "ci_high", "ana_p_succ"])
-        for value, cfg in zip(values, configs):
+        for value, cfg in points:
             results = simulate_all(cfg, args.trials, args.seed, workers=args.workers)
             for scheme in schemes:
-                result = results[scheme]
-                if scheme == "random_baseline":
-                    ana = None
-                else:
-                    ana = analyze(cfg, scheme).p_succ
-                est = result.estimate
+                ana = None if scheme == "random_baseline" else analyze(cfg, scheme).p_succ
+                est = results[scheme].estimate
                 _write_row(fh, [args.param, value, scheme, args.trials,
                                 args.seed, est.p_hat, est.ci_low, est.ci_high,
                                 ana])
@@ -207,15 +192,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_compare(args) -> int:
     base = _load_config(args)
-
-    values = _grid_values(args)
-    if values:
-        configs = _grid_configs(base, args.param, values)
-        points = list(zip(values, configs))
-        param = args.param
-    else:
-        points = [(None, validate(base))]
-        param = ""
+    points = _grid_points(args, base) or [(None, validate(base))]
+    param = "" if points[0][0] is None else args.param
 
     inside = 0
     with _output(args) as fh:
@@ -277,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "for values starting with a dash")
         p.add_argument("--from", dest="grid_from", type=float, default=None)
         p.add_argument("--to", dest="grid_to", type=float, default=None)
-        p.add_argument("--steps", type=int, default=None)
+        p.add_argument("--steps", type=_at_least_one, default=None)
         p.add_argument("--spacing", choices=("linear", "log"), default="linear")
 
     p_sweep = sub.add_parser("sweep", help="grid x schemes, simulated and analytic")

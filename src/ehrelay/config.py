@@ -26,18 +26,14 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.diagnostics))
 
 
-def dbm_to_linear(x_dbm: float) -> float:
-    """Convert a power in dBm to mW."""
-    if not math.isfinite(x_dbm):
-        raise ValueError(f"non-finite dBm value: {x_dbm!r}")
-    return 10.0 ** (x_dbm / 10.0)
-
-
 def db_to_linear(x_db: float) -> float:
-    """Convert a ratio in dB to a dimensionless linear ratio."""
+    """Convert a ratio in dB to a linear ratio, or a power in dBm to mW."""
     if not math.isfinite(x_db):
         raise ValueError(f"non-finite dB value: {x_db!r}")
     return 10.0 ** (x_db / 10.0)
+
+
+dbm_to_linear = db_to_linear
 
 
 SLOT_POSITION_MODELS = ("independent", "static")
@@ -118,13 +114,12 @@ def _kind_problem(f: dataclasses.Field, value):
     return None
 
 
-def truncation_tail_mean(cfg: SystemConfig) -> float:
+def truncation_tail_mean(cfg: SystemConfig, p_t_mw: float) -> float:
     """Mean interference (mW) arriving from beyond the truncation radius.
 
-    2*pi*lambda_p*P_t*r_max^(2-alpha)/(alpha-2) for a receiver near the
+    2*pi*lambda_p*p_t_mw*r_max^(2-alpha)/(alpha-2) for a receiver near the
     origin; finite only for alpha > 2.
     """
-    p_t_mw = dbm_to_linear(cfg.p_t_dbm)
     return (2.0 * math.pi * cfg.lambda_p * p_t_mw
             * cfg.r_max ** (2.0 - cfg.alpha) / (cfg.alpha - 2.0))
 
@@ -132,16 +127,27 @@ def truncation_tail_mean(cfg: SystemConfig) -> float:
 def validate(cfg: SystemConfig) -> SystemConfig:
     """Check every invariant and return a copy with the linear fields set.
 
-    Every raw field is first checked against its kind; the range rules run
-    once all kinds hold. Raises ``ConfigError`` carrying one diagnostic per
-    violated invariant. Validating an already-validated config returns an
-    identical value.
+    Every raw field is first checked against its kind. Once all kinds hold,
+    each dB field is converted once, and it must have a finite, nonzero
+    linear value; then the range rules run. Raises ``ConfigError`` carrying
+    one diagnostic per violated invariant. Validating an already-validated
+    config returns an identical value.
     """
     problems = [p for p in (_kind_problem(f, getattr(cfg, name))
                             for name, f in _RAW.items()) if p]
     if problems:
         raise ConfigError(problems)
 
+    linear = {}
+    for name, source in zip(LINEAR_FIELDS, ("p_t_dbm", "p_st_dbm", "gamma_th_db")):
+        try:
+            linear[name] = db_to_linear(getattr(cfg, source))
+        except OverflowError:
+            linear[name] = math.inf
+        if not 0.0 < linear[name] < math.inf:
+            problems.append(f"{source} must have a finite, nonzero linear value, "
+                            f"got {getattr(cfg, source)}")
+    powers_usable = not problems   # else the truncation rule has no meaning
     if not cfg.alpha > 2.0:
         problems.append(f"alpha must exceed 2, got {cfg.alpha}")
     if not 0.0 < cfg.a < 1.0:
@@ -167,22 +173,21 @@ def validate(cfg: SystemConfig) -> SystemConfig:
         problems.append(
             f"p_st_dbm {cfg.p_st_dbm} above feasibility bound p_max_dbm {cfg.p_max_dbm}")
 
-    if cfg.alpha > 2.0:
-        p_st_mw = dbm_to_linear(cfg.p_st_dbm)
-        tail = truncation_tail_mean(cfg)
-        if tail > cfg.trunc_epsilon * p_st_mw:
+    if cfg.alpha > 2.0 and powers_usable:
+        tail = truncation_tail_mean(cfg, linear["p_t_mw"])
+        allowed = cfg.trunc_epsilon * linear["p_st_mw"]
+        if tail > allowed:
             problems.append(
                 f"truncation tail {tail:.3g} mW exceeds trunc_epsilon*p_st "
-                f"= {cfg.trunc_epsilon * p_st_mw:.3g} mW; increase r_max or trunc_epsilon")
+                f"= {allowed:.3g} mW; increase r_max or trunc_epsilon")
 
     if problems:
         raise ConfigError(problems)
 
-    linear = dataclasses.replace(cfg)  # init=False fields start as None
-    object.__setattr__(linear, "p_t_mw", dbm_to_linear(cfg.p_t_dbm))
-    object.__setattr__(linear, "p_st_mw", dbm_to_linear(cfg.p_st_dbm))
-    object.__setattr__(linear, "gamma_th_lin", db_to_linear(cfg.gamma_th_db))
-    return linear
+    out = dataclasses.replace(cfg)  # init=False fields start as None
+    for name, value in linear.items():
+        object.__setattr__(out, name, value)
+    return out
 
 
 def harvest_threshold(cfg: SystemConfig) -> float:
@@ -218,31 +223,48 @@ def parse_value(name: str, text: str):
         raise ConfigError([f"{name} must be numeric, got {text!r}"]) from None
 
 
-def parse_config_text(text: str) -> SystemConfig:
-    """Parse a flat ``key = value`` config (one pair per line, # comments)."""
-    overrides = {}
-    problems = []
+def parse_config_text(text: str, overrides: dict | None = None) -> SystemConfig:
+    """Parse a flat ``key = value`` config (one pair per line, # comments),
+    with ``overrides``, {field: value text} as on the command line, on top.
+
+    Raises ``ConfigError`` with every bad line's and override's diagnostic,
+    labelled ``line N:`` or by the override's flag (``--r_gz:``).
+    """
+    settings = []   # (label, key or None if the line has no '=', value text)
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            problems.append(f"line {lineno}: expected 'key = value', got {raw_line!r}")
-            continue
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in RAW_FIELDS:
-            problems.append(f"line {lineno}: unknown config key {key!r}")
-            continue
-        overrides[key] = parse_value(key, value)
+        if line:
+            key, eq, value = line.partition("=")
+            settings.append((f"line {lineno}", key.strip() if eq else None,
+                             value if eq else raw_line))
+    settings += [(f"--{key}", key, value) for key, value in (overrides or {}).items()]
+    values, problems = {}, []
+    for label, key, value in settings:
+        if key is None:
+            problems.append(f"{label}: expected 'key = value', got {value!r}")
+        elif key not in RAW_FIELDS:
+            problems.append(f"{label}: unknown config key {key!r}")
+        else:
+            try:
+                values[key] = parse_value(key, value)
+            except ConfigError as exc:
+                problems += [f"{label}: {d}" for d in exc.diagnostics]
     if problems:
         raise ConfigError(problems)
-    return SystemConfig(**overrides)
+    return SystemConfig(**values)
 
 
-def load_config(path: str) -> SystemConfig:
-    """Read a config file; the result still needs ``validate``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+def load_config(path: str | None = None, overrides: dict | None = None) -> SystemConfig:
+    """``parse_config_text`` of the file at ``path`` (no file: the defaults)
+    and ``overrides``; the result still needs ``validate``."""
+    text = ""
+    if path is not None:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ConfigError([f"cannot read config file {path!r}: {exc}"]) from None
+    return parse_config_text(text, overrides)
 
 
 def apply_overrides(cfg: SystemConfig, overrides: dict) -> SystemConfig:

@@ -111,6 +111,13 @@ def is_clear_of_guard_zones(at, pr_field: PointField, r_gz: float) -> bool:
     return bool(np.min(np.hypot(delta[:, 0], delta[:, 1])) > r_gz)
 
 
+def _path_loss(d2, alpha: float) -> np.ndarray:
+    """max(d, EPS_MIN)^(-alpha), from an array of squared distances d2; a
+    new array, so callers may scale it in place."""
+    loss = np.maximum(d2, EPS_MIN * EPS_MIN)
+    return np.power(loss, -0.5 * alpha, out=loss)
+
+
 # ---------------------------------------------------------------------------
 # Batched fields. These sample many independent fields at once as flat ragged
 # arrays: each sample's points are contiguous and each carries the index of
@@ -187,12 +194,8 @@ def shot_noise_batch(density: float, r_max: float, alpha: float,
     gen = as_generator(rng)
     counts = gen.poisson(density * math.pi * r_max * r_max, n_samples)
     total = int(counts.sum())
-    # r^(-alpha) = (r_max^2 u)^(-alpha/2) for r = r_max*sqrt(u), clamped at
-    # EPS_MIN; one buffer, worked in place.
-    loss = gen.random(total)
-    loss *= r_max * r_max
-    np.maximum(loss, EPS_MIN * EPS_MIN, out=loss)
-    np.power(loss, -0.5 * alpha, out=loss)
+    # r^2 = r_max^2 * u for r = r_max * sqrt(u)
+    loss = _path_loss(gen.random(total) * (r_max * r_max), alpha)
     loss *= gen.standard_exponential(total)
     return segment_sums(loss, counts)
 
@@ -204,6 +207,4 @@ def clearance_batch(density: float, r_gz: float, r_max: float,
     counts = gen.poisson(density * math.pi * r_max * r_max, n_samples)
     total = int(counts.sum())
     radii = r_max * np.sqrt(gen.random(total))
-    owner = np.repeat(np.arange(n_samples), counts)
-    blocking = np.bincount(owner[radii <= r_gz], minlength=n_samples)
-    return blocking == 0
+    return segment_sums(radii <= r_gz, counts) == 0

@@ -37,12 +37,13 @@ import itertools
 import math
 import os
 import threading
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import SystemConfig, harvest_threshold
-from .geometry import (EPS_MIN, DiscBatch, RngStream, as_generator,
+from .geometry import (EPS_MIN, DiscBatch, RngStream, _path_loss, as_generator,
                        disc_ppp_batch, segment_starts, segment_sums,
                        shot_noise_batch)
 
@@ -132,13 +133,6 @@ def harvested_energy(cfg: SystemConfig, dedicated, reused):
     (1-a)/2.
     """
     return cfg.a * dedicated + (1.0 - cfg.a) / 2.0 * reused
-
-
-def _path_loss(d2, alpha: float) -> np.ndarray:
-    """max(d, EPS_MIN)^(-alpha), from an array of squared distances d2; a
-    new array, so callers may scale it in place."""
-    loss = np.maximum(d2, EPS_MIN * EPS_MIN)
-    return np.power(loss, -0.5 * alpha, out=loss)
 
 
 def _d2_from(points: DiscBatch, x0: float = 0.0) -> np.ndarray:
@@ -356,16 +350,21 @@ _workers: list = []   # the process-wide worker set: (process, our end of its pi
 _workers_lock = threading.Lock()   # one pooled call at a time per process
 
 
+class _RemoteTraceback(Exception):
+    """A worker's formatted traceback, chained as the cause of what it raised."""
+
+
 def _serve(conn) -> None:
     """Worker loop: send back the counts of every (cfg, seed, blocks)
-    received, or the exception raised; return at EOF."""
+    received, or the exception raised with its formatted traceback; return
+    at EOF."""
     with contextlib.suppress(EOFError):   # raised by recv() alone
         while True:
             task = conn.recv()
             try:
                 reply = _count_blocks(*task)
             except Exception as exc:
-                reply = exc
+                reply = (exc, traceback.format_exc())
             conn.send(reply)
 
 
@@ -421,8 +420,8 @@ def _pooled_counts(cfg: SystemConfig, seed: int, tasks) -> np.ndarray:
             _drop_workers()   # replies may be pending; a new set starts clean
             raise
     for reply in replies:
-        if isinstance(reply, Exception):
-            raise reply
+        if isinstance(reply, tuple):
+            raise reply[0] from _RemoteTraceback(reply[1])
     return counts + sum(replies)
 
 
@@ -445,11 +444,12 @@ def simulate_all(cfg: SystemConfig, trials: int, seed: int,
     the result is bit-identical for any worker count. With more than one
     worker and block, the blocks are split into one contiguous share per
     worker, at most one per block; this process runs the first share and
-    the worker set the others, and re-raises what a worker raised. The set
-    is built on first use and reused by later calls (and every grid point of
-    a sweep); it is replaced when a call needs another size or an idle
-    worker died, dropped when one dies during a call (``BrokenProcessPool``),
-    rebuilt in a forked child and ended at exit. Results are never cached.
+    the worker set the others, and re-raises what a worker raised, chained
+    to the worker's traceback. The set is built on first use and reused by
+    later calls (and every grid point of a sweep); it is replaced when a call
+    needs another size or an idle worker died, dropped when one dies during
+    a call (``BrokenProcessPool``), rebuilt in a forked child and ended at
+    exit. Results are never cached.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

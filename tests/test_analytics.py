@@ -19,8 +19,7 @@ from ehrelay.analytics import (AnalyticBreakdown,
                                UnsupportedScheme, alpha4_selfcheck, analyze,
                                QuadratureFailure, chi_bstd, chi_common,
                                chi_integral, delta_decode,
-                               gamma_pair, guard_zone_prob,
-                               interference_integral, laplace_K, omega1,
+                               gamma_pair, guard_zone_prob, laplace_K, omega1,
                                p_h_gil_pelaez, p_h_levy_erf, p_nonempty,
                                psi31_bound, psi4_far_field, xi_bstd)
 from ehrelay.config import ConfigError, SystemConfig, harvest_threshold, validate
@@ -32,14 +31,8 @@ def cfg_with(**kw):
 
 
 # ---------------------------------------------------------------------------
-# Path-loss integral primitive
+# Poisson-field constant
 # ---------------------------------------------------------------------------
-
-def test_interference_integral_values():
-    assert interference_integral(0.0, 4.0) == 0.0
-    assert interference_integral(1.0, 4.0) == pytest.approx(math.pi / 4.0, rel=1e-12)
-    assert interference_integral(16.0, 4.0) == pytest.approx(math.pi, rel=1e-12)
-
 
 @pytest.mark.parametrize("alpha", [2.2, 2.5, 3.0, 3.5, 5.0])
 def test_standard_pathloss_integral_matches_closed_form(alpha):
@@ -50,28 +43,7 @@ def test_standard_pathloss_integral_matches_closed_form(alpha):
     t0 = time.perf_counter()
     value = _standard_pathloss_integral(alpha)
     assert time.perf_counter() - t0 < 1.0
-    assert value == pytest.approx(interference_integral(1.0, alpha), rel=1e-10)
-
-
-def test_interference_integral_scaling_law():
-    # f(k*beta) = k^(2/alpha) * f(beta), exact in the closed form.
-    for alpha in (2.5, 3.0, 4.0, 5.5):
-        for beta in (0.3, 2.0, 40.0):
-            for k in (0.25, 3.0, 100.0):
-                lhs = interference_integral(k * beta, alpha)
-                rhs = k ** (2.0 / alpha) * interference_integral(beta, alpha)
-                assert lhs == pytest.approx(rhs, rel=1e-10)
-
-
-def test_interference_integral_monotone_in_beta():
-    betas = np.geomspace(1e-3, 1e3, 13)
-    vals = [interference_integral(b, 3.7) for b in betas]
-    assert all(v1 < v2 for v1, v2 in zip(vals, vals[1:]))
-
-
-def test_interference_integral_rejects_divergent_alpha():
-    with pytest.raises(ValueError):
-        interference_integral(1.0, 2.0)
+    assert value == pytest.approx(gamma_pair(alpha) / 2.0, rel=1e-10)
 
 
 def test_gamma_pair_alpha4_constant():

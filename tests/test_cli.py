@@ -7,9 +7,10 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
-from ehrelay import analytics
+from ehrelay import analytics, cli
 from ehrelay.analytics import p_h_levy_erf
 from ehrelay.cli import main
 from ehrelay.config import SystemConfig, validate
@@ -220,6 +221,43 @@ def test_analyze_quadrature_failure_exit_code(capsys, monkeypatch):
     assert "quadrature" in capsys.readouterr().err
 
 
+def test_selfcheck_mismatch_warns_without_touching_the_csv(capsys, monkeypatch):
+    args = ["analyze", "--scheme", "bcc"]
+    assert run_cli(args) == 0
+    clean = capsys.readouterr()
+    assert clean.err == ""
+    monkeypatch.setattr(cli, "alpha4_selfcheck",
+                        lambda cfg: [("psi31", 0.25, 0.5, 0.5)])
+    assert run_cli(args) == 0
+    warned = capsys.readouterr()
+    assert warned.out == clean.out
+    assert warned.err == ("warning: closed-form/quadrature mismatch for psi31: "
+                          "0.25 vs 0.5 (rel 0.5)\n")
+
+
+@pytest.mark.parametrize("name,flags", [
+    ("p_t_dbm", ["--p_t_dbm", "4000"]), ("p_st_dbm", ["--p_st_dbm", "4000"]),
+    ("gamma_th_db", ["--gamma_th_db", "4000"]),
+    ("p_st_dbm", ["--lambda_p", "0", "--p_st_dbm=-4000"]),
+], ids=["p_t", "p_st", "gamma_th", "p_st_underflow"])
+def test_db_value_without_linear_value_exits_2(name, flags, capsys):
+    assert run_cli(["analyze", "--scheme", "bcc"] + flags) == 2
+    assert (f"error: {name} must have a finite, nonzero linear value"
+            in capsys.readouterr().err)
+
+
+def test_config_file_reports_every_bad_line(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_text("bogus = 1\nalpha = x\n")
+    assert run_cli(["analyze", "--scheme", "bcc", "--config", str(path),
+                    "--r_gz", "wide"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: line 1: unknown config key 'bogus'",
+        "error: line 2: alpha must be numeric, got 'x'",
+        "error: --r_gz: r_gz must be numeric, got 'wide'",
+    ]
+
+
 def test_analyze_sparse_primaries_exits_zero(tmp_path):
     # lambda_p = 1e-8 puts sigma deep in the tail of the harvested sum; the
     # harvest probability still comes out, fast, as the alpha=4 erf form.
@@ -284,6 +322,25 @@ def test_sweep_rejects_empty_or_repeated_schemes(schemes, message, tmp_path, cap
 
 def test_sweep_needs_grid(capsys):
     assert run_cli(["sweep", "--schemes", "bcc", "--trials", "10"]) == 2
+
+
+def test_sweep_linear_spacing(tmp_path):
+    # The README's sweep grid.
+    out = tmp_path / "slin.csv"
+    assert run_cli(["sweep", "--param", "p_st_dbm", "--from", "-5", "--to", "10",
+                    "--steps", "16", "--schemes", "bcc", "--trials", "10",
+                    "--out", str(out)]) == 0
+    header, rows = header_and_row(out)
+    values = [float(r[header.index("value")]) for r in rows]
+    assert values == list(np.linspace(-5.0, 10.0, 16))
+
+
+@pytest.mark.parametrize("command,scheme", [("sweep", ["--schemes", "bcc"]),
+                                            ("compare", ["--scheme", "bcc"])])
+def test_zero_steps_rejected(command, scheme, capsys):
+    assert run_cli([command, "--param", "p_st_dbm", "--from", "0", "--to", "1",
+                    "--steps", "0", "--trials", "10"] + scheme) == 2
+    assert "argument --steps: must be at least 1" in capsys.readouterr().err
 
 
 def test_sweep_log_spacing(tmp_path):

@@ -217,3 +217,37 @@ def test_parse_value_kinds():
     assert parse_value("direct_link", "Off") is False
     assert parse_value("harvest_threshold_mode", " energy-over-a ") == "energy-over-a"
     assert parse_value("alpha", "3.5") == 3.5
+
+
+@pytest.mark.parametrize("overrides,name", [
+    ({"p_t_dbm": 4000.0}, "p_t_dbm"),
+    ({"p_st_dbm": 4000.0}, "p_st_dbm"),
+    ({"gamma_th_db": 4000.0}, "gamma_th_db"),
+    ({"lambda_p": 0.0, "p_st_dbm": -4000.0}, "p_st_dbm"),
+], ids=["p_t_overflows", "p_st_overflows", "gamma_overflows", "p_st_underflows"])
+def test_db_value_without_finite_nonzero_linear_value_rejected(overrides, name):
+    # 10^400 overflows a float and 10^-400 rounds to 0; either is a
+    # diagnostic naming the field, not an OverflowError or a later division
+    # by zero.
+    with pytest.raises(ConfigError) as err:
+        validate(SystemConfig(**overrides))
+    assert err.value.diagnostics == [
+        f"{name} must have a finite, nonzero linear value, got {overrides[name]}"]
+
+
+def test_every_bad_line_and_override_reported_at_once(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_text("bogus = 1\n# a comment\nalpha = x\nr_disc = 2\n")
+    with pytest.raises(ConfigError) as err:
+        load_config(str(path), {"r_gz": "wide", "d_sd": "3"})
+    assert err.value.diagnostics == [
+        "line 1: unknown config key 'bogus'",
+        "line 3: alpha must be numeric, got 'x'",
+        "--r_gz: r_gz must be numeric, got 'wide'",
+    ]
+
+
+def test_load_config_overrides_win_over_the_file(baseline_path):
+    cfg = load_config(baseline_path, {"d_sd": "3", "direct_link": "yes"})
+    assert (cfg.d_sd, cfg.direct_link, cfg.lambda_p) == (3.0, True, 0.01)
+    assert load_config() == SystemConfig()

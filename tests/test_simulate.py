@@ -19,9 +19,10 @@ import pytest
 
 from ehrelay import analytics as an
 from ehrelay.config import SystemConfig, validate
-from ehrelay.geometry import DiscBatch, RngStream, disc_ppp_batch, segment_starts
+from ehrelay.geometry import (DiscBatch, RngStream, _path_loss, disc_ppp_batch,
+                              segment_starts)
 from ehrelay.simulate import (ELEMENT_BUDGET, FLAG_NAMES, SCHEMES, _pair_d2,
-                              _path_loss, _received, _safe_ratio,
+                              _received, _safe_ratio,
                               harvested_energy, outcomes, run_realization,
                               select_relay, simulate, simulate_all,
                               trials_per_block, wilson_interval)
@@ -643,8 +644,10 @@ def test_worker_exception_reaches_the_caller(baseline, three_blocks, monkeypatch
     sim_mod._drop_workers()   # the next set forks with the patched counter
     monkeypatch.setattr(sim_mod, "_count_blocks", _raise_in_worker)
     try:
-        with pytest.raises(ValueError, match="raised in a worker"):
+        with pytest.raises(ValueError, match="raised in a worker") as err:
             simulate_all(baseline, trials, seed=332, workers=3)
+        # The cause carries the worker's own traceback.
+        assert "_count_blocks" in str(err.value.__cause__)
         workers = list(sim_mod._workers)
         assert len(workers) == 2
         assert simulate_all(baseline, trials, seed=331, workers=3) == serial

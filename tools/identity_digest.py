@@ -1,0 +1,109 @@
+"""Print SHA-256 digests of what ehrelay computes, to show a change is byte-identical.
+
+Run it on two checkouts and compare the lines:
+
+    python3 tools/identity_digest.py
+
+The first digest covers 1,920 ``analyze`` calls through ``cli.main`` (the
+stdout, stderr and exit code of each): alpha {2.5, 3, 3.5, 4, 5} x lambda_p
+{1e-4, 3e-3, 1e-2, 3e-2} x p_st_dbm {-5, 0, 5, 10} x d_sd {0.5, 1, 2, 3} x
+the direct link off and on x {bcc, bsir, bstd}, with --trunc_epsilon 1e12
+so that every point validates. The second covers the arrays of
+``outcomes(cfg, 600, 5)`` at four configs (the defaults, the dense corner,
+static primary positions, the direct link) and fixed-seed draws of
+``shot_noise_batch`` and ``clearance_batch``. The script imports ehrelay
+from the ``src`` directory next to it and exits 0.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import dataclasses
+import hashlib
+import io
+import itertools
+import pathlib
+import sys
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+
+import numpy as np  # noqa: E402
+
+from ehrelay.cli import main  # noqa: E402
+from ehrelay.config import SystemConfig, apply_overrides, validate  # noqa: E402
+from ehrelay.geometry import RngStream, clearance_batch, shot_noise_batch  # noqa: E402
+from ehrelay.simulate import Outcomes, outcomes  # noqa: E402
+
+GRID = {
+    "alpha": ("2.5", "3", "3.5", "4", "5"),
+    "lambda_p": ("1e-4", "3e-3", "1e-2", "3e-2"),
+    "p_st_dbm": ("-5", "0", "5", "10"),
+    "d_sd": ("0.5", "1", "2", "3"),
+    "direct_link": ("false", "true"),
+}
+SCHEMES = ("bcc", "bsir", "bstd")
+
+OUTCOME_CONFIGS = {
+    "baseline": {},
+    "sim_dense": {"alpha": 3.0, "r_max": 400.0, "p_st_dbm": 5.0},
+    "static": {"slot_position_model": "static"},
+    "direct_link": {"direct_link": True},
+}
+# (density, r_max, alpha) of the shot-noise draws; (density, r_gz, r_max) of
+# the clearance draws; 2,000 samples each.
+SHOT_NOISE = ((0.01, 50.0, 4.0), (0.03, 20.0, 3.0), (1e-4, 50.0, 2.5))
+CLEARANCE = ((0.01, 1.0, 50.0), (0.3, 2.0, 10.0), (1e-4, 1.0, 50.0))
+
+
+def _update(digest, *parts) -> None:
+    for part in parts:
+        data = part if isinstance(part, bytes) else str(part).encode()
+        digest.update(len(data).to_bytes(8, "little") + data)
+
+
+def _update_array(digest, array) -> None:
+    array = np.ascontiguousarray(array)
+    _update(digest, array.dtype.str, array.shape, array.tobytes())
+
+
+def analyze_digest():
+    digest = hashlib.sha256()
+    exits = {}
+    for values in itertools.product(*GRID.values()):
+        for scheme in SCHEMES:
+            argv = ["analyze", "--scheme", scheme, "--trunc_epsilon", "1e12"]
+            for name, value in zip(GRID, values):
+                argv += [f"--{name}", value]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            exits[code] = exits.get(code, 0) + 1
+            _update(digest, " ".join(argv), out.getvalue(), err.getvalue(), code)
+    return digest.hexdigest(), exits
+
+
+def draws_digest() -> str:
+    digest = hashlib.sha256()
+    for name, overrides in OUTCOME_CONFIGS.items():
+        cfg = validate(apply_overrides(SystemConfig(), overrides))
+        result = outcomes(cfg, 600, 5)
+        _update(digest, name)
+        for f in dataclasses.fields(Outcomes):
+            _update_array(digest, getattr(result, f.name))
+    for i, args in enumerate(SHOT_NOISE):
+        _update_array(digest, shot_noise_batch(*args, 2000, RngStream(7, i)))
+    for i, args in enumerate(CLEARANCE):
+        _update_array(digest, clearance_batch(*args, 2000, RngStream(8, i)))
+    return digest.hexdigest()
+
+
+def main_digest() -> int:
+    analyze_sha, exits = analyze_digest()
+    counts = ", ".join(f"exit {code}: {n}" for code, n in sorted(exits.items()))
+    print(f"analyze {analyze_sha} ({sum(exits.values())} calls; {counts})")
+    print(f"draws   {draws_digest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main_digest())
