@@ -56,11 +56,14 @@ def _settle(evaluate, n: int, doublings: int, rel_tol: float, context: str) -> f
     """evaluate(n), evaluate(2n), ... until two successive values agree.
 
     Returns the finer value once the relative change is at most rel_tol;
-    raises ``QuadratureFailure`` after ``doublings`` doublings without that.
+    raises ``QuadratureFailure`` after ``doublings`` doublings without that,
+    or at once at a level that is not finite, which no finer level mends.
     """
     value = evaluate(n)
     change = math.inf
     for _ in range(doublings):
+        if not math.isfinite(value):
+            break
         n *= 2
         refined = evaluate(n)
         change = abs(refined - value)
@@ -362,6 +365,8 @@ def _decode_rate(cfg: SystemConfig, method: str = "closed") -> float:
         scale = 2.0 * math.pi * cfg.lambda_p * _standard_pathloss_integral(cfg.alpha)
     else:
         raise ValueError(f"method must be closed/quad, got {method!r}")
+    if scale == 0.0:   # no primaries: no interference, whatever the powers
+        return 0.0
     return scale * (cfg.gamma_th_lin * cfg.p_t_mw / cfg.p_st_mw) ** (2.0 / cfg.alpha)
 
 

@@ -4,9 +4,13 @@ The kernel draws a block of independent trials at once as flat ragged arrays:
 every point carries the index of the trial that owns it (``np.repeat`` of the
 per-trial counts), each trial's points are contiguous, and per-trial sums and
 maxima are segment reductions (``np.add.reduceat``, ``np.maximum.reduceat``).
-One block gives every scheme's flags from the same draws, so the schemes are
-paired: their scheme-free flags agree trial by trial, and ``simulate`` of one
-scheme reads its row from one all-scheme pass.
+In two stages: ``_draw`` makes every draw of one block and reduces the primary
+fields to per-trial and per-relay sums; ``_decide`` runs guard events, relay
+selection, decoding and flags once over a chunk, consecutive blocks whose sums
+fit ELEMENT_BUDGET. Its steps work per trial, relay or segment, so any chunking
+gives the same bits. One block gives every scheme's flags from the same draws,
+so the schemes are paired: their scheme-free flags agree trial by trial, and
+``simulate`` of one scheme reads its row from one all-scheme pass.
 
 Random streams: block b of a run with seed s draws from stream (s, b). The
 number of trials per block is set by the config alone
@@ -56,7 +60,7 @@ FLAG_NAMES = ("harvest_ok", "st_clear", "relay_nonempty", "sr_decode_ok",
 
 # Expected array elements one block may hold; bounds the kernel's memory.
 ELEMENT_BUDGET = 1 << 16
-# Allowance per trial for its own arrays (sums, flags, selections).
+# Allowance per trial, and per relay in ``_decide``, for its own arrays.
 _PER_TRIAL_ELEMENTS = 32
 
 
@@ -243,10 +247,18 @@ def select_relay(cfg: SystemConfig, relays: DiscBatch, gains, relay_itf,
     return selected, sir_hop1, sir_hop2
 
 
-def run_realization(cfg: SystemConfig, rng, n: int) -> Outcomes:
-    """Simulate n trials from one stream: harvest, guard gating, selection,
-    per-hop decoding, for every scheme from the same draws."""
-    gen = as_generator(rng)
+@dataclass(frozen=True)
+class _Draws:
+    """A block's draws as ``_decide`` reads them; blocks join field by field."""
+
+    trials: np.ndarray     # K, destination interference in slots 2 and 3, direct gain, pick
+    counts: np.ndarray     # relays and guard receivers per trial
+    relays: np.ndarray     # x, y, slot-two interference, hop-one and hop-two gain
+    receivers: np.ndarray  # guard receivers' x, y
+
+
+def _draw(cfg: SystemConfig, gen, n: int) -> _Draws:
+    """Draw n trials from ``gen``, the primary fields reduced to sums."""
     alpha, p_t, d_sd = cfg.alpha, cfg.p_t_mw, cfg.d_sd
 
     # Fixed draw order, shared by every scheme and direct-link setting. One
@@ -273,20 +285,34 @@ def run_realization(cfg: SystemConfig, rng, n: int) -> Outcomes:
      gain_direct) = _split(gen.standard_exponential(sum(sizes)), sizes)
     pick = gen.random(n)
 
-    k_value = harvested_energy(cfg, dedicated, reused)
-    harvest_ok = k_value >= harvest_threshold(cfg)
-    first_rx = segment_starts(receivers.counts)
-    st_clear = _none_within(receivers.counts, first_rx, _d2_from(receivers), cfg.r_gz)
-    relay_clear = _none_within(*_pair_d2(relays, receivers, first_rx), cfg.r_gz)
-
     i_sd_s2 = p_t * _received(slot2.counts, first2, gains_sd_s2,
                               _d2_from(slot2, d_sd), alpha)
     i_sd_s3 = p_t * _received(slot3.counts, first3, gains_sd_s3,
                               _d2_from(slot3, d_sd), alpha)
     relay_itf = p_t * _received(pairs_per_relay, first_pairs, gains_relay_itf,
                                 d2_pairs, alpha)
+    # Stacking copies the gains out of the draw, which a view would keep alive.
+    return _Draws(np.stack((harvested_energy(cfg, dedicated, reused), i_sd_s2, i_sd_s3,
+                            gain_direct, pick)),
+                  np.stack((relays.counts, receivers.counts)),
+                  np.stack((relays.x, relays.y, relay_itf, gain_hop1, gain_hop2)),
+                  np.stack((receivers.x, receivers.y)))
+
+
+def _decide(cfg: SystemConfig, draws: _Draws) -> Outcomes:
+    """Guard events, relay selection, decoding and flags, for every scheme."""
+    k_value, i_sd_s2, i_sd_s3, gain_direct, pick = draws.trials
+    relay_x, relay_y, relay_itf, gain_hop1, gain_hop2 = draws.relays
+    owners = np.arange(pick.size)
+    relays = DiscBatch(draws.counts[0], owners.repeat(draws.counts[0]), relay_x, relay_y)
+    receivers = DiscBatch(draws.counts[1], owners.repeat(draws.counts[1]), *draws.receivers)
+    harvest_ok = k_value >= harvest_threshold(cfg)
+    first_rx = segment_starts(receivers.counts)
+    st_clear = _none_within(receivers.counts, first_rx, _d2_from(receivers), cfg.r_gz)
+    relay_clear = _none_within(*_pair_d2(relays, receivers, first_rx), cfg.r_gz)
+
     # A scalar power: numpy's vectorized power can differ from it in the last bit.
-    direct_loss = max(d_sd * d_sd, EPS_MIN * EPS_MIN) ** (-0.5 * alpha)
+    direct_loss = max(cfg.d_sd * cfg.d_sd, EPS_MIN * EPS_MIN) ** (-0.5 * cfg.alpha)
     direct_ok = _safe_ratio(cfg.p_st_mw * gain_direct * direct_loss,
                             i_sd_s2) >= cfg.gamma_th_lin
 
@@ -294,7 +320,7 @@ def run_realization(cfg: SystemConfig, rng, n: int) -> Outcomes:
     selected, sir_hop1, sir_hop2 = select_relay(cfg, relays, (gain_hop1, gain_hop2),
                                                 relay_itf, i_sd_s3, pick, first_relay)
     hop1_ok = sir_hop1 >= cfg.gamma_th_lin
-    decode_count = np.bincount(relays.owner[hop1_ok], minlength=n)
+    decode_count = np.bincount(relays.owner[hop1_ok], minlength=pick.size)
     nonempty = relays.counts >= 1
     # Relay events with a trailing False column, which selection index -1
     # reads; indexed by the selections, each gives a (scheme, trial) array.
@@ -314,7 +340,7 @@ def run_realization(cfg: SystemConfig, rng, n: int) -> Outcomes:
     else:
         reach = direct_ok | relay_branch
 
-    flags = np.empty((len(SCHEMES), len(FLAG_NAMES), n), dtype=bool)
+    flags = np.empty((len(SCHEMES), len(FLAG_NAMES), pick.size), dtype=bool)
     for f, flag in enumerate((harvest_ok, st_clear, nonempty, sr_decode, sr_clear,
                               sd_decode, direct_ok, harvest_ok & st_clear & reach)):
         flags[:, f] = flag
@@ -324,26 +350,49 @@ def run_realization(cfg: SystemConfig, rng, n: int) -> Outcomes:
                     decode_count=decode_count, selected=local, k_value=k_value)
 
 
+def run_realization(cfg: SystemConfig, rng, n: int) -> Outcomes:
+    """Outcomes of n trials from one stream, every scheme from the same draws."""
+    return _decide(cfg, _draw(cfg, as_generator(rng), n))
+
+
+def _concat(parts):
+    """The dataclass of ``parts`` with each array joined along its last axis."""
+    return type(parts[0])(**{f.name: np.concatenate([getattr(p, f.name) for p in parts],
+                                                    axis=-1)
+                             for f in dataclasses.fields(parts[0])})
+
+
 def _blocks(cfg: SystemConfig, trials: int):
     """(block index, trials in it) covering ``trials`` trials."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     size = trials_per_block(cfg)
     return [(b, min(size, trials - b * size)) for b in range(-(-trials // size))]
 
 
-def _count_blocks(cfg: SystemConfig, seed: int, blocks) -> np.ndarray:
-    counts = np.zeros((len(SCHEMES), len(FLAG_NAMES)), dtype=np.int64)
+def _decided(cfg: SystemConfig, seed: int, blocks):
+    """Outcomes of ``blocks``, one per chunk: consecutive blocks whose draws
+    take at most ELEMENT_BUDGET elements in ``_decide``, or one larger block."""
+    chunk, elements = [], 0
     for block, n in blocks:
-        counts += run_realization(cfg, RngStream(seed, block), n).flags.sum(axis=2)
-    return counts
+        draws = _draw(cfg, RngStream(seed, block).generator(), n)
+        # An allowance per trial and per relay, and the relay x receiver pairs.
+        size = _PER_TRIAL_ELEMENTS * (n + draws.relays.shape[1]) + int(np.dot(*draws.counts))
+        if chunk and elements + size > ELEMENT_BUDGET:
+            yield _decide(cfg, _concat(chunk))
+            chunk, elements = [], 0
+        chunk.append(draws)
+        elements += size
+    yield _decide(cfg, _concat(chunk))
+
+
+def _count_blocks(cfg: SystemConfig, seed: int, blocks) -> np.ndarray:
+    return sum(decided.flags.sum(axis=2) for decided in _decided(cfg, seed, blocks))
 
 
 def outcomes(cfg: SystemConfig, trials: int, seed: int) -> Outcomes:
     """Per-trial events of the same trials ``simulate`` counts."""
-    parts = [run_realization(cfg, RngStream(seed, block), n)
-             for block, n in _blocks(cfg, trials)]
-    return Outcomes(**{f.name: np.concatenate([getattr(p, f.name) for p in parts],
-                                              axis=-1)
-                       for f in dataclasses.fields(Outcomes)})
+    return _concat(list(_decided(cfg, seed, _blocks(cfg, trials))))
 
 
 _workers: list = []   # the process-wide worker set: (process, our end of its pipe)
@@ -451,8 +500,6 @@ def simulate_all(cfg: SystemConfig, trials: int, seed: int,
     a call (``BrokenProcessPool``), rebuilt in a forked child and ended at
     exit. Results are never cached.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     if not cfg.validated:
         raise ValueError("config must pass validate() before simulation")
     workers = workers if workers is not None else default_workers()

@@ -54,6 +54,18 @@ def test_gamma_pair_alpha4_constant():
         assert gamma_pair(alpha) == pytest.approx(direct, rel=1e-12)
 
 
+def test_settle_stops_at_a_non_finite_level(monkeypatch):
+    # A NaN level is final: doubling it would build rules up to 16,384 nodes
+    # (a 2 GB companion matrix) before giving up.
+    built = []
+    real = an._leggauss
+    monkeypatch.setattr(an, "_leggauss", lambda n: built.append(n) or real(n))
+    with pytest.raises(QuadratureFailure) as info:
+        an.integrate_doubling(lambda x: np.full_like(x, np.nan), 0.0, 1.0, "nan")
+    assert info.value.context == "nan"
+    assert built and max(built) <= 128
+
+
 # ---------------------------------------------------------------------------
 # Harvested-sum transform and inversion
 # ---------------------------------------------------------------------------

@@ -199,6 +199,17 @@ def test_analyze_no_primaries(tmp_path):
     assert float(cell(out, "p_succ")) == 0.0
 
 
+@pytest.mark.parametrize("scheme", ["bcc", "bsir", "bstd"])
+def test_analyze_no_primaries_at_a_vanishing_power(scheme, capsys):
+    # With no primaries the decode rate is 0, also where
+    # (gamma*p_t/p_st)^(2/alpha) overflows.
+    assert run_cli(["analyze", "--scheme", scheme, "--lambda_p", "0",
+                    "--p_st_dbm", "-3200"]) == 0
+    out = capsys.readouterr().out
+    assert "nan" not in out
+    assert float(out.splitlines()[1].split(",")[-1]) == 0.0
+
+
 def test_analyze_bstd_direct_has_thinning_terms(tmp_path):
     out = tmp_path / "anad.csv"
     assert run_cli(["analyze", "--scheme", "bstd", "--direct_link", "true",

@@ -12,6 +12,7 @@ import os
 import signal
 import sys
 import threading
+import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -26,6 +27,8 @@ from ehrelay.simulate import (ELEMENT_BUDGET, FLAG_NAMES, SCHEMES, _pair_d2,
                               harvested_energy, outcomes, run_realization,
                               select_relay, simulate, simulate_all,
                               trials_per_block, wilson_interval)
+
+sim_mod = importlib.import_module("ehrelay.simulate")
 
 
 def cfg_with(**kw):
@@ -518,6 +521,58 @@ def test_trials_per_block_within_element_budget(baseline, overrides):
     assert block * (4 * primaries + pairs) <= ELEMENT_BUDGET
 
 
+DENSE = {"alpha": 3.0, "r_max": 400.0, "p_st_dbm": 5.0}
+
+
+@pytest.mark.parametrize("overrides, trials, budget", [
+    ({}, 1000, None),
+    ({"lambda_sr": 20.0}, 1000, None),
+    ({"slot_position_model": "static"}, 1000, None),
+    ({"direct_link": True, "direct_literal_events": True}, 1000, None),
+    # One trial per block at any budget below a dense trial's elements, so a
+    # smaller budget splits 40 trials into chunks without moving a block.
+    (DENSE, 40, 1024),
+])
+def test_chunks_keep_outcomes_bit_identical(baseline, monkeypatch, overrides,
+                                            trials, budget):
+    # The decision stage runs once per chunk of blocks; a call's outcomes and
+    # counts are those of its blocks decided one at a time.
+    cfg = validate(dataclasses.replace(baseline, **overrides))
+    if budget is not None:
+        monkeypatch.setattr(sim_mod, "ELEMENT_BUDGET", budget)
+    decided = []
+    real_decide = sim_mod._decide
+    monkeypatch.setattr(sim_mod, "_decide",
+                        lambda c, draws: decided.append(draws) or real_decide(c, draws))
+    out = outcomes(cfg, trials, seed=333)
+    blocks = sim_mod._blocks(cfg, trials)
+    assert 1 < len(decided) < len(blocks)
+    parts = [run_realization(cfg, RngStream(333, b), n) for b, n in blocks]
+    for field in dataclasses.fields(out):
+        joined = np.concatenate([getattr(p, field.name) for p in parts], axis=-1)
+        assert np.array_equal(getattr(out, field.name), joined), field.name
+    counts = sum(p.flags.sum(axis=2) for p in parts)
+    results = simulate_all(cfg, trials, seed=333, workers=1)
+    for k, scheme in enumerate(SCHEMES):
+        assert results[scheme].flag_counts == dict(zip(FLAG_NAMES, counts[k].tolist()))
+
+
+@pytest.mark.parametrize("overrides, trials", [({}, 20_000), (DENSE, 64)])
+def test_kernel_memory_stays_bounded(baseline, overrides, trials):
+    # About 1.5 MB at both; a chunk holding the whole baseline call reads
+    # 16 MB, and kept gains that view their block's exponential draw 2.9 MB
+    # at the baseline and 14 MB at the dense corner.
+    cfg = validate(dataclasses.replace(baseline, **overrides))
+    simulate_all(cfg, 10, seed=334, workers=1)   # first-call imports and caches
+    tracemalloc.start()
+    try:
+        simulate_all(cfg, trials, seed=334, workers=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.25e6
+
+
 def test_ci_width_shrinks_with_doubled_trials(baseline):
     r1 = simulate(baseline, "bsir", 10_000, seed=324)
     r2 = simulate(baseline, "bsir", 20_000, seed=324)
@@ -544,6 +599,8 @@ def test_simulate_validates_inputs(baseline):
         simulate(baseline, "nope", 10, seed=1)
     with pytest.raises(ValueError):
         simulate(baseline, "bcc", 0, seed=1)
+    with pytest.raises(ValueError, match="trials"):
+        outcomes(baseline, 0, seed=1)
     with pytest.raises(ValueError):
         simulate(SystemConfig(), "bcc", 10, seed=1)  # not validated
 
@@ -552,7 +609,6 @@ def test_simulate_validates_inputs(baseline):
 # Worker set life cycle. Each test starts at most two worker processes.
 # ---------------------------------------------------------------------------
 
-sim_mod = importlib.import_module("ehrelay.simulate")
 _real_count_blocks = sim_mod._count_blocks
 
 
