@@ -130,10 +130,8 @@ def p_h_levy_erf(cfg: SystemConfig) -> float:
     if cfg.alpha != 4.0:
         raise ValueError("closed form requires alpha = 4")
     sigma = harvest_threshold(cfg)
-    if sigma <= 0.0:
-        return 1.0
-    if cfg.lambda_p == 0.0:
-        return 0.0
+    if sigma <= 0.0 or cfg.lambda_p == 0.0:   # sure harvest, or no primaries to harvest
+        return 1.0 if sigma <= 0.0 else 0.0
     return math.erf(levy_scale(cfg) / (2.0 * math.sqrt(sigma)))
 
 
@@ -150,10 +148,8 @@ def p_h_gil_pelaez(cfg: SystemConfig) -> float:
     builds up to 400k panels and then stalls with ``QuadratureFailure``.
     """
     sigma = harvest_threshold(cfg)
-    if sigma <= 0.0:
-        return 1.0
-    if cfg.lambda_p == 0.0:
-        return 0.0
+    if sigma <= 0.0 or cfg.lambda_p == 0.0:   # sure harvest, or no primaries to harvest
+        return 1.0 if sigma <= 0.0 else 0.0
 
     alpha = cfg.alpha
     c_scale = levy_scale(cfg)
@@ -295,10 +291,8 @@ def p_h_kanter(cfg: SystemConfig) -> float:
     ``QuadratureFailure`` with context "kanter harvest probability".
     """
     sigma = harvest_threshold(cfg)
-    if sigma <= 0.0:
-        return 1.0
-    if cfg.lambda_p == 0.0:
-        return 0.0
+    if sigma <= 0.0 or cfg.lambda_p == 0.0:   # sure harvest, or no primaries to harvest
+        return 1.0 if sigma <= 0.0 else 0.0
     beta = 2.0 / cfg.alpha
     k = beta / (1.0 - beta)
     log_t = -k * (math.log(sigma) - math.log(levy_scale(cfg)) / beta)  # log x^(-k)
@@ -397,19 +391,28 @@ def _disc_mean_kernel(cfg: SystemConfig, method: str, context: str) -> float:
     return -math.expm1(-q_area) / q_area
 
 
+def _all_fail(cfg: SystemConfig, mean: float) -> float:
+    """exp(-lambda_sr*pi*R^2 * mean): no relay of the disc decodes hop one,
+    given the disc mean of the decode kernel."""
+    return math.exp(-math.pi * cfg.lambda_sr * cfg.r_disc ** 2 * mean)
+
+
+def _guarded(cfg: SystemConfig, mean: float) -> float:
+    """The disc mean of the decode kernel times the guard-zone factor."""
+    return mean * guard_zone_prob(cfg.lambda_p, cfg.r_gz)
+
+
 def psi31_bound(cfg: SystemConfig, method: str = "closed") -> float:
     """Chance the best composite-channel relay fails to decode hop one:
-    exp(-lambda_sr*pi*R^2 * mean kernel over the disc), as ``omega1``."""
-    mean = _disc_mean_kernel(cfg, method, "psi31")
-    return math.exp(-math.pi * cfg.lambda_sr * cfg.r_disc ** 2 * mean)
+    ``_all_fail`` of the disc mean kernel, as ``omega1``."""
+    return _all_fail(cfg, _disc_mean_kernel(cfg, method, "psi31"))
 
 
 def omega1(cfg: SystemConfig, method: str = "closed") -> float:
     """Chance that every relay's instantaneous first-hop SIR is below
     threshold; the best-SIR and composite-channel rules coincide under one
     secondary transmit power, so this is ``psi31_bound``'s value."""
-    mean = _disc_mean_kernel(cfg, method, "omega1")
-    return math.exp(-math.pi * cfg.lambda_sr * cfg.r_disc ** 2 * mean)
+    return _all_fail(cfg, _disc_mean_kernel(cfg, method, "omega1"))
 
 
 def psi4_far_field(cfg: SystemConfig, method: str = "closed") -> float:
@@ -425,8 +428,7 @@ def psi4_far_field(cfg: SystemConfig, method: str = "closed") -> float:
 def delta_decode(cfg: SystemConfig, method: str = "closed") -> float:
     """Chance a uniformly placed relay decodes hop one with the transmitter
     outside every guard zone (the guard factor is part of the definition)."""
-    return (_disc_mean_kernel(cfg, method, "delta")
-            * guard_zone_prob(cfg.lambda_p, cfg.r_gz))
+    return _guarded(cfg, _disc_mean_kernel(cfg, method, "delta"))
 
 
 def xi_bstd(r, theta, cfg: SystemConfig, method: str = "closed"):
@@ -743,22 +745,17 @@ def alpha4_selfcheck(cfg: SystemConfig):
 
     Returns (name, closed, quadrature, relative difference) tuples; callers
     surface entries whose difference exceeds their tolerance as warnings.
+    psi31, omega1 and delta rest on one disc mean per method, taken once.
     """
     if cfg.alpha != 4.0:
         return []
-    checks = []
-
-    def rel(a, b):
-        return abs(a - b) / max(abs(a), abs(b), 1e-300)
-
+    closed, quad = (_disc_mean_kernel(cfg, method, "psi31") for method in ("closed", "quad"))
     pairs = [
-        ("psi31", psi31_bound(cfg, "closed"), psi31_bound(cfg, "quad")),
-        ("omega1", omega1(cfg, "closed"), omega1(cfg, "quad")),
-        ("delta", delta_decode(cfg, "closed"), delta_decode(cfg, "quad")),
+        ("psi31", _all_fail(cfg, closed), _all_fail(cfg, quad)),
+        ("omega1", _all_fail(cfg, closed), _all_fail(cfg, quad)),
+        ("delta", _guarded(cfg, closed), _guarded(cfg, quad)),
         ("psi4", psi4_far_field(cfg, "closed"), psi4_far_field(cfg, "quad")),
         ("xi", float(xi_bstd(cfg.r_disc / 2.0, 1.0, cfg, "closed")),
          float(xi_bstd(cfg.r_disc / 2.0, 1.0, cfg, "quad"))),
     ]
-    for name, closed, quad_val in pairs:
-        checks.append((name, closed, quad_val, rel(closed, quad_val)))
-    return checks
+    return [(name, a, b, abs(a - b) / max(abs(a), abs(b), 1e-300)) for name, a, b in pairs]

@@ -506,7 +506,7 @@ def test_chi_limits():
 
 
 @pytest.mark.parametrize("overrides", [{}, {"alpha": 3.0, "r_max": 400.0}],
-                         ids=["closed", "quadrature"])
+                         ids=["alpha4", "alpha3"])
 @pytest.mark.parametrize("direct_link", [False, True])
 def test_analyze_bstd_evaluates_delta_once(monkeypatch, overrides, direct_link):
     cfg = cfg_with(direct_link=direct_link, **overrides)

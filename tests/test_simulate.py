@@ -9,6 +9,7 @@ import importlib
 import math
 import multiprocessing
 import os
+import platform
 import signal
 import sys
 import threading
@@ -775,3 +776,58 @@ def test_threads_share_the_pool_safely(baseline, three_blocks):
     assert not any(thread.is_alive() for thread in threads)
     assert not errors
     assert len(results) == 12 and all(r == serial for r in results)
+
+
+# ---------------------------------------------------------------------------
+# Heap residency: the pages one block frees serve the next block instead of
+# being handed back and faulted in again (a glibc malloc setting).
+# ---------------------------------------------------------------------------
+
+needs_glibc = pytest.mark.skipif(
+    not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+    reason="the heap top pad is a glibc malloc setting")
+
+
+def _minor_faults(pid=None):
+    """Minor page faults so far of this process, or of process ``pid``."""
+    if pid is None:
+        import resource
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    with open(f"/proc/{pid}/stat") as fh:
+        return int(fh.read().rsplit(")", 1)[1].split()[7])   # field 10, minflt
+
+
+@needs_glibc
+@pytest.mark.parametrize("overrides, trials", [
+    ({}, 200),
+    ({"alpha": 3.0, "r_max": 400.0, "p_st_dbm": 5.0}, 16),
+], ids=["baseline", "sim_dense"])
+def test_kernel_heap_stays_resident_between_calls(overrides, trials):
+    cfg = validate(dataclasses.replace(SystemConfig(), **overrides))
+    for seed in range(3):   # warm-up
+        simulate_all(cfg, trials, seed, workers=1)
+    before = _minor_faults()
+    for seed in range(3, 23):
+        simulate_all(cfg, trials, seed, workers=1)
+    assert (_minor_faults() - before) / 20 <= 40
+
+
+@needs_glibc
+@pytest.mark.parametrize("method", ["fork", "spawn"])
+def test_worker_heap_stays_resident_between_calls(baseline, method):
+    previous = multiprocessing.get_start_method(allow_none=True)
+    sim_mod._drop_workers()
+    multiprocessing.set_start_method(method, force=True)
+    try:
+        for seed in range(3):   # warm-up; builds a set of one worker
+            simulate_all(baseline, 2000, seed, workers=2)
+        [(process, _)] = workers = list(sim_mod._workers)
+        before = _minor_faults(process.pid)
+        for seed in range(3, 8):
+            simulate_all(baseline, 2000, seed, workers=2)
+        per_call = (_minor_faults(process.pid) - before) / 5
+        assert sim_mod._workers == workers
+    finally:
+        sim_mod._drop_workers()
+        multiprocessing.set_start_method(previous, force=True)
+    assert per_call <= 100, per_call
