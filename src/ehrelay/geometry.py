@@ -167,7 +167,8 @@ def disc_ppp_batch(density: float, radius: float, n_samples: int,
     2012, ch. 2), so the kept counts are Poisson(density * pi * radius^2)
     and, given its count, a sample's points are uniform on the disc: the
     draw is exact. It draws 4/pi times as many points as it keeps, and needs
-    no sqrt, cos or sin.
+    no sqrt, cos or sin. A single sample owns every kept point, so it needs
+    no per-point gather of owners and no count.
     """
     gen = as_generator(rng)
     drawn = gen.poisson(density * 4.0 * radius * radius, n_samples)
@@ -179,6 +180,9 @@ def disc_ppp_batch(density: float, radius: float, n_samples: int,
     r2 = x * x
     r2 += y * y
     keep = (r2 <= radius * radius).nonzero()[0]
+    if n_samples == 1:
+        return DiscBatch(np.full(1, keep.size), np.zeros(keep.size, dtype=np.intp),
+                         x[keep], y[keep])
     owner = np.arange(n_samples).repeat(drawn)[keep]
     return DiscBatch(np.bincount(owner, minlength=n_samples), owner, x[keep], y[keep])
 

@@ -5,12 +5,17 @@ every point carries the index of the trial that owns it (``np.repeat`` of the
 per-trial counts), each trial's points are contiguous, and per-trial sums and
 maxima are segment reductions (``np.add.reduceat``, ``np.maximum.reduceat``).
 In two stages: ``_draw`` makes every draw of one block and reduces the primary
-fields to per-trial and per-relay sums; ``_decide`` runs guard events, relay
-selection, decoding and flags once over a chunk, consecutive blocks whose sums
-fit ELEMENT_BUDGET. Its steps work per trial, relay or segment, so any chunking
-gives the same bits. One block gives every scheme's flags from the same draws,
-so the schemes are paired: their scheme-free flags agree trial by trial, and
-``simulate`` of one scheme reads its row from one all-scheme pass.
+fields to per-trial and per-relay sums. A block of several trials gathers its
+relay x slot-two primary pairs as one ragged array; a block of one trial
+takes them as rows of an outer product, a group of rows of at most
+ELEMENT_BUDGET pairs at a time, so a trial over the budget holds its primary
+fields but never all its pairs, with the same bits. ``_decide`` runs guard
+events, relay selection, decoding and flags once over a chunk, consecutive
+blocks whose sums fit ELEMENT_BUDGET. Its steps work per trial, relay or
+segment, so any chunking gives the same bits. One block gives every
+scheme's flags from the same draws, so the schemes are paired: their
+scheme-free flags agree trial by trial, and ``simulate`` of one scheme reads
+its row from one all-scheme pass.
 
 Random streams: block b of a run with seed s draws from stream (s, b). The
 number of trials per block is set by the config alone
@@ -197,6 +202,36 @@ def _pair_d2(points: DiscBatch, other: DiscBatch, other_first):
     return per, first, d2
 
 
+def _pair_sums(points, other, other_first, gen, alpha: float) -> np.ndarray:
+    """Per point, the sum over the points of ``other`` in its trial of an
+    exponential gain from ``gen`` times the path loss, the gains drawn in
+    pair order.
+
+    Several trials gather their ragged pairs at once (``_pair_d2``). One
+    trial takes rows of the outer product of ``points`` and ``other``, in
+    groups of at most ELEMENT_BUDGET pairs (at least one row), so its pairs
+    are never all held; consecutive exponential draws give the values of one
+    draw, and each row stays a segment sum, so the bits are those of the
+    gather.
+    """
+    if points.counts.size > 1:
+        per, first, d2 = _pair_d2(points, other, other_first)
+        return _received(per, first, gen.standard_exponential(d2.size), d2, alpha)
+    size = other.x.size
+    rows = max(1, ELEMENT_BUDGET // max(size, 1))
+    counts = np.full(rows, size)
+    first = segment_starts(counts)
+    sums = np.empty(points.x.size)
+    for lo in range(0, sums.size, rows):
+        d2 = np.subtract.outer(points.x[lo:lo + rows], other.x)
+        d2 *= d2
+        d2 += np.square(np.subtract.outer(points.y[lo:lo + rows], other.y))
+        k = len(d2)
+        sums[lo:lo + k] = _received(counts[:k], first[:k],
+                                    gen.standard_exponential(d2.size), d2.ravel(), alpha)
+    return sums
+
+
 def _split(values, sizes):
     """Consecutive views of ``values`` with the given lengths."""
     bounds = (0, *itertools.accumulate(sizes))
@@ -271,9 +306,10 @@ def _draw(cfg: SystemConfig, gen, n: int) -> _Draws:
     """Draw n trials from ``gen``, the primary fields reduced to sums."""
     alpha, p_t, d_sd = cfg.alpha, cfg.p_t_mw, cfg.d_sd
 
-    # Fixed draw order, shared by every scheme and direct-link setting. One
-    # exponential draw is the concatenation of the draws of its parts, so a
-    # draw split into views gives the gains of separate draws.
+    # Fixed draw order, shared by every scheme and direct-link setting:
+    # fields, hop gains, pair gains, destination and direct gains, pick.
+    # Consecutive exponential draws give the values of one draw, so how the
+    # gains are split among calls and views moves no bit.
     if cfg.slot_position_model == "static":
         slot2 = slot3 = disc_ppp_batch(cfg.lambda_p, cfg.r_max, n, gen)
         first2 = first3 = segment_starts(slot2.counts)
@@ -288,19 +324,17 @@ def _draw(cfg: SystemConfig, gen, n: int) -> _Draws:
         first2, first3 = segment_starts(slot2.counts), segment_starts(slot3.counts)
     receivers = disc_ppp_batch(cfg.lambda_p, cfg.r_disc + cfg.r_gz, n, gen)
     relays = disc_ppp_batch(cfg.lambda_sr, cfg.r_disc, n, gen)
-    pairs_per_relay, first_pairs, d2_pairs = _pair_d2(relays, slot2, first2)
-    sizes = (relays.x.size, relays.x.size, d2_pairs.size, slot2.x.size,
-             slot3.x.size, n)
-    (gain_hop1, gain_hop2, gains_relay_itf, gains_sd_s2, gains_sd_s3,
-     gain_direct) = _split(gen.standard_exponential(sum(sizes)), sizes)
+    gain_hop1, gain_hop2 = gen.standard_exponential((2, relays.x.size))
+    relay_itf = p_t * _pair_sums(relays, slot2, first2, gen, alpha)
+    sizes = (slot2.x.size, slot3.x.size, n)
+    gains_sd_s2, gains_sd_s3, gain_direct = _split(gen.standard_exponential(sum(sizes)),
+                                                   sizes)
     pick = gen.random(n)
 
     i_sd_s2 = p_t * _received(slot2.counts, first2, gains_sd_s2,
                               _d2_from(slot2, d_sd), alpha)
     i_sd_s3 = p_t * _received(slot3.counts, first3, gains_sd_s3,
                               _d2_from(slot3, d_sd), alpha)
-    relay_itf = p_t * _received(pairs_per_relay, first_pairs, gains_relay_itf,
-                                d2_pairs, alpha)
     # Stacking copies the gains out of the draw, which a view would keep alive.
     return _Draws(np.stack((harvested_energy(cfg, dedicated, reused), i_sd_s2, i_sd_s3,
                             gain_direct, pick)),

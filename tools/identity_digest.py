@@ -11,8 +11,11 @@ the direct link off and on x {bcc, bsir, bstd}, with --trunc_epsilon 1e12
 so that every point validates. The second covers the arrays of
 ``outcomes(cfg, 600, 5)`` at four configs (the defaults, the dense corner,
 static primary positions, the direct link) and fixed-seed draws of
-``shot_noise_batch`` and ``clearance_batch``. The script imports ehrelay
-from the ``src`` directory next to it and exits 0.
+``shot_noise_batch`` and ``clearance_batch``. The third covers the arrays of
+``outcomes(cfg, trials, 5)`` at two configs whose one-trial block is larger
+than ELEMENT_BUDGET, so the kernel streams its relay x primary pairs in
+several groups. The script imports ehrelay from the ``src`` directory next
+to it and exits 0.
 """
 
 from __future__ import annotations
@@ -49,6 +52,12 @@ OUTCOME_CONFIGS = {
     "static": {"slot_position_model": "static"},
     "direct_link": {"direct_link": True},
 }
+# (config overrides, trials) of the one-trial blocks over the budget.
+OVER_BUDGET_CONFIGS = {
+    "r_max=400 lambda_sr=20": ({"alpha": 3.0, "r_max": 400.0, "lambda_sr": 20.0}, 3),
+    "r_max=1000 static": ({"alpha": 3.0, "r_max": 1000.0, "lambda_sr": 5.0,
+                           "trunc_epsilon": 1e12, "slot_position_model": "static"}, 2),
+}
 # (density, r_max, alpha) of the shot-noise draws; (density, r_gz, r_max) of
 # the clearance draws; 2,000 samples each.
 SHOT_NOISE = ((0.01, 50.0, 4.0), (0.03, 20.0, 3.0), (1e-4, 50.0, 2.5))
@@ -82,18 +91,28 @@ def analyze_digest():
     return digest.hexdigest(), exits
 
 
+def _update_outcomes(digest, name, overrides, trials) -> None:
+    result = outcomes(validate(apply_overrides(SystemConfig(), overrides)), trials, 5)
+    _update(digest, name)
+    for f in dataclasses.fields(Outcomes):
+        _update_array(digest, getattr(result, f.name))
+
+
 def draws_digest() -> str:
     digest = hashlib.sha256()
     for name, overrides in OUTCOME_CONFIGS.items():
-        cfg = validate(apply_overrides(SystemConfig(), overrides))
-        result = outcomes(cfg, 600, 5)
-        _update(digest, name)
-        for f in dataclasses.fields(Outcomes):
-            _update_array(digest, getattr(result, f.name))
+        _update_outcomes(digest, name, overrides, 600)
     for i, args in enumerate(SHOT_NOISE):
         _update_array(digest, shot_noise_batch(*args, 2000, RngStream(7, i)))
     for i, args in enumerate(CLEARANCE):
         _update_array(digest, clearance_batch(*args, 2000, RngStream(8, i)))
+    return digest.hexdigest()
+
+
+def over_budget_digest() -> str:
+    digest = hashlib.sha256()
+    for name, (overrides, trials) in OVER_BUDGET_CONFIGS.items():
+        _update_outcomes(digest, name, overrides, trials)
     return digest.hexdigest()
 
 
@@ -102,6 +121,7 @@ def main_digest() -> int:
     counts = ", ".join(f"exit {code}: {n}" for code, n in sorted(exits.items()))
     print(f"analyze {analyze_sha} ({sum(exits.values())} calls; {counts})")
     print(f"draws   {draws_digest()}")
+    print(f"budget  {over_budget_digest()}")
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Print the minor page faults and the time of one ``simulate_all`` call.
+"""Print the minor page faults, the time and the traced memory of one ``simulate_all`` call.
 
 Run it from anywhere:
 
@@ -8,10 +8,13 @@ For each of four configs (the defaults, ``lambda_sr`` 3, the dense corner
 and a corner whose one-trial block is larger than ELEMENT_BUDGET) it makes
 three warm-up calls with ``workers=1``, then 20 timed calls, and prints the
 minor faults per call (``ru_minflt`` of this process) and the median ms per
-call. A kernel whose heap stays resident between blocks reads a few faults
-per call; one that hands its heap back after each block re-faults hundreds
-to thousands. The script imports ehrelay from the ``src`` directory next to
-it and exits 0; where ``resource`` is missing it prints the times alone.
+call; then one untimed call under ``tracemalloc``, and its peak. A kernel
+whose heap stays resident between blocks reads a few faults per call; one
+that hands its heap back after each block re-faults hundreds to thousands.
+A kernel that holds a trial's relay x primary pairs at once reads several
+MB of peak at the over-budget corner, where streaming them reads about 1 MB.
+The script imports ehrelay from the ``src`` directory next to it and exits
+0; where ``resource`` is missing it prints no faults.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import pathlib
 import statistics
 import sys
 import time
+import tracemalloc
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
@@ -59,13 +63,23 @@ def measure(cfg, trials: int):
     return (minor_faults() - before) / CALLS, statistics.median(times) * 1e3
 
 
+def traced_peak_mb(cfg, trials: int) -> float:
+    """Peak traced memory of one call, MB."""
+    tracemalloc.start()
+    try:
+        simulate_all(cfg, trials, WARMUP + CALLS, workers=1)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
 def main() -> int:
     for name, overrides, trials in CONFIGS:
         cfg = validate(apply_overrides(SystemConfig(), overrides))
         faults, ms = measure(cfg, trials)
         shown = f"{faults:8.1f}" if resource else "     n/a"
         print(f"{name:12s} trials {trials:4d}  minor faults/call {shown}  "
-              f"median {ms:7.2f} ms/call")
+              f"median {ms:7.2f} ms/call  peak traced {traced_peak_mb(cfg, trials):7.2f} MB")
     return 0
 
 
