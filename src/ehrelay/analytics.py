@@ -649,6 +649,15 @@ class UnsupportedScheme(ValueError):
     """Raised for schemes with no analytic expression (the random baseline)."""
 
 
+def require_analytic(scheme: str) -> None:
+    """Raise UnsupportedScheme unless ``analyze`` has an expression for ``scheme``."""
+    if scheme == "random_baseline":
+        raise UnsupportedScheme(
+            "random_baseline is a simulation-only reference; no analytic expression")
+    if scheme not in ("bcc", "bsir", "bstd"):
+        raise UnsupportedScheme(f"unknown scheme {scheme!r}")
+
+
 BREAKDOWN_FIELDS = tuple(f.name for f in fields(AnalyticBreakdown) if f.name != "scheme")
 
 
@@ -688,11 +697,7 @@ def analyze(cfg: SystemConfig, scheme: str) -> AnalyticBreakdown:
     """
     if not cfg.validated:
         raise ValueError("config must pass validate() before analysis")
-    if scheme == "random_baseline":
-        raise UnsupportedScheme(
-            "random_baseline is a simulation-only reference; no analytic expression")
-    if scheme not in ("bcc", "bsir", "bstd"):
-        raise UnsupportedScheme(f"unknown scheme {scheme!r}")
+    require_analytic(scheme)
     guard = guard_zone_prob(cfg.lambda_p, cfg.r_gz)
     b = AnalyticBreakdown(scheme=scheme, p_h=p_h_kanter(cfg), guard_st=guard,
                           guard_sr=guard, p_nonempty=p_nonempty(cfg))

@@ -12,18 +12,22 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import math
 import sys
 
 import numpy as np
 
-from .analytics import (BREAKDOWN_FIELDS, QuadratureFailure,
-                        UnsupportedScheme, alpha4_selfcheck, analyze)
+from .analytics import (BREAKDOWN_FIELDS, QuadratureFailure, UnsupportedScheme,
+                        alpha4_selfcheck, analyze, require_analytic)
 from .config import (LINEAR_FIELDS, NUMERIC_FIELDS, RAW_FIELDS, ConfigError,
                      SystemConfig, apply_overrides, load_config, validate)
 from .simulate import FLAG_NAMES, SCHEMES, simulate, simulate_all
 
 _SIM_FLAG_COLUMNS = tuple(n for n in FLAG_NAMES if n != "success")
+# The first eight columns of every sweep and compare row.
+_GRID_COLUMNS = ["param", "value", "scheme", "trials", "seed", "sim_p_succ",
+                "ci_low", "ci_high"]
 
 
 def _fmt(value) -> str:
@@ -40,8 +44,14 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_row(fh, cells) -> None:
-    fh.write(",".join(_fmt(c) for c in cells) + "\n")
+def _write_csv(args, header, rows) -> None:
+    """Write the header, then each row as it comes, to the --out file, or to
+    stdout if it is absent or '-'. An error while rows are made leaves the
+    rows before it."""
+    with (contextlib.nullcontext(sys.stdout) if args.out in (None, "-")
+          else open(args.out, "w", encoding="utf-8", newline="")) as fh:
+        for cells in itertools.chain([header], rows):
+            fh.write(",".join(map(_fmt, cells)) + "\n")
 
 
 def _at_least_one(text: str) -> int:
@@ -68,46 +78,27 @@ def _load_config(args) -> SystemConfig:
                                      if getattr(args, name) is not None})
 
 
-def _config_cells(cfg: SystemConfig):
-    return [getattr(cfg, name) for name in RAW_FIELDS + LINEAR_FIELDS]
-
-
-@contextlib.contextmanager
-def _output(args):
-    """The CSV destination: the --out file, or stdout if it is absent or '-'."""
-    if args.out in (None, "-"):
-        yield sys.stdout
-        return
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        yield fh
-
-
-def _grid_values(args):
-    if args.values:
-        values = []
-        for text in args.values.split(","):
-            if text.strip() == "":
-                continue
-            try:
-                values.append(float(text))
-            except ValueError:
-                raise ConfigError([f"--values: {text.strip()!r} is not a number"])
-        return values
-    if args.grid_from is None or args.grid_to is None or args.steps is None:
-        return None
-    if args.spacing == "log":
-        if args.grid_from <= 0 or args.grid_to <= 0:
-            raise ConfigError(["log spacing needs positive endpoints"])
-        return list(np.geomspace(args.grid_from, args.grid_to, args.steps))
-    return list(np.linspace(args.grid_from, args.grid_to, args.steps))
-
-
 def _grid_points(args, base: SystemConfig):
     """(value, validated config) of every grid point, [] without a grid;
     all are validated up front, and the first bad one aborts, named."""
-    values = _grid_values(args)
-    if not values:
+    if args.values is not None:
+        values = []
+        for text in args.values.split(","):
+            if text.strip():
+                try:
+                    values.append(float(text))
+                except ValueError:
+                    raise ConfigError([f"--values: {text.strip()!r} is not a number"])
+        if not values:
+            raise ConfigError(["--values names no number"])
+    elif None in (args.grid_from, args.grid_to, args.steps):
         return []
+    elif args.spacing == "log":
+        if args.grid_from <= 0 or args.grid_to <= 0:
+            raise ConfigError(["log spacing needs positive endpoints"])
+        values = np.geomspace(args.grid_from, args.grid_to, args.steps)
+    else:
+        values = np.linspace(args.grid_from, args.grid_to, args.steps)
     param = args.param
     if param is None:
         raise ConfigError(["a grid needs --param naming the swept config field"])
@@ -122,6 +113,20 @@ def _grid_points(args, base: SystemConfig):
                 [f"grid point {param}={_fmt(value)} invalid: {d}"
                  for d in exc.diagnostics])
     return points
+
+
+def _grid_rows(args, points, schemes, tail):
+    """The rows of sweep and compare: per grid point one ``simulate_all``
+    pass, and per scheme the cells of ``_GRID_COLUMNS`` followed by
+    ``tail(cfg, scheme, estimate)``. A point whose value is None (compare
+    without a grid) leaves param and value blank."""
+    for value, cfg in points:
+        results = simulate_all(cfg, args.trials, args.seed, workers=args.workers)
+        for scheme in schemes:
+            est = results[scheme].estimate
+            yield ([None if value is None else args.param, value, scheme, args.trials,
+                    args.seed, est.p_hat, est.ci_low, est.ci_high]
+                   + tail(cfg, scheme, est))
 
 
 def _breakdown_cells(breakdown):
@@ -139,16 +144,13 @@ def _emit_selfcheck_warnings(cfg) -> None:
 def cmd_simulate(args) -> int:
     cfg = validate(_load_config(args))
     result = simulate(cfg, args.scheme, args.trials, args.seed, workers=args.workers)
-    with _output(args) as fh:
-        header = (["scheme"] + list(RAW_FIELDS + LINEAR_FIELDS)
-                  + ["trials", "seed", "success_rate", "ci_low", "ci_high"]
-                  + [f"freq_{name}" for name in _SIM_FLAG_COLUMNS])
-        _write_row(fh, header)
-        est = result.estimate
-        row = ([result.scheme] + _config_cells(cfg)
-               + [result.trials, result.seed, est.p_hat, est.ci_low, est.ci_high]
-               + [result.flag_frequencies[name] for name in _SIM_FLAG_COLUMNS])
-        _write_row(fh, row)
+    est = result.estimate
+    config_fields = RAW_FIELDS + LINEAR_FIELDS
+    _write_csv(args, ["scheme", *config_fields, "trials", "seed", "success_rate",
+                      "ci_low", "ci_high"] + [f"freq_{name}" for name in _SIM_FLAG_COLUMNS],
+               [[result.scheme] + [getattr(cfg, name) for name in config_fields]
+                + [result.trials, result.seed, est.p_hat, est.ci_low, est.ci_high]
+                + [result.flag_frequencies[name] for name in _SIM_FLAG_COLUMNS]])
     return 0
 
 
@@ -156,9 +158,8 @@ def cmd_analyze(args) -> int:
     cfg = validate(_load_config(args))
     breakdown = analyze(cfg, args.scheme)
     _emit_selfcheck_warnings(cfg)
-    with _output(args) as fh:
-        _write_row(fh, ["scheme"] + list(BREAKDOWN_FIELDS))
-        _write_row(fh, [breakdown.scheme] + _breakdown_cells(breakdown))
+    _write_csv(args, ["scheme"] + list(BREAKDOWN_FIELDS),
+               [[breakdown.scheme] + _breakdown_cells(breakdown)])
     return 0
 
 
@@ -176,41 +177,28 @@ def cmd_sweep(args) -> int:
     if not points:
         raise ConfigError(["sweep needs --values or --from/--to/--steps"])
 
-    with _output(args) as fh:
-        _write_row(fh, ["param", "value", "scheme", "trials", "seed",
-                        "sim_p_succ", "ci_low", "ci_high", "ana_p_succ"])
-        for value, cfg in points:
-            results = simulate_all(cfg, args.trials, args.seed, workers=args.workers)
-            for scheme in schemes:
-                ana = None if scheme == "random_baseline" else analyze(cfg, scheme).p_succ
-                est = results[scheme].estimate
-                _write_row(fh, [args.param, value, scheme, args.trials,
-                                args.seed, est.p_hat, est.ci_low, est.ci_high,
-                                ana])
+    def tail(cfg, scheme, est):
+        return [None if scheme == "random_baseline" else analyze(cfg, scheme).p_succ]
+
+    _write_csv(args, _GRID_COLUMNS + ["ana_p_succ"], _grid_rows(args, points, schemes, tail))
     return 0
 
 
 def cmd_compare(args) -> int:
     base = _load_config(args)
+    require_analytic(args.scheme)
     points = _grid_points(args, base) or [(None, validate(base))]
-    param = "" if points[0][0] is None else args.param
-
     inside = 0
-    with _output(args) as fh:
-        _write_row(fh, ["param", "value", "scheme", "trials", "seed", "sim_p_succ",
-                        "ci_low", "ci_high"] + list(BREAKDOWN_FIELDS)
-                   + ["gap", "gap_in_ci"])
-        for value, cfg in points:
-            result = simulate(cfg, args.scheme, args.trials, args.seed,
-                              workers=args.workers)
-            breakdown = analyze(cfg, args.scheme)
-            est = result.estimate
-            gap = est.p_hat - breakdown.p_succ
-            in_ci = est.ci_low <= breakdown.p_succ <= est.ci_high
-            inside += int(in_ci)
-            _write_row(fh, [param, value, args.scheme, args.trials, args.seed,
-                            est.p_hat, est.ci_low, est.ci_high]
-                       + _breakdown_cells(breakdown) + [gap, in_ci])
+
+    def tail(cfg, scheme, est):
+        nonlocal inside
+        breakdown = analyze(cfg, scheme)
+        in_ci = est.ci_low <= breakdown.p_succ <= est.ci_high
+        inside += int(in_ci)
+        return _breakdown_cells(breakdown) + [est.p_hat - breakdown.p_succ, in_ci]
+
+    _write_csv(args, _GRID_COLUMNS + list(BREAKDOWN_FIELDS) + ["gap", "gap_in_ci"],
+               _grid_rows(args, points, [args.scheme], tail))
     print(f"compare: analytic value inside 95% Wilson interval at "
           f"{inside}/{len(points)} points", file=sys.stderr)
     return 0

@@ -33,9 +33,6 @@ def db_to_linear(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)
 
 
-dbm_to_linear = db_to_linear
-
-
 SLOT_POSITION_MODELS = ("independent", "static")
 # Threshold on the normalized harvested sum K above which the transmitter has
 # enough energy: "energy" balances harvested against required transmit energy;

@@ -48,7 +48,6 @@ import contextlib
 import ctypes
 import dataclasses
 import functools
-import itertools
 import math
 import os
 import threading
@@ -232,12 +231,6 @@ def _pair_sums(points, other, other_first, gen, alpha: float) -> np.ndarray:
     return sums
 
 
-def _split(values, sizes):
-    """Consecutive views of ``values`` with the given lengths."""
-    bounds = (0, *itertools.accumulate(sizes))
-    return [values[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-
-
 def _segmented_argmax(owner, first, present, metrics) -> np.ndarray:
     """Per metric and trial, the index of the trial's relay with the largest
     metric, else -1.
@@ -326,9 +319,8 @@ def _draw(cfg: SystemConfig, gen, n: int) -> _Draws:
     relays = disc_ppp_batch(cfg.lambda_sr, cfg.r_disc, n, gen)
     gain_hop1, gain_hop2 = gen.standard_exponential((2, relays.x.size))
     relay_itf = p_t * _pair_sums(relays, slot2, first2, gen, alpha)
-    sizes = (slot2.x.size, slot3.x.size, n)
-    gains_sd_s2, gains_sd_s3, gain_direct = _split(gen.standard_exponential(sum(sizes)),
-                                                   sizes)
+    gains_sd_s2, gains_sd_s3, gain_direct = (
+        gen.standard_exponential(size) for size in (slot2.x.size, slot3.x.size, n))
     pick = gen.random(n)
 
     i_sd_s2 = p_t * _received(slot2.counts, first2, gains_sd_s2,

@@ -312,12 +312,14 @@ def test_sweep_aborts_on_invalid_grid_point(capsys):
 
 
 @pytest.mark.parametrize("command", ["sweep", "compare"])
-@pytest.mark.parametrize("values,bad", [("a,b", "a"), ("0,x2", "x2")])
+@pytest.mark.parametrize("values,bad", [("a,b", "a"), ("0,x2", "x2"), (",", None)])
 def test_non_numeric_grid_value_rejected(command, values, bad, capsys):
+    # A list with no number at all is an error too, not a run without a grid.
     scheme = ["--schemes", "bcc"] if command == "sweep" else ["--scheme", "bcc"]
     assert run_cli([command, "--param", "p_st_dbm", f"--values={values}",
                     "--trials", "10"] + scheme) == 2
-    assert f"{bad!r} is not a number" in capsys.readouterr().err
+    message = "--values names no number" if bad is None else f"{bad!r} is not a number"
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("schemes,message", [
@@ -376,6 +378,20 @@ def test_compare_degenerate_point(tmp_path, capsys):
     assert float(cell(out, "p_succ")) == 0.0
     assert float(cell(out, "gap")) == 0.0
     assert "inside 95% Wilson interval" in capsys.readouterr().err
+
+
+def test_compare_rejects_random_baseline_before_simulating(tmp_path, capsys,
+                                                          monkeypatch):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated a scheme compare cannot answer")
+
+    monkeypatch.setattr(cli, "simulate_all", no_simulation)
+    out = tmp_path / "cmp.csv"
+    assert run_cli(["compare", "--scheme", "random_baseline", "--trials", "50",
+                    "--out", str(out)]) == 2
+    assert ("error: random_baseline is a simulation-only reference"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_compare_grid_gap_in_ci(tmp_path, baseline_path):

@@ -14,8 +14,11 @@ static primary positions, the direct link) and fixed-seed draws of
 ``shot_noise_batch`` and ``clearance_batch``. The third covers the arrays of
 ``outcomes(cfg, trials, 5)`` at two configs whose one-trial block is larger
 than ELEMENT_BUDGET, so the kernel streams its relay x primary pairs in
-several groups. The script imports ehrelay from the ``src`` directory next
-to it and exits 0.
+several groups. The fourth covers the stdout, stderr and exit code of
+``cli.main`` on CLI_ARGVS: ``simulate``, ``sweep`` over linear and log grids
+(``random_baseline`` among the schemes, one and two workers), ``compare``
+with and without a grid, and three usage errors. The script imports ehrelay
+from the ``src`` directory next to it and exits 0.
 """
 
 from __future__ import annotations
@@ -58,6 +61,21 @@ OVER_BUDGET_CONFIGS = {
     "r_max=1000 static": ({"alpha": 3.0, "r_max": 1000.0, "lambda_sr": 5.0,
                            "trunc_epsilon": 1e12, "slot_position_model": "static"}, 2),
 }
+_SWEEP = ["sweep", "--param", "p_st_dbm", "--from", "-5", "--to", "10", "--steps", "4",
+          "--schemes", "bcc,bsir,bstd,random_baseline", "--trials", "300", "--seed", "3"]
+CLI_ARGVS = (
+    ["simulate", "--scheme", "bsir", "--trials", "300", "--seed", "7"],
+    _SWEEP + ["--workers", "1"],
+    _SWEEP + ["--workers", "2"],
+    ["sweep", "--param", "lambda_p", "--from", "1e-3", "--to", "1e-2", "--steps", "3",
+     "--spacing", "log", "--schemes", "bcc", "--trials", "200"],
+    ["compare", "--scheme", "bcc", "--trials", "300", "--seed", "7"],
+    ["compare", "--scheme", "bstd", "--param", "p_st_dbm", "--values=-2,0,2",
+     "--trials", "300", "--seed", "9"],
+    ["sweep", "--param", "alpha", "--values", "4,2", "--schemes", "bcc", "--trials", "10"],
+    ["sweep", "--param", "p_st_dbm", "--values=0", "--schemes", "bcc,bcc", "--trials", "10"],
+    ["compare", "--param", "p_st_dbm", "--values=a", "--scheme", "bcc", "--trials", "10"],
+)
 # (density, r_max, alpha) of the shot-noise draws; (density, r_gz, r_max) of
 # the clearance draws; 2,000 samples each.
 SHOT_NOISE = ((0.01, 50.0, 4.0), (0.03, 20.0, 3.0), (1e-4, 50.0, 2.5))
@@ -75,6 +93,15 @@ def _update_array(digest, array) -> None:
     _update(digest, array.dtype.str, array.shape, array.tobytes())
 
 
+def _update_cli(digest, argv) -> int:
+    """Run ``main(argv)`` and feed the argv, stdout, stderr and exit code in."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    _update(digest, " ".join(argv), out.getvalue(), err.getvalue(), code)
+    return code
+
+
 def analyze_digest():
     digest = hashlib.sha256()
     exits = {}
@@ -83,11 +110,8 @@ def analyze_digest():
             argv = ["analyze", "--scheme", scheme, "--trunc_epsilon", "1e12"]
             for name, value in zip(GRID, values):
                 argv += [f"--{name}", value]
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(argv)
+            code = _update_cli(digest, argv)
             exits[code] = exits.get(code, 0) + 1
-            _update(digest, " ".join(argv), out.getvalue(), err.getvalue(), code)
     return digest.hexdigest(), exits
 
 
@@ -116,12 +140,20 @@ def over_budget_digest() -> str:
     return digest.hexdigest()
 
 
+def cli_digest() -> str:
+    digest = hashlib.sha256()
+    for argv in CLI_ARGVS:
+        _update_cli(digest, argv)
+    return digest.hexdigest()
+
+
 def main_digest() -> int:
     analyze_sha, exits = analyze_digest()
     counts = ", ".join(f"exit {code}: {n}" for code, n in sorted(exits.items()))
     print(f"analyze {analyze_sha} ({sum(exits.values())} calls; {counts})")
     print(f"draws   {draws_digest()}")
     print(f"budget  {over_budget_digest()}")
+    print(f"cli     {cli_digest()}")
     return 0
 
 
