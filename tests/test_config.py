@@ -13,13 +13,17 @@ from ehrelay.config import (ConfigError, SystemConfig, apply_overrides,
 from ehrelay.simulate import simulate_all
 
 
+def test_dbm_to_linear_definition():
+    # dBm powers convert to mW by the same rule as dB ratios.
+    assert db_to_linear(0.0) == 1.0
+    assert db_to_linear(25.0) == pytest.approx(316.2278, abs=1e-4)
+    assert db_to_linear(-2.0) == pytest.approx(0.6310, abs=1e-4)
+
+
 def test_db_to_linear_definition():
-    # One rule serves dB ratios and dBm powers (in mW).
     assert db_to_linear(0.0) == 1.0
     assert db_to_linear(-10.0) == pytest.approx(0.1, rel=1e-12)
     assert db_to_linear(10.0) == pytest.approx(10.0, rel=1e-12)
-    assert db_to_linear(25.0) == pytest.approx(316.2278, abs=1e-4)
-    assert db_to_linear(-2.0) == pytest.approx(0.6310, abs=1e-4)
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
