@@ -22,7 +22,7 @@ from .analytics import (BREAKDOWN_FIELDS, QuadratureFailure, UnsupportedScheme,
                         alpha4_selfcheck, analyze, require_analytic)
 from .config import (LINEAR_FIELDS, NUMERIC_FIELDS, RAW_FIELDS, ConfigError,
                      SystemConfig, apply_overrides, load_config, validate)
-from .simulate import FLAG_NAMES, SCHEMES, simulate, simulate_all
+from .simulate import FLAG_NAMES, SCHEMES, _simulate_all, simulate
 
 _SIM_FLAG_COLUMNS = tuple(n for n in FLAG_NAMES if n != "success")
 # The first eight columns of every sweep and compare row.
@@ -44,14 +44,23 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(args, header, rows) -> None:
-    """Write the header, then each row as it comes, to the --out file, or to
-    stdout if it is absent or '-'. An error while rows are made leaves the
-    rows before it."""
-    with (contextlib.nullcontext(sys.stdout) if args.out in (None, "-")
-          else open(args.out, "w", encoding="utf-8", newline="")) as fh:
-        for cells in itertools.chain([header], rows):
-            fh.write(",".join(map(_fmt, cells)) + "\n")
+def _output(args):
+    """The --out file opened for writing, or stdout if it is absent or '-'.
+    Commands open it after their usage checks and before they compute, so a
+    path that cannot be written is a usage error at once."""
+    if args.out in (None, "-"):
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(args.out, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ConfigError([f"cannot write --out {args.out}: {exc.strerror or exc}"])
+
+
+def _write_csv(fh, header, rows) -> None:
+    """Write the header, then each row as it comes. An error while rows are
+    made leaves the rows before it."""
+    for cells in itertools.chain([header], rows):
+        fh.write(",".join(map(_fmt, cells)) + "\n")
 
 
 def _at_least_one(text: str) -> int:
@@ -81,6 +90,12 @@ def _load_config(args) -> SystemConfig:
 def _grid_points(args, base: SystemConfig):
     """(value, validated config) of every grid point, [] without a grid;
     all are validated up front, and the first bad one aborts, named."""
+    missing = [flag for flag, given in (("--from", args.grid_from), ("--to", args.grid_to),
+                                        ("--steps", args.steps)) if given is None]
+    if args.values is not None and len(missing) < 3:
+        raise ConfigError(["give --values or --from/--to/--steps, not both"])
+    if 0 < len(missing) < 3:
+        raise ConfigError([f"a --from/--to/--steps range misses {', '.join(missing)}"])
     if args.values is not None:
         values = []
         for text in args.values.split(","):
@@ -91,7 +106,9 @@ def _grid_points(args, base: SystemConfig):
                     raise ConfigError([f"--values: {text.strip()!r} is not a number"])
         if not values:
             raise ConfigError(["--values names no number"])
-    elif None in (args.grid_from, args.grid_to, args.steps):
+    elif missing:
+        if args.param is not None:
+            raise ConfigError([f"--param {args.param} needs --values or --from/--to/--steps"])
         return []
     elif args.spacing == "log":
         if args.grid_from <= 0 or args.grid_to <= 0:
@@ -115,18 +132,34 @@ def _grid_points(args, base: SystemConfig):
     return points
 
 
-def _grid_rows(args, points, schemes, tail):
-    """The rows of sweep and compare: per grid point one ``simulate_all``
-    pass, and per scheme the cells of ``_GRID_COLUMNS`` followed by
-    ``tail(cfg, scheme, estimate)``. A point whose value is None (compare
-    without a grid) leaves param and value blank."""
+def _grid_rows(args, points, schemes, analytic, tail):
+    """The rows of sweep and compare: per grid point one simulation pass,
+    and per scheme the cells of ``_GRID_COLUMNS`` followed by
+    ``tail(analytic(cfg, scheme), estimate)``. A point whose value is None
+    (compare without a grid) leaves param and value blank.
+
+    The point's analytic values are computed while the workers simulate,
+    scheme by scheme up to the first that raises. That exception is held,
+    and raised after the rows of the schemes before it, as a serial loop
+    would; an exception from the simulation comes first."""
     for value, cfg in points:
-        results = simulate_all(cfg, args.trials, args.seed, workers=args.workers)
-        for scheme in schemes:
+        cells, failure = [], []
+
+        def analyze_point():
+            try:
+                for scheme in schemes:
+                    cells.append(analytic(cfg, scheme))
+            except Exception as exc:
+                failure.append(exc)
+
+        results = _simulate_all(cfg, args.trials, args.seed, args.workers, analyze_point)
+        for scheme, ana in zip(schemes, cells):
             est = results[scheme].estimate
             yield ([None if value is None else args.param, value, scheme, args.trials,
                     args.seed, est.p_hat, est.ci_low, est.ci_high]
-                   + tail(cfg, scheme, est))
+                   + tail(ana, est))
+        if failure:
+            raise failure[0]
 
 
 def _breakdown_cells(breakdown):
@@ -143,23 +176,25 @@ def _emit_selfcheck_warnings(cfg) -> None:
 
 def cmd_simulate(args) -> int:
     cfg = validate(_load_config(args))
-    result = simulate(cfg, args.scheme, args.trials, args.seed, workers=args.workers)
-    est = result.estimate
     config_fields = RAW_FIELDS + LINEAR_FIELDS
-    _write_csv(args, ["scheme", *config_fields, "trials", "seed", "success_rate",
-                      "ci_low", "ci_high"] + [f"freq_{name}" for name in _SIM_FLAG_COLUMNS],
-               [[result.scheme] + [getattr(cfg, name) for name in config_fields]
-                + [result.trials, result.seed, est.p_hat, est.ci_low, est.ci_high]
-                + [result.flag_frequencies[name] for name in _SIM_FLAG_COLUMNS]])
+    with _output(args) as fh:
+        result = simulate(cfg, args.scheme, args.trials, args.seed, workers=args.workers)
+        est = result.estimate
+        _write_csv(fh, ["scheme", *config_fields, "trials", "seed", "success_rate",
+                        "ci_low", "ci_high"] + [f"freq_{name}" for name in _SIM_FLAG_COLUMNS],
+                   [[result.scheme] + [getattr(cfg, name) for name in config_fields]
+                    + [result.trials, result.seed, est.p_hat, est.ci_low, est.ci_high]
+                    + [result.flag_frequencies[name] for name in _SIM_FLAG_COLUMNS]])
     return 0
 
 
 def cmd_analyze(args) -> int:
     cfg = validate(_load_config(args))
-    breakdown = analyze(cfg, args.scheme)
-    _emit_selfcheck_warnings(cfg)
-    _write_csv(args, ["scheme"] + list(BREAKDOWN_FIELDS),
-               [[breakdown.scheme] + _breakdown_cells(breakdown)])
+    with _output(args) as fh:
+        breakdown = analyze(cfg, args.scheme)
+        _emit_selfcheck_warnings(cfg)
+        _write_csv(fh, ["scheme"] + list(BREAKDOWN_FIELDS),
+                   [[breakdown.scheme] + _breakdown_cells(breakdown)])
     return 0
 
 
@@ -177,10 +212,12 @@ def cmd_sweep(args) -> int:
     if not points:
         raise ConfigError(["sweep needs --values or --from/--to/--steps"])
 
-    def tail(cfg, scheme, est):
-        return [None if scheme == "random_baseline" else analyze(cfg, scheme).p_succ]
+    def analytic(cfg, scheme):
+        return None if scheme == "random_baseline" else analyze(cfg, scheme).p_succ
 
-    _write_csv(args, _GRID_COLUMNS + ["ana_p_succ"], _grid_rows(args, points, schemes, tail))
+    with _output(args) as fh:
+        _write_csv(fh, _GRID_COLUMNS + ["ana_p_succ"],
+                   _grid_rows(args, points, schemes, analytic, lambda ana, est: [ana]))
     return 0
 
 
@@ -190,15 +227,15 @@ def cmd_compare(args) -> int:
     points = _grid_points(args, base) or [(None, validate(base))]
     inside = 0
 
-    def tail(cfg, scheme, est):
+    def tail(breakdown, est):
         nonlocal inside
-        breakdown = analyze(cfg, scheme)
         in_ci = est.ci_low <= breakdown.p_succ <= est.ci_high
         inside += int(in_ci)
         return _breakdown_cells(breakdown) + [est.p_hat - breakdown.p_succ, in_ci]
 
-    _write_csv(args, _GRID_COLUMNS + list(BREAKDOWN_FIELDS) + ["gap", "gap_in_ci"],
-               _grid_rows(args, points, [args.scheme], tail))
+    with _output(args) as fh:
+        _write_csv(fh, _GRID_COLUMNS + list(BREAKDOWN_FIELDS) + ["gap", "gap_in_ci"],
+                   _grid_rows(args, points, [args.scheme], analyze, tail))
     print(f"compare: analytic value inside 95% Wilson interval at "
           f"{inside}/{len(points)} points", file=sys.stderr)
     return 0

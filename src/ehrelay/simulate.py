@@ -24,9 +24,12 @@ results are bit-identical for any ``workers``. The draw order inside a block
 does not depend on the scheme or on the direct-link switches, so runs that
 differ only in those see the same networks.
 
-Workers: a call runs its first share of blocks in the calling thread and
-sends each other share down the duplex pipe of a persistent worker process,
-so no helper thread competes with the kernel. A worker ends at EOF. The
+Workers: a call sends every share of blocks but the last down the duplex
+pipe of a persistent worker process, then runs the last share, the lightest
+as it holds the short block, in the calling thread, so no helper thread
+competes with the kernel. Between the two, a private caller may run a step
+of its own (the CLI computes a grid point's analytic cells there), which
+the workers' shares hide. A worker ends at EOF. The
 first block in each process, caller or worker, sets glibc's top pad to
 HEAP_TOP_PAD, never reversed: the heap pages a block frees stay resident for
 the next block instead of being trimmed and faulted in again. Without glibc
@@ -488,24 +491,27 @@ def _forget_workers() -> None:
 os.register_at_fork(after_in_child=_forget_workers)
 
 
-def _pooled_counts(cfg: SystemConfig, seed: int, tasks) -> np.ndarray:
-    """Sum of ``_count_blocks`` over ``tasks``: the first runs in this
-    process, each other one on its own worker."""
+def _pooled_counts(cfg: SystemConfig, seed: int, tasks, step) -> np.ndarray:
+    """Sum of ``_count_blocks`` over ``tasks``: each task but the last is
+    sent to its own worker; this process then runs ``step()`` and the last
+    task, and reads the replies. ``step`` runs under the worker set's lock,
+    so it must not start a pooled call itself."""
     with _workers_lock:
         if (len(_workers) != len(tasks) - 1
                 or not all(process.is_alive() for process, _ in _workers)):
             from multiprocessing import Pipe, Process   # imported by pooled runs alone
             _drop_workers()
-            for _ in tasks[1:]:
+            for _ in tasks[:-1]:
                 conn, child_end = Pipe()
                 process = Process(target=_serve, args=(child_end,), daemon=True)
                 _workers.append((process, conn))   # before start(): see _forget_workers
                 process.start()
                 child_end.close()
         try:
-            for (_, conn), task in zip(_workers, tasks[1:]):
+            for (_, conn), task in zip(_workers, tasks[:-1]):
                 conn.send((cfg, seed, task))
-            counts = _count_blocks(cfg, seed, tasks[0])
+            step()
+            counts = _count_blocks(cfg, seed, tasks[-1])
             replies = [conn.recv() for _, conn in _workers]
         except (EOFError, OSError) as exc:
             from concurrent.futures.process import BrokenProcessPool
@@ -534,25 +540,35 @@ def simulate_all(cfg: SystemConfig, trials: int, seed: int,
     is integer-exact per block, and each block owns stream (seed, block), so
     the result is bit-identical for any worker count. With more than one
     worker and block, the blocks are split into one contiguous share per
-    worker, at most one per block; this process runs the first share and
-    the worker set the others, and re-raises what a worker raised, chained
-    to the worker's traceback. The set is built on first use and reused by
-    later calls (and every grid point of a sweep); it is replaced when a call
-    needs another size or an idle worker died, dropped when one dies during
-    a call (``BrokenProcessPool``), rebuilt in a forked child and ended at
-    exit. Results are never cached.
+    worker, at most one per block; the worker set runs every share but the
+    last, this process the last one, and it re-raises what a worker raised,
+    chained to the worker's traceback. The set is built on first use and
+    reused by later calls (and every grid point of a sweep); it is replaced
+    when a call needs another size or an idle worker died, dropped when one
+    dies during a call (``BrokenProcessPool``), rebuilt in a forked child and
+    ended at exit. Results are never cached.
     """
+    return _simulate_all(cfg, trials, seed, workers, step=lambda: None)
+
+
+def _simulate_all(cfg: SystemConfig, trials: int, seed: int, workers: int | None,
+                  step) -> dict:
+    """``simulate_all``, running ``step()`` in this process before its own
+    share of blocks: after the workers' shares are sent when it has any,
+    first otherwise. An exception ``step`` raises ends the call, so a caller
+    that wants the counts first holds its own."""
     if not cfg.validated:
         raise ValueError("config must pass validate() before simulation")
     workers = workers if workers is not None else default_workers()
     blocks = _blocks(cfg, trials)
 
     if workers <= 1 or len(blocks) == 1:
+        step()
         counts = _count_blocks(cfg, seed, blocks)
     else:
         per_task = -(-len(blocks) // workers)
         tasks = [blocks[i:i + per_task] for i in range(0, len(blocks), per_task)]
-        counts = _pooled_counts(cfg, seed, tasks)
+        counts = _pooled_counts(cfg, seed, tasks, step)
 
     results = {}
     for scheme, row in zip(SCHEMES, counts):

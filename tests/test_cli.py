@@ -1,10 +1,12 @@
 """Command-line behavior: exit codes, CSV shape, and byte stability."""
 
+import importlib
 import os
 import pathlib
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -14,6 +16,9 @@ from ehrelay import analytics, cli
 from ehrelay.analytics import p_h_levy_erf
 from ehrelay.cli import main
 from ehrelay.config import SystemConfig, validate
+from ehrelay.simulate import simulate_all, trials_per_block
+
+sim_mod = importlib.import_module("ehrelay.simulate")
 
 
 def run_cli(args):
@@ -36,6 +41,10 @@ def header_and_row(path):
 def cell(path, column, row=0):
     header, rows = header_and_row(path)
     return rows[row][header.index(column)]
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("computed although the command should have stopped")
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +346,27 @@ def test_sweep_needs_grid(capsys):
     assert run_cli(["sweep", "--schemes", "bcc", "--trials", "10"]) == 2
 
 
+@pytest.mark.parametrize("command", ["sweep", "compare"])
+@pytest.mark.parametrize("grid,message", [
+    (["--from", "0", "--to", "1"], "a --from/--to/--steps range misses --steps"),
+    (["--param", "p_st_dbm", "--steps", "3"],
+     "a --from/--to/--steps range misses --from, --to"),
+    (["--param", "alpha"], "--param alpha needs --values or --from/--to/--steps"),
+    (["--param", "p_st_dbm", "--values=0", "--from", "0", "--to", "5", "--steps", "3"],
+     "give --values or --from/--to/--steps, not both"),
+], ids=["no-steps", "no-endpoints", "param-alone", "values-and-range"])
+def test_partial_or_mixed_grid_rejected(command, grid, message, tmp_path, capsys,
+                                        monkeypatch):
+    # Rejected before anything runs, where compare used to answer for the
+    # base config and sweep to drop the range.
+    monkeypatch.setattr(cli, "_simulate_all", _never)
+    scheme = ["--schemes", "bcc"] if command == "sweep" else ["--scheme", "bcc"]
+    out = tmp_path / "g.csv"
+    assert run_cli([command, "--trials", "10", "--out", str(out)] + scheme + grid) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_sweep_linear_spacing(tmp_path):
     # The README's sweep grid.
     out = tmp_path / "slin.csv"
@@ -382,10 +412,7 @@ def test_compare_degenerate_point(tmp_path, capsys):
 
 def test_compare_rejects_random_baseline_before_simulating(tmp_path, capsys,
                                                           monkeypatch):
-    def no_simulation(*args, **kwargs):
-        raise AssertionError("simulated a scheme compare cannot answer")
-
-    monkeypatch.setattr(cli, "simulate_all", no_simulation)
+    monkeypatch.setattr(cli, "_simulate_all", _never)
     out = tmp_path / "cmp.csv"
     assert run_cli(["compare", "--scheme", "random_baseline", "--trials", "50",
                     "--out", str(out)]) == 2
@@ -435,6 +462,87 @@ def test_workers_below_one_rejected(value, capsys):
 def test_trials_below_one_rejected(command, args, value, capsys):
     assert run_cli([command, f"--trials={value}"] + args) == 2
     assert "argument --trials: must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--scheme", "bcc", "--trials", "10"],
+    ["analyze", "--scheme", "bcc"],
+    ["sweep", "--param", "p_st_dbm", "--values=0", "--schemes", "bcc", "--trials", "10"],
+    ["compare", "--scheme", "bcc", "--trials", "10"],
+])
+def test_unwritable_out_is_a_usage_error(argv, tmp_path, capsys, monkeypatch):
+    # Found when the file is opened, before anything is computed.
+    for name in ("simulate", "_simulate_all", "analyze"):
+        monkeypatch.setattr(cli, name, _never)
+    out = tmp_path / "missing" / "x.csv"
+    assert run_cli(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write --out {out}: ")
+    assert captured.out == ""
+
+
+# ---------------------------------------------------------------------------
+# Pooled grid points: the caller analyzes while the workers simulate
+# ---------------------------------------------------------------------------
+
+# bstd's positive-stable tail rule fails at alpha 2.02 (bcc returns there),
+# after every scheme returned at 2.05; 5,000 trials are three blocks.
+_TAIL_RULE_SWEEP = ["sweep", "--param", "alpha", "--values=2.05,2.02", "--schemes",
+                    "bcc,bstd,random_baseline", "--lambda_p", "1e-6",
+                    "--trunc_epsilon", "1e300", "--trials", "5000"]
+
+
+def test_held_analytic_failure_keeps_the_rows_before_it(baseline, capsys):
+    captured = []
+    for workers in ("1", "2"):
+        assert run_cli(_TAIL_RULE_SWEEP + ["--workers", workers]) == 3
+        captured.append(capsys.readouterr())
+    assert captured[0] == captured[1]
+    out, err = captured[1]
+    assert [line.split(",")[:3] for line in out.splitlines()[1:]] == [
+        ["alpha", "2.05", "bcc"], ["alpha", "2.05", "bstd"],
+        ["alpha", "2.05", "random_baseline"], ["alpha", "2.02", "bcc"]]
+    assert err == "error: positive-stable tail rule: quadrature stalled at relative change inf\n"
+    # The pooled run kept its worker set, and left no reply on it.
+    assert len(sim_mod._workers) == 1
+    trials = 2 * trials_per_block(baseline) + 5
+    assert (simulate_all(baseline, trials, 331, workers=2)
+            == simulate_all(baseline, trials, 331, workers=1))
+
+
+def test_pooled_point_analyzes_between_sending_and_its_own_share(baseline,
+                                                                 monkeypatch):
+    # Three blocks at two workers: the worker takes blocks 0 and 1, then this
+    # process analyzes the point and counts block 2, all in its own thread.
+    trials = 2 * trials_per_block(baseline) + 5
+    simulate_all(baseline, trials, 3, workers=2)   # builds a set of one worker
+    [(_, conn)] = workers = list(sim_mod._workers)
+    events = []
+    real_send, real_count, real_analyze = conn.send, sim_mod._count_blocks, cli.analyze
+
+    def send(task):
+        events.append(("send", task[2]))
+        real_send(task)
+
+    def count_blocks(cfg, seed, blocks):
+        events.append(("count", blocks))
+        return real_count(cfg, seed, blocks)
+
+    def analyze(cfg, scheme):
+        events.append(("analyze", scheme))
+        return real_analyze(cfg, scheme)
+
+    monkeypatch.setattr(conn, "send", send)
+    monkeypatch.setattr(sim_mod, "_count_blocks", count_blocks)
+    monkeypatch.setattr(cli, "analyze", analyze)
+    threads = threading.active_count()
+    assert run_cli(["compare", "--scheme", "bstd", "--trials", str(trials),
+                    "--seed", "3", "--workers", "2", "--out", os.devnull]) == 0
+    size = trials_per_block(baseline)
+    assert events == [("send", [(0, size), (1, size)]), ("analyze", "bstd"),
+                      ("count", [(2, 5)])]
+    assert threading.active_count() == threads
+    assert sim_mod._workers == workers
 
 
 def test_no_pool_worker_outlives_a_cli_run(baseline_path):

@@ -17,7 +17,9 @@ than ELEMENT_BUDGET, so the kernel streams its relay x primary pairs in
 several groups. The fourth covers the stdout, stderr and exit code of
 ``cli.main`` on CLI_ARGVS: ``simulate``, ``sweep`` over linear and log grids
 (``random_baseline`` among the schemes, one and two workers), ``compare``
-with and without a grid, and three usage errors. The script imports ehrelay
+with and without a grid and with two workers, a two-worker ``sweep`` that
+fails at its second point (exit 3 after that point's ``bcc`` row, as bstd's
+tail rule gives up), and three usage errors. The script imports ehrelay
 from the ``src`` directory next to it and exits 0.
 """
 
@@ -72,6 +74,11 @@ CLI_ARGVS = (
     ["compare", "--scheme", "bcc", "--trials", "300", "--seed", "7"],
     ["compare", "--scheme", "bstd", "--param", "p_st_dbm", "--values=-2,0,2",
      "--trials", "300", "--seed", "9"],
+    ["compare", "--scheme", "bstd", "--param", "p_st_dbm", "--values=-2,0,2",
+     "--trials", "600", "--seed", "9", "--workers", "2"],
+    ["sweep", "--param", "alpha", "--values=2.05,2.02", "--schemes",
+     "bcc,bstd,random_baseline", "--lambda_p", "1e-6", "--trunc_epsilon", "1e300",
+     "--trials", "5000", "--workers", "2"],
     ["sweep", "--param", "alpha", "--values", "4,2", "--schemes", "bcc", "--trials", "10"],
     ["sweep", "--param", "p_st_dbm", "--values=0", "--schemes", "bcc,bcc", "--trials", "10"],
     ["compare", "--param", "p_st_dbm", "--values=a", "--scheme", "bcc", "--trials", "10"],
