@@ -45,19 +45,22 @@ def _leggauss(n: int):
     return np.polynomial.legendre.leggauss(n)
 
 
-def _gl_integrate(f, a: float, b: float, n: int) -> float:
+def _gl_panels(f, lo, hi, n: int) -> float:
+    """n-node Gauss-Legendre on each panel [lo, hi]: floats, or (panels, 1)
+    columns of edges, for which f takes a (panels, n) array of nodes."""
     x, w = _leggauss(n)
-    half = 0.5 * (b - a)
-    nodes = 0.5 * (a + b) + half * x
-    return float(half * np.sum(w * f(nodes)))
+    half = 0.5 * (hi - lo)
+    nodes = 0.5 * (hi + lo) + half * x
+    return float(np.sum(half * w * f(nodes)))
 
 
-def _settle(evaluate, n: int, doublings: int, rel_tol: float, context: str) -> float:
+def _settle(evaluate, n: int, doublings: int, rel_tol: float, context: str,
+            floor: float = 1e-300) -> float:
     """evaluate(n), evaluate(2n), ... until two successive values agree.
 
-    Returns the finer value once the relative change is at most rel_tol;
-    raises ``QuadratureFailure`` after ``doublings`` doublings without that,
-    or at once at a level that is not finite, which no finer level mends.
+    Returns the finer value once the change is at most rel_tol * max(|value|,
+    floor); raises ``QuadratureFailure`` after ``doublings`` doublings without
+    that, or at once at a level that is not finite, which no finer level mends.
     """
     value = evaluate(n)
     change = math.inf
@@ -68,14 +71,14 @@ def _settle(evaluate, n: int, doublings: int, rel_tol: float, context: str) -> f
         refined = evaluate(n)
         change = abs(refined - value)
         value = refined
-        if change <= rel_tol * max(abs(refined), 1e-300):
+        if math.isfinite(change) and change <= rel_tol * max(abs(refined), floor):
             return value
     raise QuadratureFailure(context, change / max(abs(value), 1e-300))
 
 
 def integrate_doubling(f, a: float, b: float, context: str = "integral") -> float:
     """Gauss-Legendre on [a, b], doubling nodes until the value settles."""
-    return _settle(lambda n: _gl_integrate(f, a, b, n), _START_NODES,
+    return _settle(lambda n: _gl_panels(f, a, b, n), _START_NODES,
                    _MAX_DOUBLINGS, REL_TOL, context)
 
 
@@ -141,11 +144,12 @@ def p_h_gil_pelaez(cfg: SystemConfig) -> float:
     Pr(K >= sigma) = 1/2 + (1/pi) * int_0^inf Im[e^(-j*w*sigma) Phi_K(w)]/w dw
     with Phi_K(w) = exp(-C*(-j*w)^(2/alpha)). Substituting w = v^(alpha/2)
     removes the integrable singularity at 0 and turns the envelope into a
-    plain exponential; panels are sized to at most ~pi of local phase change.
+    plain exponential; panels are sized to at most ~pi of local phase change,
+    with 16 nodes each, doubled at most twice until the value settles.
 
     Cross-check only: ``analyze`` reads ``p_h_kanter``. Deep in the tail
     (sparse primaries, loud secondary, alpha far from 4) the panel loop
-    builds up to 400k panels and then stalls with ``QuadratureFailure``.
+    builds up to 400k panels or overflows, and raises ``QuadratureFailure``.
     """
     sigma = harvest_threshold(cfg)
     if sigma <= 0.0 or cfg.lambda_p == 0.0:   # sure harvest, or no primaries to harvest
@@ -169,35 +173,27 @@ def p_h_gil_pelaez(cfg: SystemConfig) -> float:
     bounds = [0.0]
     v = 0.0
     max_panels = 400_000
-    while v < v_end:
-        rate = c_scale * sinf + half_alpha * sigma * max(v, 1e-12) ** (half_alpha - 1.0)
-        width = math.pi / rate
-        rate = c_scale * sinf + half_alpha * sigma * (v + width) ** (half_alpha - 1.0)
-        width = math.pi / rate
-        v = min(v + width, v_end)
-        bounds.append(v)
-        if len(bounds) > max_panels:
-            raise QuadratureFailure("gil-pelaez panels", float("inf"))
-    bounds = np.asarray(bounds)
+    try:
+        while v < v_end:
+            rate = c_scale * sinf + half_alpha * sigma * max(v, 1e-12) ** (half_alpha - 1.0)
+            width = math.pi / rate
+            rate = c_scale * sinf + half_alpha * sigma * (v + width) ** (half_alpha - 1.0)
+            width = math.pi / rate
+            v = min(v + width, v_end)
+            bounds.append(v)
+            if len(bounds) > max_panels:
+                raise QuadratureFailure("gil-pelaez panels", math.inf)
+    except OverflowError:   # a phase rate past the float range: no panel fits
+        raise QuadratureFailure("gil-pelaez panels", math.inf) from None
 
-    def total(n_nodes: int) -> float:
-        x, w = _leggauss(n_nodes)
-        half = 0.5 * (bounds[1:] - bounds[:-1])
-        mid = 0.5 * (bounds[1:] + bounds[:-1])
-        nodes = mid[:, None] + half[:, None] * x[None, :]
+    def integrand(nodes):
         phase = c_scale * sinf * nodes - sigma * nodes ** half_alpha
-        vals = (half_alpha * np.exp(-decay * nodes) * np.sin(phase) / nodes)
-        return float(np.sum(half[:, None] * w[None, :] * vals))
+        return half_alpha * np.exp(-decay * nodes) * np.sin(phase) / nodes
 
-    value = total(16)
-    refined = total(32)
-    if abs(refined - value) > 1e-9 * max(abs(refined), 1.0):
-        finer = total(64)
-        if abs(finer - refined) > 1e-9 * max(abs(finer), 1.0):
-            raise QuadratureFailure(
-                "gil-pelaez inversion", abs(finer - refined) / max(abs(finer), 1e-300))
-        refined = finer
-    return min(1.0, max(0.0, 0.5 + refined / math.pi))
+    edges = np.array(bounds)[:, None]
+    value = _settle(lambda n: _gl_panels(integrand, edges[:-1], edges[1:], n), 16, 2,
+                    REL_TOL, "gil-pelaez inversion", floor=1.0)
+    return min(1.0, max(0.0, 0.5 + value / math.pi))
 
 
 def _log_kanter_a_reflected(psi, beta: float):
@@ -649,12 +645,15 @@ class UnsupportedScheme(ValueError):
     """Raised for schemes with no analytic expression (the random baseline)."""
 
 
+ANALYTIC_SCHEMES = ("bcc", "bsir", "bstd")
+
+
 def require_analytic(scheme: str) -> None:
-    """Raise UnsupportedScheme unless ``analyze`` has an expression for ``scheme``."""
+    """Raise UnsupportedScheme unless ``scheme`` is one of ``ANALYTIC_SCHEMES``."""
     if scheme == "random_baseline":
         raise UnsupportedScheme(
             "random_baseline is a simulation-only reference; no analytic expression")
-    if scheme not in ("bcc", "bsir", "bstd"):
+    if scheme not in ANALYTIC_SCHEMES:
         raise UnsupportedScheme(f"unknown scheme {scheme!r}")
 
 

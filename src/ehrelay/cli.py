@@ -13,13 +13,12 @@ import argparse
 import contextlib
 import functools
 import itertools
-import math
 import sys
 
 import numpy as np
 
-from .analytics import (BREAKDOWN_FIELDS, QuadratureFailure, UnsupportedScheme,
-                        alpha4_selfcheck, analyze, require_analytic)
+from .analytics import (ANALYTIC_SCHEMES, BREAKDOWN_FIELDS, QuadratureFailure,
+                        UnsupportedScheme, alpha4_selfcheck, analyze, require_analytic)
 from .config import (LINEAR_FIELDS, NUMERIC_FIELDS, RAW_FIELDS, ConfigError,
                      SystemConfig, apply_overrides, load_config, validate)
 from .simulate import FLAG_NAMES, SCHEMES, _simulate_all, simulate
@@ -37,8 +36,6 @@ def _fmt(value) -> str:
         return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, float) and not math.isfinite(value):
-        return repr(value)
     if isinstance(value, (float, np.floating)):
         return format(float(value), ".9g")
     return str(value)
@@ -213,7 +210,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError(["sweep needs --values or --from/--to/--steps"])
 
     def analytic(cfg, scheme):
-        return None if scheme == "random_baseline" else analyze(cfg, scheme).p_succ
+        return analyze(cfg, scheme).p_succ if scheme in ANALYTIC_SCHEMES else None
 
     with _output(args) as fh:
         _write_csv(fh, _GRID_COLUMNS + ["ana_p_succ"],

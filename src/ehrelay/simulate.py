@@ -344,7 +344,8 @@ def _decide(cfg: SystemConfig, draws: _Draws) -> Outcomes:
     relay_x, relay_y, relay_itf, gain_hop1, gain_hop2 = draws.relays
     owners = np.arange(pick.size)
     relays = DiscBatch(draws.counts[0], owners.repeat(draws.counts[0]), relay_x, relay_y)
-    receivers = DiscBatch(draws.counts[1], owners.repeat(draws.counts[1]), *draws.receivers)
+    # Nothing reads the receivers' owners, only their counts and coordinates.
+    receivers = DiscBatch(draws.counts[1], None, *draws.receivers)
     harvest_ok = k_value >= harvest_threshold(cfg)
     first_rx = segment_starts(receivers.counts)
     st_clear = _none_within(receivers.counts, first_rx, _d2_from(receivers), cfg.r_gz)

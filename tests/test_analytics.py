@@ -66,6 +66,13 @@ def test_settle_stops_at_a_non_finite_level(monkeypatch):
     assert built and max(built) <= 128
 
 
+def test_settle_raises_at_an_infinite_finer_level():
+    # inf - 1 is within any relative tolerance of inf; it is no settled value.
+    with pytest.raises(QuadratureFailure) as info:
+        an._settle(lambda n: 1.0 if n == 16 else math.inf, 16, 2, an.REL_TOL, "inf")
+    assert info.value.context == "inf"
+
+
 # ---------------------------------------------------------------------------
 # Harvested-sum transform and inversion
 # ---------------------------------------------------------------------------
@@ -207,6 +214,25 @@ def test_p_h_kanter_inside_monte_carlo_band():
     hits = int(np.count_nonzero(k >= harvest_threshold(cfg)))
     lo, hi = wilson_interval(hits, trials, z=3.0)
     assert lo <= an.p_h_kanter(cfg) <= hi
+
+
+def test_gil_pelaez_overflowing_phase_rate_is_a_panel_failure():
+    # Valid, with a phase rate past the float range at the first panel edge;
+    # analyze reads Kanter and returns.
+    cfg = cfg_with(lambda_p=1e-200, p_st_dbm=-2000.0, alpha=8.0, trunc_epsilon=1e300)
+    with pytest.raises(QuadratureFailure) as info:
+        p_h_gil_pelaez(cfg)
+    assert info.value.context == "gil-pelaez panels"
+    assert 0.0 <= analyze(cfg, "bcc").p_succ <= 1.0
+
+
+def test_gil_pelaez_non_finite_level_raises(monkeypatch):
+    # A NaN integral is no harvest probability; clamped, it read 0.
+    real = an._leggauss
+    monkeypatch.setattr(an, "_leggauss", lambda n: (real(n)[0], np.full(n, np.nan)))
+    with pytest.raises(QuadratureFailure) as info:
+        p_h_gil_pelaez(cfg_with())
+    assert info.value.context == "gil-pelaez inversion"
 
 
 def test_p_h_kanter_agrees_with_gil_pelaez_where_it_converges():

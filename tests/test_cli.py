@@ -15,7 +15,7 @@ import pytest
 from ehrelay import analytics, cli
 from ehrelay.analytics import p_h_levy_erf
 from ehrelay.cli import main
-from ehrelay.config import SystemConfig, validate
+from ehrelay.config import NUMERIC_FIELDS, SystemConfig, validate
 from ehrelay.simulate import simulate_all, trials_per_block
 
 sim_mod = importlib.import_module("ehrelay.simulate")
@@ -333,6 +333,7 @@ def test_non_numeric_grid_value_rejected(command, values, bad, capsys):
 
 @pytest.mark.parametrize("schemes,message", [
     (",", "--schemes names no scheme"), ("bcc,bcc", "--schemes names 'bcc' twice"),
+    ("bcc,nope", "unknown scheme 'nope'"),
 ])
 def test_sweep_rejects_empty_or_repeated_schemes(schemes, message, tmp_path, capsys):
     out = tmp_path / "s.csv"
@@ -354,7 +355,13 @@ def test_sweep_needs_grid(capsys):
     (["--param", "alpha"], "--param alpha needs --values or --from/--to/--steps"),
     (["--param", "p_st_dbm", "--values=0", "--from", "0", "--to", "5", "--steps", "3"],
      "give --values or --from/--to/--steps, not both"),
-], ids=["no-steps", "no-endpoints", "param-alone", "values-and-range"])
+    (["--param", "lambda_p", "--from", "0", "--to", "1e-2", "--steps", "3", "--spacing", "log"],
+     "log spacing needs positive endpoints"),
+    (["--values=0"], "a grid needs --param naming the swept config field"),
+    (["--param", "direct_link", "--values=0"],
+     f"cannot sweep 'direct_link'; numeric fields: {NUMERIC_FIELDS}"),
+], ids=["no-steps", "no-endpoints", "param-alone", "values-and-range", "log-from-zero",
+        "values-alone", "non-numeric-param"])
 def test_partial_or_mixed_grid_rejected(command, grid, message, tmp_path, capsys,
                                         monkeypatch):
     # Rejected before anything runs, where compare used to answer for the
@@ -458,10 +465,15 @@ def test_workers_below_one_rejected(value, capsys):
     ("sweep", ["--schemes", "bcc", "--param", "p_st_dbm", "--values=0"]),
     ("compare", ["--scheme", "bcc"]),
 ])
-@pytest.mark.parametrize("value", ["0", "-5"])
-def test_trials_below_one_rejected(command, args, value, capsys):
-    assert run_cli([command, f"--trials={value}"] + args) == 2
-    assert "argument --trials: must be at least 1" in capsys.readouterr().err
+@pytest.mark.parametrize("value,message", [
+    ("0", "must be at least 1"), ("-5", "must be at least 1"),
+    ("abc", "invalid int value: 'abc'"),
+], ids=["0", "-5", "abc"])
+def test_trials_below_one_rejected(command, args, value, message, tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    assert run_cli([command, f"--trials={value}", "--out", str(out)] + args) == 2
+    assert f"argument --trials: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -646,3 +658,12 @@ def test_float_format_nine_significant_digits(tmp_path):
     p_h = cell(out, "p_h")
     mantissa = p_h.replace("-", "").replace(".", "").lstrip("0")
     assert len(mantissa) <= 9
+
+
+@pytest.mark.parametrize("value,text", [
+    (float("inf"), "inf"), (np.float64("inf"), "inf"), (np.float64("-inf"), "-inf"),
+    (np.float64("nan"), "nan"), (np.float64(0.1), "0.1"),
+])
+def test_non_finite_cells_print_as_plain_floats(value, text):
+    # numpy 2's repr of a float64 is "np.float64(inf)"; a cell is "inf".
+    assert cli._fmt(value) == text

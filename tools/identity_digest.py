@@ -19,8 +19,13 @@ several groups. The fourth covers the stdout, stderr and exit code of
 (``random_baseline`` among the schemes, one and two workers), ``compare``
 with and without a grid and with two workers, a two-worker ``sweep`` that
 fails at its second point (exit 3 after that point's ``bcc`` row, as bstd's
-tail rule gives up), and three usage errors. The script imports ehrelay
-from the ``src`` directory next to it and exits 0.
+tail rule gives up), and three usage errors. The fifth covers
+``p_h_gil_pelaez`` at the 80 distinct (alpha, lambda_p, p_st_dbm) points of
+the first grid, with trunc_epsilon 1e12: the repr of each value, or the
+context of its ``QuadratureFailure``. The script imports ehrelay from the
+``src`` directory next to it and exits 0. Run it with
+``-W error::RuntimeWarning`` to have a quadrature that turns inf or nan on
+these grids fail it.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
+from ehrelay.analytics import QuadratureFailure, p_h_gil_pelaez  # noqa: E402
 from ehrelay.cli import main  # noqa: E402
 from ehrelay.config import SystemConfig, apply_overrides, validate  # noqa: E402
 from ehrelay.geometry import RngStream, clearance_batch, shot_noise_batch  # noqa: E402
@@ -154,6 +160,23 @@ def cli_digest() -> str:
     return digest.hexdigest()
 
 
+def oracles_digest():
+    digest = hashlib.sha256()
+    results = {}
+    for alpha, lambda_p, p_st_dbm in itertools.product(
+            GRID["alpha"], GRID["lambda_p"], GRID["p_st_dbm"]):
+        cfg = validate(apply_overrides(SystemConfig(), {
+            "alpha": float(alpha), "lambda_p": float(lambda_p),
+            "p_st_dbm": float(p_st_dbm), "trunc_epsilon": 1e12}))
+        try:
+            result, kind = repr(p_h_gil_pelaez(cfg)), "values"
+        except QuadratureFailure as exc:
+            result = kind = exc.context
+        _update(digest, alpha, lambda_p, p_st_dbm, result)
+        results[kind] = results.get(kind, 0) + 1
+    return digest.hexdigest(), results
+
+
 def main_digest() -> int:
     analyze_sha, exits = analyze_digest()
     counts = ", ".join(f"exit {code}: {n}" for code, n in sorted(exits.items()))
@@ -161,6 +184,9 @@ def main_digest() -> int:
     print(f"draws   {draws_digest()}")
     print(f"budget  {over_budget_digest()}")
     print(f"cli     {cli_digest()}")
+    oracles_sha, results = oracles_digest()
+    counts = ", ".join(f"{kind}: {n}" for kind, n in sorted(results.items()))
+    print(f"oracles {oracles_sha} ({sum(results.values())} points; {counts})")
     return 0
 
 
