@@ -12,6 +12,7 @@ The characteristic-function inversion of the harvested sum is a cross-check.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, fields
 from functools import lru_cache
 
@@ -40,15 +41,28 @@ _START_NODES = 128
 _MAX_DOUBLINGS = 7
 
 
+_Nodes = namedtuple("_Nodes", "x w x1 w_pi s three_less_2s one_less_s circles")
+
+
 @lru_cache(maxsize=32)
-def _leggauss(n: int):
-    return np.polynomial.legendre.leggauss(n)
+def _leggauss(n: int) -> _Nodes:
+    """n Gauss-Legendre nodes x and weights w, with the config-free arithmetic
+    the rules below do on them, built once per n and read-only: x1 = x + 1,
+    w_pi = w / pi, s = (x + 1)/2, 3 - 2s, 1 - s, and ``_destination_rings``'
+    full-circle factors exp(2j + x + 1), one row per j = -_RING_PANELS..-1."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    s = 0.5 * (x + 1.0)
+    table = _Nodes(x, w, x + 1.0, w / math.pi, s, 3.0 - 2.0 * s, 1.0 - s,
+                   np.exp(np.add.outer(2.0 * np.arange(-_RING_PANELS, 0), x + 1.0)))
+    for array in table:
+        array.flags.writeable = False
+    return table
 
 
 def _gl_panels(f, lo, hi, n: int) -> float:
     """n-node Gauss-Legendre on each panel [lo, hi]: floats, or (panels, 1)
     columns of edges, for which f takes a (panels, n) array of nodes."""
-    x, w = _leggauss(n)
+    x, w = _leggauss(n)[:2]
     half = 0.5 * (hi - lo)
     nodes = 0.5 * (hi + lo) + half * x
     return float(np.sum(half * w * f(nodes)))
@@ -196,21 +210,20 @@ def p_h_gil_pelaez(cfg: SystemConfig) -> float:
     return min(1.0, max(0.0, 0.5 + value / math.pi))
 
 
-def _log_kanter_a_reflected(psi, beta: float):
-    """log A(pi - psi), A Zolotarev's function in Kanter's representation.
+def _log_kanter_a_reflected(beta: float, xp=np):
+    """psi -> log A(pi - psi), A Zolotarev's function in Kanter's representation.
 
     A standard positive-stable S of index beta, E[exp(-s*S)] = exp(-s^beta),
     has P(S > x) = (1/pi) int_0^pi -expm1(-A(phi) x^(-k)) dphi, k = beta/(1-beta),
     A(phi) = sin(beta*phi)^k * sin((1-beta)*phi) / sin(phi)^(1/(1-beta)) rising
     from (1-beta)*beta^k at phi = 0+ to infinity at pi (Kanter 1975, Ann.
-    Probab.). Sines taken from psi = pi - phi do not cancel near phi = pi. A
-    float runs on ``math``, several times faster than numpy on one value.
+    Probab.). Sines taken from psi = pi - phi do not cancel near phi = pi. On
+    floats, xp = ``math`` runs several times faster than numpy on one value.
     """
-    k = beta / (1.0 - beta)
-    xp = math if isinstance(psi, float) else np
-    return (k * xp.log(xp.sin((1.0 - beta) * math.pi + beta * psi))
-            + xp.log(xp.sin((1.0 - beta) * (math.pi - psi)))
-            - xp.log(xp.sin(psi)) / (1.0 - beta))
+    k, rest = beta / (1.0 - beta), 1.0 - beta
+    shift, log, sin = rest * math.pi, xp.log, xp.sin
+    return lambda psi: (k * log(sin(shift + beta * psi)) + log(sin(rest * (math.pi - psi)))
+                        - log(sin(psi)) / rest)
 
 
 # The integrand is 1 to double precision once x^(-k) * A exceeds e^40; the
@@ -238,6 +251,7 @@ def _stable_tail_rule(log_t_lo: float, log_t_hi: float, beta: float):
     k = beta / (1.0 - beta)
     log_a_min = math.log((1.0 - beta) * beta ** k)  # log A(0+), A's least value
     log_pi = math.log(math.pi)
+    log_a, log_a_floats = _log_kanter_a_reflected(beta), _log_kanter_a_reflected(beta, math)
 
     def crossing(log_t: float, level: float, lo: float) -> float:
         """log(psi) at which log(x^(-k) * A) falls to level; log(pi) if never."""
@@ -246,7 +260,7 @@ def _stable_tail_rule(log_t_lo: float, log_t_hi: float, beta: float):
         hi = log_pi
         for _ in range(16):  # from [log(1e-300), log(pi)] to within 0.011
             mid = 0.5 * (lo + hi)
-            if log_t + _log_kanter_a_reflected(math.exp(mid), beta) >= level:
+            if log_t + log_a_floats(math.exp(mid)) >= level:
                 lo = mid
             else:
                 hi = mid
@@ -263,14 +277,14 @@ def _stable_tail_rule(log_t_lo: float, log_t_hi: float, beta: float):
     starts, halves = np.array(starts)[:, None], np.array(halves)[:, None]
 
     def tail(log_t, n: int):
-        x, w = _leggauss(n)
-        nodes = starts + halves * (x + 1.0)
-        weights = halves * (w / math.pi)
+        rule = _leggauss(n)
+        nodes = starts + halves * rule.x1
+        weights = halves * rule.w_pi
         nodes[1:] = np.exp(nodes[1:])
         weights[1:] *= nodes[1:]
-        if np.size(log_t) * nodes.size > _TAIL_BUDGET:
+        if getattr(log_t, "size", 1) * nodes.size > _TAIL_BUDGET:
             raise QuadratureFailure("positive-stable tail rule", math.inf)
-        v = np.add.outer(log_t, _log_kanter_a_reflected(nodes.ravel(), beta))
+        v = np.add.outer(log_t, log_a(nodes.ravel()))
         np.minimum(v, _TAIL_LOG_CUT, out=v)
         return -(np.expm1(-np.exp(v, out=v), out=v) @ weights.ravel())
 
@@ -452,22 +466,21 @@ def _destination_rings(cfg: SystemConfig, n: int, q: float):
     """
     d, radius = cfg.d_sd, cfg.r_disc
     lo, hi = abs(d - radius), d + radius
-    x, w = _leggauss(n // 2)
-    xq, wq = _leggauss(n // 4)
-    s = 0.5 * (x + 1.0)
-    rho = lo + (hi - lo) * s * s * (3.0 - 2.0 * s)
-    step = 3.0 * (hi - lo) * s * (1.0 - s) * w
+    arc, ring = _leggauss(n // 2), _leggauss(n // 4)
+    s = arc.s
+    rho = lo + (hi - lo) * s * s * arc.three_less_2s
+    step = 3.0 * (hi - lo) * s * arc.one_less_s * arc.w
     if d < radius:
-        circles = lo * np.exp(np.add.outer(2.0 * np.arange(-_RING_PANELS, 0), xq + 1.0))
+        circles = lo * ring.circles
         rho = np.concatenate([rho, circles.ravel()])
-        step = np.concatenate([step, (circles * wq).ravel()])
+        step = np.concatenate([step, (circles * ring.w).ravel()])
     cos_edge = (d * d + rho * rho - radius * radius) / (2.0 * d * rho)
     half_angle = np.arccos(np.clip(cos_edge, -1.0, 1.0))
     if q == 0.0:
         return rho, 2.0 * rho * step * half_angle
     r_sq = d * d + rho[:, None] ** 2 - 2.0 * d * rho[:, None] * np.cos(
-        np.multiply.outer(half_angle, 0.5 * (xq + 1.0)))
-    return rho, rho * step * half_angle * (np.exp(-q * r_sq) @ wq)
+        np.multiply.outer(half_angle, ring.s))
+    return rho, rho * step * half_angle * (np.exp(-q * r_sq) @ ring.w)
 
 
 def chi_integral(cfg: SystemConfig) -> float:
@@ -587,8 +600,8 @@ def chi_common(cfg: SystemConfig) -> float:
     q, u_a = _decode_rate(cfg), math.exp(y_a + log_u)
 
     def evaluate(n: int) -> float:
-        xy, wy = _leggauss(n // 6)
-        y = (lefts + half * (xy + 1.0)).ravel()
+        rule = _leggauss(n // 6)
+        y = (lefts + half * rule.x1).ravel()
         rho, w = _destination_rings(cfg, n, q)
         rho_a = rho ** alpha
         u = np.exp(y + log_u)
@@ -596,7 +609,7 @@ def chi_common(cfg: SystemConfig) -> float:
         # -h'(y) * P(Y > y) / lam at the y nodes.
         slope = (e @ (w * rho_a)) * u * np.exp(-lam * (e @ w)) * tail(-k * y, n // 4)
         h_a = -math.expm1(-lam * float(w @ np.exp(-u_a * rho_a)))
-        return 1.0 - guard * (h_a - lam * float((half * wy).ravel() @ slope))
+        return 1.0 - guard * (h_a - lam * float((half * rule.w).ravel() @ slope))
 
     return _settle(evaluate, _CHI_START_NODES, _CHI_MAX_DOUBLINGS, REL_TOL,
                    "chi common interference")

@@ -211,16 +211,16 @@ def _pair_sums(points, other, other_first, gen, alpha: float) -> np.ndarray:
 
     Several trials gather their ragged pairs at once (``_pair_d2``). One
     trial takes rows of the outer product of ``points`` and ``other``, in
-    groups of at most ELEMENT_BUDGET pairs (at least one row), so its pairs
-    are never all held; consecutive exponential draws give the values of one
-    draw, and each row stays a segment sum, so the bits are those of the
-    gather.
+    groups of at most ELEMENT_BUDGET pairs and at most one row per point (at
+    least one row), so its pairs are never all held; consecutive exponential
+    draws give the values of one draw, and each row stays a segment sum, so
+    the bits are those of the gather.
     """
     if points.counts.size > 1:
         per, first, d2 = _pair_d2(points, other, other_first)
         return _received(per, first, gen.standard_exponential(d2.size), d2, alpha)
     size = other.x.size
-    rows = max(1, ELEMENT_BUDGET // max(size, 1))
+    rows = max(1, min(points.x.size, ELEMENT_BUDGET // max(size, 1)))
     counts = np.full(rows, size)
     first = segment_starts(counts)
     sums = np.empty(points.x.size)

@@ -104,7 +104,8 @@ def test_laplace_K_matches_simulated_harvest_sum():
 
 
 def test_p_h_trivial_limits():
-    for p_h in (p_h_gil_pelaez, an.p_h_kanter):
+    # At the default alpha of 4 the erf form answers too.
+    for p_h in (p_h_gil_pelaez, an.p_h_kanter, p_h_levy_erf):
         assert p_h(cfg_with(lambda_p=0.0)) == 0.0
         # Vanishing power threshold: any positive harvest suffices.
         tiny = cfg_with(p_st_dbm=-25.0, r_max=200.0)
@@ -395,6 +396,20 @@ def test_bstd_total_on_sampled_configs():
 # Guard zones and relay-presence factors
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("call,error,match", [
+    (lambda: gamma_pair(2.0), ValueError, "alpha must exceed 2"),
+    (lambda: laplace_K(-1e-9, cfg_with()), ValueError, "s must be >= 0"),
+    (lambda: p_h_levy_erf(cfg_with(alpha=5.0)), ValueError, "alpha = 4"),
+    (lambda: guard_zone_prob(-1e-3, 1.0), ValueError, "must be >= 0"),
+    (lambda: guard_zone_prob(1e-3, -1.0), ValueError, "must be >= 0"),
+    (lambda: an.require_analytic("nope"), UnsupportedScheme, "unknown scheme 'nope'"),
+], ids=["gamma_pair", "laplace_K", "p_h_levy_erf", "guard_zone_prob-density",
+        "guard_zone_prob-radius", "require_analytic"])
+def test_analytics_argument_checks(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
 def test_guard_zone_prob_values():
     assert guard_zone_prob(0.5, 0.0) == 1.0
     assert guard_zone_prob(1.0 / math.pi, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-12)
@@ -592,12 +607,12 @@ def test_kanter_cdf_matches_levy_law():
     # chi_common bounds the lower tail of the law by A's value at phi = 0+.
     phi = np.linspace(1e-6, math.pi - 1e-3, 2001)
     for beta in (0.2, 0.4, 0.5, 2.0 / 3.0, 0.9):
-        log_a = an._log_kanter_a_reflected(math.pi - phi, beta)
+        log_a = an._log_kanter_a_reflected(beta)(math.pi - phi)
         assert np.all(np.diff(log_a) > 0.0)
         k = beta / (1.0 - beta)
         assert math.exp(log_a[0]) == pytest.approx((1.0 - beta) * beta ** k, rel=1e-6)
-        assert an._log_kanter_a_reflected(math.pi - 0.3, beta) == pytest.approx(
-            an._log_kanter_a_reflected(np.array([math.pi - 0.3]), beta)[0], rel=1e-14)
+        assert an._log_kanter_a_reflected(beta, math)(math.pi - 0.3) == pytest.approx(
+            an._log_kanter_a_reflected(beta)(np.array([math.pi - 0.3]))[0], rel=1e-14)
 
 
 @pytest.mark.parametrize("overrides", [{}, {"lambda_p": 3e-3, "p_st_dbm": 5.0},

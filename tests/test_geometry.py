@@ -182,6 +182,18 @@ def test_guard_zone_predicate_cases():
     assert is_clear_of_guard_zones((0.0, 0.0), near, 0.4)
 
 
+@pytest.mark.parametrize("call,match", [
+    (lambda: sample_disc_ppp(-1e-3, 1.0, (0.0, 0.0), RngStream(1, 0)), "density must be >= 0"),
+    (lambda: sample_disc_ppp(1.0, 0.0, (0.0, 0.0), RngStream(1, 0)), "radius must be > 0"),
+    (lambda: is_clear_of_guard_zones(
+        (0.0, 0.0), PointField(points=np.empty((0, 2)), marks=np.empty((0, 0))), -1.0),
+     "r_gz must be >= 0"),
+], ids=["sample_disc_ppp-density", "sample_disc_ppp-radius", "is_clear_of_guard_zones"])
+def test_geometry_argument_checks(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_guard_zone_clearance_frequency():
     lam, r_gz = 0.1, 1.0
     draws = 5_000

@@ -116,6 +116,8 @@ def test_wilson_interval_edges():
     assert hi == 1.0 and lo < 1.0
     lo, hi = wilson_interval(20, 80)
     assert 0.0 <= lo <= 0.25 <= hi <= 1.0
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        wilson_interval(0, 0)
 
 
 def test_estimate_ci_invariant():
@@ -192,6 +194,22 @@ def test_pair_sums_stream_one_trial_bit_for_bit(monkeypatch, sizes, budget):
     assert sums.tolist() == pytest.approx(brute, rel=1e-12)
     assert_unchanged(points, saved[0])
     assert_unchanged(other, saved[1])
+
+
+@pytest.mark.parametrize("size", [0, 1], ids=["empty-other", "one-other"])
+def test_pair_sums_rows_sized_by_the_points(size):
+    # Five points against an empty or one-point field: the row groups hold
+    # five rows, not ELEMENT_BUDGET of them (1 MiB of counts and starts).
+    gen = np.random.default_rng(338)
+    points, other = one_trial(gen, 5, 1.0), one_trial(gen, size, 50.0)
+    tracemalloc.start()
+    try:
+        sums = _pair_sums(points, other, np.zeros(1, dtype=np.intp), gen, 3.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sums.shape == (5,)
+    assert peak < 64 * 1024
 
 
 def test_received_leaves_inputs_unchanged():
@@ -768,6 +786,31 @@ def test_worker_exception_reaches_the_caller(baseline, three_blocks, monkeypatch
         assert sim_mod._workers == workers
     finally:
         sim_mod._drop_workers()   # its workers keep the patched counter
+
+
+def test_caller_share_exception_drops_the_set(baseline, three_blocks, monkeypatch):
+    # The caller's own share raises while the worker's reply is pending: the
+    # error comes through unchanged, the set is dropped with the reply
+    # unread, and the next pooled call builds a new one.
+    trials, serial = three_blocks
+    assert simulate_all(baseline, trials, seed=331, workers=2) == serial
+    [old] = sim_mod._workers
+    error = ValueError("raised in the caller")
+
+    def raise_in_caller(cfg, seed, blocks, parent=os.getpid()):
+        if os.getpid() == parent:
+            raise error
+        return _real_count_blocks(cfg, seed, blocks)
+
+    monkeypatch.setattr(sim_mod, "_count_blocks", raise_in_caller)
+    with pytest.raises(ValueError) as info:
+        simulate_all(baseline, trials, seed=331, workers=2)
+    assert info.value is error and info.value.__cause__ is None
+    assert sim_mod._workers == [] and not old[0].is_alive()
+    monkeypatch.undo()
+    assert simulate_all(baseline, trials, seed=331, workers=2) == serial
+    [new] = sim_mod._workers
+    assert new is not old and new[0].is_alive()
 
 
 def test_pooled_call_starts_no_thread(baseline, three_blocks):

@@ -22,8 +22,11 @@ fails at its second point (exit 3 after that point's ``bcc`` row, as bstd's
 tail rule gives up), and three usage errors. The fifth covers
 ``p_h_gil_pelaez`` at the 80 distinct (alpha, lambda_p, p_st_dbm) points of
 the first grid, with trunc_epsilon 1e12: the repr of each value, or the
-context of its ``QuadratureFailure``. The script imports ehrelay from the
-``src`` directory next to it and exits 0. Run it with
+context of its ``QuadratureFailure``. The sixth covers ``alpha4_selfcheck``
+at the 64 alpha-4 points of the first grid, lambda_p x p_st_dbm x d_sd
+with trunc_epsilon 1e12, the same way: every closed-form and quadrature
+value it compares, not only those that print a warning. The script imports
+ehrelay from the ``src`` directory next to it and exits 0. Run it with
 ``-W error::RuntimeWarning`` to have a quadrature that turns inf or nan on
 these grids fail it.
 """
@@ -42,7 +45,8 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
-from ehrelay.analytics import QuadratureFailure, p_h_gil_pelaez  # noqa: E402
+from ehrelay.analytics import (QuadratureFailure, alpha4_selfcheck,  # noqa: E402
+                               p_h_gil_pelaez)
 from ehrelay.cli import main  # noqa: E402
 from ehrelay.config import SystemConfig, apply_overrides, validate  # noqa: E402
 from ehrelay.geometry import RngStream, clearance_batch, shot_noise_batch  # noqa: E402
@@ -160,21 +164,32 @@ def cli_digest() -> str:
     return digest.hexdigest()
 
 
-def oracles_digest():
+def _grid_digest(names, fixed, compute):
+    """Digest of the repr of ``compute(cfg)``, or the context of its
+    ``QuadratureFailure``, at every point of GRID over ``names`` with the
+    ``fixed`` values; returns it and the count of each kind of result."""
     digest = hashlib.sha256()
     results = {}
-    for alpha, lambda_p, p_st_dbm in itertools.product(
-            GRID["alpha"], GRID["lambda_p"], GRID["p_st_dbm"]):
-        cfg = validate(apply_overrides(SystemConfig(), {
-            "alpha": float(alpha), "lambda_p": float(lambda_p),
-            "p_st_dbm": float(p_st_dbm), "trunc_epsilon": 1e12}))
+    for values in itertools.product(*(GRID[name] for name in names)):
+        overrides = {name: float(value) for name, value in zip(names, values)}
+        cfg = validate(apply_overrides(SystemConfig(), {**overrides, **fixed}))
         try:
-            result, kind = repr(p_h_gil_pelaez(cfg)), "values"
+            result, kind = repr(compute(cfg)), "values"
         except QuadratureFailure as exc:
             result = kind = exc.context
-        _update(digest, alpha, lambda_p, p_st_dbm, result)
+        _update(digest, *values, result)
         results[kind] = results.get(kind, 0) + 1
     return digest.hexdigest(), results
+
+
+def oracles_digest():
+    return _grid_digest(("alpha", "lambda_p", "p_st_dbm"), {"trunc_epsilon": 1e12},
+                        p_h_gil_pelaez)
+
+
+def selfcheck_digest():
+    return _grid_digest(("lambda_p", "p_st_dbm", "d_sd"),
+                        {"alpha": 4.0, "trunc_epsilon": 1e12}, alpha4_selfcheck)
 
 
 def main_digest() -> int:
@@ -184,9 +199,10 @@ def main_digest() -> int:
     print(f"draws   {draws_digest()}")
     print(f"budget  {over_budget_digest()}")
     print(f"cli     {cli_digest()}")
-    oracles_sha, results = oracles_digest()
-    counts = ", ".join(f"{kind}: {n}" for kind, n in sorted(results.items()))
-    print(f"oracles {oracles_sha} ({sum(results.values())} points; {counts})")
+    for name, run in (("oracles", oracles_digest), ("selfcheck", selfcheck_digest)):
+        sha, results = run()
+        counts = ", ".join(f"{kind}: {n}" for kind, n in sorted(results.items()))
+        print(f"{name:<7} {sha} ({sum(results.values())} points; {counts})")
     return 0
 
 
