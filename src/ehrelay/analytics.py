@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import SystemConfig, harvest_threshold
+from .config import ConfigError, SystemConfig, harvest_threshold
 
 
 class QuadratureFailure(RuntimeError):
@@ -217,8 +217,9 @@ def _log_kanter_a_reflected(beta: float, xp=np):
     has P(S > x) = (1/pi) int_0^pi -expm1(-A(phi) x^(-k)) dphi, k = beta/(1-beta),
     A(phi) = sin(beta*phi)^k * sin((1-beta)*phi) / sin(phi)^(1/(1-beta)) rising
     from (1-beta)*beta^k at phi = 0+ to infinity at pi (Kanter 1975, Ann.
-    Probab.). Sines taken from psi = pi - phi do not cancel near phi = pi. On
-    floats, xp = ``math`` runs several times faster than numpy on one value.
+    Probab.). Sines taken from psi = pi - phi do not cancel near phi = pi.
+    xp = ``math`` evaluates it on one float, as ``_stable_tail_rule``'s
+    bisection does inline.
     """
     k, rest = beta / (1.0 - beta), 1.0 - beta
     shift, log, sin = rest * math.pi, xp.log, xp.sin
@@ -239,28 +240,35 @@ _TAIL_BUDGET = 1 << 22
 def _stable_tail_rule(log_t_lo: float, log_t_hi: float, beta: float):
     """One phi rule for P(S > x) at every log x^(-k) in [log_t_lo, log_t_hi].
 
-    Returns tail(log_t, n): P(S > x) at each log x^(-k) in log_t on n
+    Returns tail(log_t, n, *more): P(S > x) at each log x^(-k) in log_t on n
     Gauss-Legendre nodes per piece (see ``_log_kanter_a_reflected``), its
-    expm1 form exact to full relative precision deep in the tail. The
+    expm1 form exact to full relative precision deep in the tail; given more
+    node counts, a tuple of one such value per count, their nodes run through
+    log A, exp and expm1 in one pass and each value sums its own contiguous
+    slice, so it has the bits of a call with that count alone. The
     integrand is about 1 where A * x^(-k) >= 1, next to phi = pi, and falls as
     a power of psi = pi - phi below that, so [0, psi*] runs in psi, psi* the
     crossing of the least x^(-k) (a coarse bisection), and [psi*, pi] in
     log(psi) on one panel and one more per ``_TAIL_PANEL_SPAN`` of range, up to
     where the integrand of the greatest x^(-k) is below e^(-40) of its total.
     """
-    k = beta / (1.0 - beta)
+    k, rest = beta / (1.0 - beta), 1.0 - beta
+    shift, pi, exp, log, sin = rest * math.pi, math.pi, math.exp, math.log, math.sin
     log_a_min = math.log((1.0 - beta) * beta ** k)  # log A(0+), A's least value
     log_pi = math.log(math.pi)
-    log_a, log_a_floats = _log_kanter_a_reflected(beta), _log_kanter_a_reflected(beta, math)
+    log_a = _log_kanter_a_reflected(beta)
 
     def crossing(log_t: float, level: float, lo: float) -> float:
-        """log(psi) at which log(x^(-k) * A) falls to level; log(pi) if never."""
+        """log(psi) at which log(x^(-k) * A) falls to level; log(pi) if never.
+        The test is ``_log_kanter_a_reflected``'s formula on floats."""
         if log_t + log_a_min >= level:
             return log_pi
         hi = log_pi
         for _ in range(16):  # from [log(1e-300), log(pi)] to within 0.011
             mid = 0.5 * (lo + hi)
-            if log_t + log_a_floats(math.exp(mid)) >= level:
+            psi = exp(mid)
+            if log_t + (k * log(sin(shift + beta * psi)) + log(sin(rest * (pi - psi)))
+                        - log(sin(psi)) / rest) >= level:
                 lo = mid
             else:
                 hi = mid
@@ -276,17 +284,27 @@ def _stable_tail_rule(log_t_lo: float, log_t_hi: float, beta: float):
         halves = [0.5 * math.exp(u_star)] + [0.5 * (u_end - u_star) / panels] * panels
     starts, halves = np.array(starts)[:, None], np.array(halves)[:, None]
 
-    def tail(log_t, n: int):
-        rule = _leggauss(n)
-        nodes = starts + halves * rule.x1
-        weights = halves * rule.w_pi
-        nodes[1:] = np.exp(nodes[1:])
-        weights[1:] *= nodes[1:]
+    def tail(log_t, *counts):
+        nodes, weights = [], []
+        for n in counts:
+            rule = _leggauss(n)
+            level = starts + halves * rule.x1
+            scaled = halves * rule.w_pi
+            level[1:] = np.exp(level[1:])
+            scaled[1:] *= level[1:]
+            nodes.append(level.ravel())
+            weights.append(scaled.ravel())
+        nodes = np.concatenate(nodes)
         if getattr(log_t, "size", 1) * nodes.size > _TAIL_BUDGET:
             raise QuadratureFailure("positive-stable tail rule", math.inf)
-        v = np.add.outer(log_t, log_a(nodes.ravel()))
+        v = np.add.outer(log_t, log_a(nodes))
         np.minimum(v, _TAIL_LOG_CUT, out=v)
-        return -(np.expm1(-np.exp(v, out=v), out=v) @ weights.ravel())
+        terms = np.expm1(-np.exp(v, out=v), out=v)
+        values, start = [], 0
+        for w in weights:
+            values.append(-(terms[..., start:start + w.size] @ w))
+            start += w.size
+        return values[0] if len(counts) == 1 else tuple(values)
 
     return tail
 
@@ -297,7 +315,8 @@ def p_h_kanter(cfg: SystemConfig) -> float:
     K = C^(1/beta) * S, C = ``levy_scale``, beta = 2/alpha, S standard positive
     stable, so P(K >= sigma) = P(S > sigma / C^(1/beta)) on the
     ``_stable_tail_rule`` of this one x. Nodes double from 32 per piece until
-    the value settles to ``REL_TOL`` (at most 1024); a stall raises
+    the value settles to ``REL_TOL`` (at most 1024); the first two levels,
+    which every call reads, come from one pass of the rule. A stall raises
     ``QuadratureFailure`` with context "kanter harvest probability".
     """
     sigma = harvest_threshold(cfg)
@@ -307,8 +326,9 @@ def p_h_kanter(cfg: SystemConfig) -> float:
     k = beta / (1.0 - beta)
     log_t = -k * (math.log(sigma) - math.log(levy_scale(cfg)) / beta)  # log x^(-k)
     tail = _stable_tail_rule(log_t, log_t, beta)
-    return min(1.0, _settle(lambda n: float(tail(log_t, n)), 32, 5, REL_TOL,
-                            "kanter harvest probability"))
+    first = dict(zip((32, 64), tail(log_t, 32, 64)))
+    return min(1.0, _settle(lambda n: float(first[n] if n in first else tail(log_t, n)),
+                            32, 5, REL_TOL, "kanter harvest probability"))
 
 
 def guard_zone_prob(lambda_p: float, r_gz: float) -> float:
@@ -374,28 +394,31 @@ def _decode_rate(cfg: SystemConfig, method: str = "closed") -> float:
     return scale * (cfg.gamma_th_lin * cfg.p_t_mw / cfg.p_st_mw) ** (2.0 / cfg.alpha)
 
 
-def _decode_kernel(cfg: SystemConfig, dist_sq, method: str = "closed"):
+def _decode_kernel(q: float, dist_sq):
     """Per-link decode probability at the given squared distances.
 
     E[exp(-gamma*d^alpha*I/p_st)] = exp(-q*d^2) for the primary interference
-    I (Laplace exponent ``_field_scale`` * (p_t*s)^(2/alpha)); this is the
-    interference-averaged chance that one Rayleigh link at distance d clears
-    the SIR threshold.
+    I (Laplace exponent ``_field_scale`` * (p_t*s)^(2/alpha)), q the
+    ``_decode_rate``; this is the interference-averaged chance that one
+    Rayleigh link at distance d clears the SIR threshold.
     """
-    return np.exp(-_decode_rate(cfg, method) * np.asarray(dist_sq, dtype=float))
+    return np.exp(-q * np.asarray(dist_sq, dtype=float))
 
 
-def _disc_mean_kernel(cfg: SystemConfig, method: str, context: str) -> float:
+def _disc_mean_kernel(cfg: SystemConfig, method: str, context: str,
+                      q: float | None = None) -> float:
     """Decode chance of one relay placed uniformly in the disc.
 
-    int_0^R exp(-q*r^2) * 2r/R^2 dr = (1 - exp(-q*R^2)) / (q*R^2).
+    int_0^R exp(-q*r^2) * 2r/R^2 dr = (1 - exp(-q*R^2)) / (q*R^2). ``q``
+    passes the method's ``_decode_rate(cfg, method)`` when the caller has it.
     """
     radius = cfg.r_disc
+    if q is None:
+        q = _decode_rate(cfg, method)
     if method == "quad":
-        return integrate_doubling(
-            lambda r: _decode_kernel(cfg, r * r, method) * 2.0 * r / radius ** 2,
-            0.0, radius, context)
-    q_area = _decode_rate(cfg, method) * radius ** 2
+        return integrate_doubling(lambda r: _decode_kernel(q, r * r) * 2.0 * r / radius ** 2,
+                                  0.0, radius, context)
+    q_area = q * radius ** 2
     if q_area == 0.0:
         return 1.0
     return -math.expm1(-q_area) / q_area
@@ -432,7 +455,7 @@ def psi4_far_field(cfg: SystemConfig, method: str = "closed") -> float:
     separation d_sd, so the same value serves the relayed hop and the direct
     link.
     """
-    return float(_decode_kernel(cfg, cfg.d_sd ** 2, method))
+    return float(_decode_kernel(_decode_rate(cfg, method), cfg.d_sd ** 2))
 
 
 def delta_decode(cfg: SystemConfig, method: str = "closed") -> float:
@@ -441,13 +464,18 @@ def delta_decode(cfg: SystemConfig, method: str = "closed") -> float:
     return _guarded(cfg, _disc_mean_kernel(cfg, method, "delta"))
 
 
+def _destination_sq(r, theta, cfg: SystemConfig):
+    """Squared distance from polar (r, theta) around the transmitter to the
+    destination at (d_sd, 0)."""
+    r = np.asarray(r, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    return np.maximum(r ** 2 + cfg.d_sd ** 2 - 2.0 * r * cfg.d_sd * np.cos(theta), 0.0)
+
+
 def xi_bstd(r, theta, cfg: SystemConfig, method: str = "closed"):
     """Interference-averaged decode chance of one decoding relay at polar
     (r, theta) forwarding to the destination over its exact distance."""
-    r = np.asarray(r, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    f_sq = r ** 2 + cfg.d_sd ** 2 - 2.0 * r * cfg.d_sd * np.cos(theta)
-    return _decode_kernel(cfg, np.maximum(f_sq, 0.0), method)
+    return _decode_kernel(_decode_rate(cfg, method), _destination_sq(r, theta, cfg))
 
 
 _RING_PANELS = 10  # log-radius panels, each 2 wide, see _destination_rings
@@ -661,13 +689,28 @@ class UnsupportedScheme(ValueError):
 ANALYTIC_SCHEMES = ("bcc", "bsir", "bstd")
 
 
-def require_analytic(scheme: str) -> None:
-    """Raise UnsupportedScheme unless ``scheme`` is one of ``ANALYTIC_SCHEMES``."""
+def has_analytic(scheme: str, cfg: SystemConfig) -> bool:
+    """Whether ``analyze`` has an expression for ``scheme`` under ``cfg``: an
+    analytic scheme, with slot positions drawn afresh per slot."""
+    return scheme in ANALYTIC_SCHEMES and cfg.slot_position_model != "static"
+
+
+def require_analytic(scheme: str, cfg: SystemConfig | None = None) -> None:
+    """Raise UnsupportedScheme unless ``scheme`` is one of ``ANALYTIC_SCHEMES``,
+    and ConfigError if ``cfg`` keeps the primaries in place across the slots
+    (``slot_position_model`` static): every factor here takes each slot's
+    field as independent, but one static field both fills the battery and
+    jams both hops."""
     if scheme == "random_baseline":
         raise UnsupportedScheme(
             "random_baseline is a simulation-only reference; no analytic expression")
     if scheme not in ANALYTIC_SCHEMES:
         raise UnsupportedScheme(f"unknown scheme {scheme!r}")
+    if cfg is not None and cfg.slot_position_model == "static":
+        raise ConfigError([
+            "slot_position_model static has no analytic expression: analyze takes "
+            "each slot's primaries as a fresh field; simulate it, or set "
+            "slot_position_model independent"])
 
 
 BREAKDOWN_FIELDS = tuple(f.name for f in fields(AnalyticBreakdown) if f.name != "scheme")
@@ -702,14 +745,21 @@ def analyze(cfg: SystemConfig, scheme: str) -> AnalyticBreakdown:
       forwarding relay are outside guard zones (squared guard factor), a
       relay-failed term and an empty-disc term (one guard factor each).
       p11/p12 (bcc) or p22/p32 (bsir) are the hop-one pass and fail chances
-      given a nonempty disc, 0 for a relay density of 0;
+      given a nonempty disc, 0 for a relay density of 0, the pass chance
+      capped at 1;
     - bstd: the relay branch less the direct link's failure on decoding sets
       that all fail, plus the direct link alone when the decoding set is
       void (chance pr_n1_zero, which never exceeds chi).
+
+    ``require_analytic`` refuses the random baseline and a config with
+    static slot positions before anything is computed. A quadrature that
+    gives up raises ``QuadratureFailure`` with the context "kanter harvest
+    probability", "chi common interference", "positive-stable tail rule" or
+    "chi double integral".
     """
     if not cfg.validated:
         raise ValueError("config must pass validate() before analysis")
-    require_analytic(scheme)
+    require_analytic(scheme, cfg)
     guard = guard_zone_prob(cfg.lambda_p, cfg.r_gz)
     b = AnalyticBreakdown(scheme=scheme, p_h=p_h_kanter(cfg), guard_st=guard,
                           guard_sr=guard, p_nonempty=p_nonempty(cfg))
@@ -744,8 +794,10 @@ def analyze(cfg: SystemConfig, scheme: str) -> AnalyticBreakdown:
     else:
         empty = 1.0 - b.p_nonempty
         failed = max(1.0 - hop1 - empty, 0.0)
-        given = ((hop1 / b.p_nonempty, failed / b.p_nonempty) if b.p_nonempty > 0
-                 else (0.0, 0.0))
+        # hop1 = 1 - all_fail and p_nonempty = -expm1(...) round apart, so a
+        # nearly empty disc can put their ratio a few ulps past 1.
+        given = ((min(hop1 / b.p_nonempty, 1.0), failed / b.p_nonempty)
+                 if b.p_nonempty > 0 else (0.0, 0.0))
         if scheme == "bcc":
             b.p11, b.p12 = given
         else:
@@ -762,17 +814,20 @@ def alpha4_selfcheck(cfg: SystemConfig):
 
     Returns (name, closed, quadrature, relative difference) tuples; callers
     surface entries whose difference exceeds their tolerance as warnings.
-    psi31, omega1 and delta rest on one disc mean per method, taken once.
+    Each method's decode rate is taken once and serves its disc mean, on
+    which psi31, omega1 and delta rest, psi4 and xi at (r_disc/2, 1), whose
+    distance to the destination both methods share.
     """
     if cfg.alpha != 4.0:
         return []
-    closed, quad = (_disc_mean_kernel(cfg, method, "psi31") for method in ("closed", "quad"))
-    pairs = [
-        ("psi31", _all_fail(cfg, closed), _all_fail(cfg, quad)),
-        ("omega1", _all_fail(cfg, closed), _all_fail(cfg, quad)),
-        ("delta", _guarded(cfg, closed), _guarded(cfg, quad)),
-        ("psi4", psi4_far_field(cfg, "closed"), psi4_far_field(cfg, "quad")),
-        ("xi", float(xi_bstd(cfg.r_disc / 2.0, 1.0, cfg, "closed")),
-         float(xi_bstd(cfg.r_disc / 2.0, 1.0, cfg, "quad"))),
-    ]
-    return [(name, a, b, abs(a - b) / max(abs(a), abs(b), 1e-300)) for name, a, b in pairs]
+    f_sq = _destination_sq(cfg.r_disc / 2.0, 1.0, cfg)
+    columns = []
+    for method in ("closed", "quad"):
+        q = _decode_rate(cfg, method)
+        mean = _disc_mean_kernel(cfg, method, "psi31", q)
+        fail = _all_fail(cfg, mean)
+        columns.append((fail, fail, _guarded(cfg, mean), float(_decode_kernel(q, cfg.d_sd ** 2)),
+                        float(_decode_kernel(q, f_sq))))
+    names = ("psi31", "omega1", "delta", "psi4", "xi")
+    return [(name, a, b, abs(a - b) / max(abs(a), abs(b), 1e-300))
+            for name, a, b in zip(names, *columns)]

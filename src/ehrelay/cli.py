@@ -17,8 +17,8 @@ import sys
 
 import numpy as np
 
-from .analytics import (ANALYTIC_SCHEMES, BREAKDOWN_FIELDS, QuadratureFailure,
-                        UnsupportedScheme, alpha4_selfcheck, analyze, require_analytic)
+from .analytics import (BREAKDOWN_FIELDS, QuadratureFailure, UnsupportedScheme,
+                        alpha4_selfcheck, analyze, has_analytic, require_analytic)
 from .config import (LINEAR_FIELDS, NUMERIC_FIELDS, RAW_FIELDS, ConfigError,
                      SystemConfig, apply_overrides, load_config, validate)
 from .simulate import FLAG_NAMES, SCHEMES, _simulate_all, simulate
@@ -187,6 +187,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_analyze(args) -> int:
     cfg = validate(_load_config(args))
+    require_analytic(args.scheme, cfg)
     with _output(args) as fh:
         breakdown = analyze(cfg, args.scheme)
         _emit_selfcheck_warnings(cfg)
@@ -210,7 +211,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError(["sweep needs --values or --from/--to/--steps"])
 
     def analytic(cfg, scheme):
-        return analyze(cfg, scheme).p_succ if scheme in ANALYTIC_SCHEMES else None
+        return analyze(cfg, scheme).p_succ if has_analytic(scheme, cfg) else None
 
     with _output(args) as fh:
         _write_csv(fh, _GRID_COLUMNS + ["ana_p_succ"],
@@ -222,6 +223,7 @@ def cmd_compare(args) -> int:
     base = _load_config(args)
     require_analytic(args.scheme)
     points = _grid_points(args, base) or [(None, validate(base))]
+    require_analytic(args.scheme, points[0][1])  # a grid moves numeric fields only
     inside = 0
 
     def tail(breakdown, est):

@@ -22,7 +22,8 @@ from ehrelay.analytics import (AnalyticBreakdown,
                                gamma_pair, guard_zone_prob, laplace_K, omega1,
                                p_h_gil_pelaez, p_h_levy_erf, p_nonempty,
                                psi31_bound, psi4_far_field, xi_bstd)
-from ehrelay.config import ConfigError, SystemConfig, harvest_threshold, validate
+from ehrelay.config import (HARVEST_THRESHOLD_MODES, ConfigError, SystemConfig,
+                            harvest_threshold, validate)
 from ehrelay.geometry import RngStream, shot_noise_batch
 
 
@@ -540,6 +541,21 @@ def test_alpha4_selfcheck_reports_small_differences(baseline):
     assert all(rel <= 1e-8 for *_, rel in checks)
 
 
+@pytest.mark.parametrize("overrides", DUAL_PATH_CONFIGS + [{"lambda_p": 0.0}],
+                         ids=lambda o: ",".join(f"{k}={v:g}" for k, v in o.items()) or "baseline")
+def test_alpha4_selfcheck_values_are_the_factors(overrides):
+    # The self-check takes each method's decode rate once; every value it
+    # compares keeps the bits of the factor it stands for.
+    cfg = cfg_with(**overrides)
+    checks = {name: (closed, quad) for name, closed, quad, _ in alpha4_selfcheck(cfg)}
+    for i, method in enumerate(("closed", "quad")):
+        assert checks["psi31"][i] == psi31_bound(cfg, method)
+        assert checks["omega1"][i] == omega1(cfg, method)
+        assert checks["delta"][i] == delta_decode(cfg, method)
+        assert checks["psi4"][i] == psi4_far_field(cfg, method)
+        assert checks["xi"][i] == float(xi_bstd(cfg.r_disc / 2.0, 1.0, cfg, method))
+
+
 def test_chi_limits():
     assert chi_bstd(cfg_with(lambda_sr=0.0)) == 1.0
     far = cfg_with(d_sd=40.0, r_max=160.0)
@@ -613,6 +629,22 @@ def test_kanter_cdf_matches_levy_law():
         assert math.exp(log_a[0]) == pytest.approx((1.0 - beta) * beta ** k, rel=1e-6)
         assert an._log_kanter_a_reflected(beta, math)(math.pi - 0.3) == pytest.approx(
             an._log_kanter_a_reflected(beta)(np.array([math.pi - 0.3]))[0], rel=1e-14)
+
+
+@pytest.mark.parametrize("beta", [0.2, 0.5, 2.0 / 3.0, 0.9])
+def test_tail_rule_joint_levels_keep_each_levels_bits(beta):
+    # p_h_kanter reads its first two levels from one pass of the rule; each
+    # value must be the one its node count gives alone. A rule over one point
+    # (one piece when x^(-k) * A(0+) >= 1, else two) and a rule over a range
+    # (several log-psi panels), read inside and at the ends of its range.
+    for log_t in (-40.0, -6.0, -1.0, 0.5, 3.0, 15.0):
+        tail = an._stable_tail_rule(log_t, log_t, beta)
+        assert tail(log_t, 32, 64) == (tail(log_t, 32), tail(log_t, 64))
+    tail = an._stable_tail_rule(-30.0, 10.0, beta)
+    for log_t in (-30.0, -12.5, 0.0, 10.0):
+        assert tail(log_t, 32, 64) == (tail(log_t, 32), tail(log_t, 64))
+        assert tail(log_t, 64, 128, 256) == (tail(log_t, 64), tail(log_t, 128),
+                                             tail(log_t, 256))
 
 
 @pytest.mark.parametrize("overrides", [{}, {"lambda_p": 3e-3, "p_st_dbm": 5.0},
@@ -791,3 +823,80 @@ def test_analyze_rejects_random_baseline(baseline):
     with pytest.raises(UnsupportedScheme):
         analyze(baseline, "random_baseline")
 
+
+def test_conditional_hop_one_chance_capped_at_one():
+    # A nearly empty disc: hop one, 1 - all_fail, and p_nonempty, -expm1 of
+    # the same exponent, round apart, and their ratio read 1 + 2.5e-13.
+    cfg = cfg_with(alpha=8.0, lambda_p=1e-9, lambda_sr=0.1, r_disc=0.02,
+                   gamma_th_db=-30.0, p_t_dbm=0.0, direct_link=True)
+    bcc, bsir = analyze(cfg, "bcc"), analyze(cfg, "bsir")
+    assert bcc.p11 == bsir.p22 == 1.0
+    assert bcc.p12 == bsir.p32 == 0.0
+    _assert_probabilities(bcc)
+    _assert_probabilities(bsir)
+
+
+@pytest.mark.parametrize("scheme", ["bcc", "bsir", "bstd"])
+def test_analyze_refuses_static_slot_positions(baseline, scheme):
+    # One static field fills the battery and jams both hops; no factor here
+    # models that, so analyze refuses instead of returning the independent value.
+    static = validate(dataclasses.replace(baseline, slot_position_model="static"))
+    assert an.has_analytic(scheme, baseline) and not an.has_analytic(scheme, static)
+    with pytest.raises(ConfigError, match="slot_position_model static"):
+        analyze(static, scheme)
+
+
+# The contexts with which analyze may give up (see its docstring).
+ANALYZE_FAILURE_CONTEXTS = {"kanter harvest probability", "chi common interference",
+                            "positive-stable tail rule", "chi double integral"}
+
+
+def _box_configs(seed, draws=100):
+    """The configs that validate accepts among ``draws`` draws over its whole box.
+
+    One draw per field in this order: alpha 2 + 10^U(-3, 1) (seed 5) or
+    U(2.2, 12) (other seeds), lambda_p 10^U(-12, 1), lambda_sr 10^U(-3, 2),
+    p_st_dbm U(-60, 60), p_t_dbm U(-30, 60), gamma_th_db U(-40, 30), r_disc
+    and d_sd 10^U(-2, 1.5), r_gz 0 with chance 0.2 (a uniform draw) else
+    10^U(-3, 1), a U(0.01, 0.99), eta U(0.01, 1), trunc_epsilon 10^U(-1, 300),
+    the direct link with chance 0.5, the threshold mode by choice, and last
+    r_max = 2 * max(r_disc, d_sd) * 10^U(0, 2).
+    """
+    rng = np.random.default_rng(seed)
+    configs = []
+    for _ in range(draws):
+        alpha = 2.0 + 10.0 ** rng.uniform(-3.0, 1.0) if seed == 5 else rng.uniform(2.2, 12.0)
+        draw = dict(alpha=alpha, lambda_p=10.0 ** rng.uniform(-12.0, 1.0),
+                    lambda_sr=10.0 ** rng.uniform(-3.0, 2.0),
+                    p_st_dbm=rng.uniform(-60.0, 60.0), p_t_dbm=rng.uniform(-30.0, 60.0),
+                    gamma_th_db=rng.uniform(-40.0, 30.0),
+                    r_disc=10.0 ** rng.uniform(-2.0, 1.5), d_sd=10.0 ** rng.uniform(-2.0, 1.5))
+        draw["r_gz"] = 0.0 if rng.uniform() < 0.2 else 10.0 ** rng.uniform(-3.0, 1.0)
+        draw["a"] = rng.uniform(0.01, 0.99)
+        draw["eta"] = rng.uniform(0.01, 1.0)
+        draw["trunc_epsilon"] = 10.0 ** rng.uniform(-1.0, 300.0)
+        draw["direct_link"] = bool(rng.uniform() < 0.5)
+        draw["harvest_threshold_mode"] = str(rng.choice(HARVEST_THRESHOLD_MODES))
+        draw["r_max"] = 2.0 * max(draw["r_disc"], draw["d_sd"]) * 10.0 ** rng.uniform(0.0, 2.0)
+        try:
+            configs.append(cfg_with(**draw))
+        except ConfigError:
+            pass
+    return configs
+
+
+@pytest.mark.parametrize("seed", [5, 11])
+def test_analyze_total_over_the_validator_box(seed):
+    # Far from the baseline, in every corner validate accepts: each call
+    # returns every field in range or gives up with a documented context,
+    # and none stalls.
+    configs = _box_configs(seed)
+    assert len(configs) >= 95
+    for cfg in configs:
+        for scheme in an.ANALYTIC_SCHEMES:
+            t0 = time.perf_counter()
+            try:
+                _assert_probabilities(analyze(cfg, scheme))
+            except QuadratureFailure as exc:
+                assert exc.context in ANALYZE_FAILURE_CONTEXTS, exc.context
+            assert time.perf_counter() - t0 < 2.0, (scheme, cfg)

@@ -233,6 +233,18 @@ def test_analyze_rejects_random_baseline(capsys):
     assert "random_baseline" in capsys.readouterr().err
 
 
+def test_analyze_refuses_static_slot_positions(tmp_path, capsys, monkeypatch):
+    # No analytic expression couples the harvest to both hops' interference,
+    # so a static primary field is refused before anything is computed.
+    monkeypatch.setattr(cli, "analyze", _never)
+    out = tmp_path / "a.csv"
+    assert run_cli(["analyze", "--scheme", "bcc", "--slot_position_model", "static",
+                    "--out", str(out)]) == 2
+    assert ("error: slot_position_model static has no analytic expression"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_analyze_quadrature_failure_exit_code(capsys, monkeypatch):
     # With no node doubling allowed, the common-interference chi cannot show
     # that it settled, so it raises its documented stall.
@@ -310,6 +322,19 @@ def test_sweep_rows_ordered_and_stable(tmp_path, baseline_path):
     # analytic column present for bsir, absent for the flagged baseline pick
     assert rows[0][header.index("ana_p_succ")] != ""
     assert rows[1][header.index("ana_p_succ")] == ""
+
+
+def test_sweep_leaves_static_analytic_cells_empty(tmp_path, monkeypatch):
+    # As for the random baseline: simulated cells, no analytic value.
+    monkeypatch.setattr(cli, "analyze", _never)
+    out = tmp_path / "s.csv"
+    assert run_cli(["sweep", "--slot_position_model", "static", "--param", "p_st_dbm",
+                    "--values=-2,0", "--schemes", "bcc,bstd,random_baseline",
+                    "--trials", "50", "--out", str(out)]) == 0
+    header, rows = header_and_row(out)
+    assert len(rows) == 6
+    assert all(row[header.index("ana_p_succ")] == "" for row in rows)
+    assert all(row[header.index("sim_p_succ")] != "" for row in rows)
 
 
 def test_sweep_aborts_on_invalid_grid_point(capsys):
@@ -424,6 +449,18 @@ def test_compare_rejects_random_baseline_before_simulating(tmp_path, capsys,
     assert run_cli(["compare", "--scheme", "random_baseline", "--trials", "50",
                     "--out", str(out)]) == 2
     assert ("error: random_baseline is a simulation-only reference"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", [[], ["--param", "p_st_dbm", "--values=-2,0"]],
+                         ids=["point", "grid"])
+def test_compare_refuses_static_before_simulating(grid, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_simulate_all", _never)
+    out = tmp_path / "cmp.csv"
+    assert run_cli(["compare", "--scheme", "bsir", "--slot_position_model", "static",
+                    "--trials", "50", "--out", str(out)] + grid) == 2
+    assert ("error: slot_position_model static has no analytic expression"
             in capsys.readouterr().err)
     assert not out.exists()
 

@@ -25,7 +25,10 @@ the first grid, with trunc_epsilon 1e12: the repr of each value, or the
 context of its ``QuadratureFailure``. The sixth covers ``alpha4_selfcheck``
 at the 64 alpha-4 points of the first grid, lambda_p x p_st_dbm x d_sd
 with trunc_epsilon 1e12, the same way: every closed-form and quadrature
-value it compares, not only those that print a warning. The script imports
+value it compares, not only those that print a warning. The seventh covers
+``analyze`` in-process at every point of the first grid, the same way: the
+repr of each scheme's ``AnalyticBreakdown``, so that a factor's last bit
+shows, where the first line sees 9 digits. The script imports
 ehrelay from the ``src`` directory next to it and exits 0. Run it with
 ``-W error::RuntimeWarning`` to have a quadrature that turns inf or nan on
 these grids fail it.
@@ -46,9 +49,10 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from ehrelay.analytics import (QuadratureFailure, alpha4_selfcheck,  # noqa: E402
-                               p_h_gil_pelaez)
+                               analyze, p_h_gil_pelaez)
 from ehrelay.cli import main  # noqa: E402
-from ehrelay.config import SystemConfig, apply_overrides, validate  # noqa: E402
+from ehrelay.config import (SystemConfig, apply_overrides, parse_value,  # noqa: E402
+                            validate)
 from ehrelay.geometry import RngStream, clearance_batch, shot_noise_batch  # noqa: E402
 from ehrelay.simulate import Outcomes, outcomes  # noqa: E402
 
@@ -171,7 +175,7 @@ def _grid_digest(names, fixed, compute):
     digest = hashlib.sha256()
     results = {}
     for values in itertools.product(*(GRID[name] for name in names)):
-        overrides = {name: float(value) for name, value in zip(names, values)}
+        overrides = {name: parse_value(name, value) for name, value in zip(names, values)}
         cfg = validate(apply_overrides(SystemConfig(), {**overrides, **fixed}))
         try:
             result, kind = repr(compute(cfg)), "values"
@@ -192,6 +196,11 @@ def selfcheck_digest():
                         {"alpha": 4.0, "trunc_epsilon": 1e12}, alpha4_selfcheck)
 
 
+def breakdown_digest():
+    return _grid_digest(tuple(GRID), {"trunc_epsilon": 1e12},
+                        lambda cfg: [analyze(cfg, scheme) for scheme in SCHEMES])
+
+
 def main_digest() -> int:
     analyze_sha, exits = analyze_digest()
     counts = ", ".join(f"exit {code}: {n}" for code, n in sorted(exits.items()))
@@ -199,7 +208,8 @@ def main_digest() -> int:
     print(f"draws   {draws_digest()}")
     print(f"budget  {over_budget_digest()}")
     print(f"cli     {cli_digest()}")
-    for name, run in (("oracles", oracles_digest), ("selfcheck", selfcheck_digest)):
+    for name, run in (("oracles", oracles_digest), ("selfcheck", selfcheck_digest),
+                      ("breakdown", breakdown_digest)):
         sha, results = run()
         counts = ", ".join(f"{kind}: {n}" for kind, n in sorted(results.items()))
         print(f"{name:<7} {sha} ({sum(results.values())} points; {counts})")
