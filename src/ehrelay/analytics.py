@@ -68,11 +68,10 @@ def _gl_panels(f, lo, hi, n: int) -> float:
     return float(np.sum(half * w * f(nodes)))
 
 
-def _settle(evaluate, n: int, doublings: int, rel_tol: float, context: str,
-            floor: float = 1e-300) -> float:
+def _settle(evaluate, n: int, doublings: int, context: str, floor: float = 1e-300) -> float:
     """evaluate(n), evaluate(2n), ... until two successive values agree.
 
-    Returns the finer value once the change is at most rel_tol * max(|value|,
+    Returns the finer value once the change is at most REL_TOL * max(|value|,
     floor); raises ``QuadratureFailure`` after ``doublings`` doublings without
     that, or at once at a level that is not finite, which no finer level mends.
     """
@@ -85,15 +84,14 @@ def _settle(evaluate, n: int, doublings: int, rel_tol: float, context: str,
         refined = evaluate(n)
         change = abs(refined - value)
         value = refined
-        if math.isfinite(change) and change <= rel_tol * max(abs(refined), floor):
+        if math.isfinite(change) and change <= REL_TOL * max(abs(refined), floor):
             return value
     raise QuadratureFailure(context, change / max(abs(value), 1e-300))
 
 
-def integrate_doubling(f, a: float, b: float, context: str = "integral") -> float:
+def integrate_doubling(f, a: float, b: float, context: str) -> float:
     """Gauss-Legendre on [a, b], doubling nodes until the value settles."""
-    return _settle(lambda n: _gl_panels(f, a, b, n), _START_NODES,
-                   _MAX_DOUBLINGS, REL_TOL, context)
+    return _settle(lambda n: _gl_panels(f, a, b, n), _START_NODES, _MAX_DOUBLINGS, context)
 
 
 def gamma_pair(alpha: float) -> float:
@@ -206,11 +204,11 @@ def p_h_gil_pelaez(cfg: SystemConfig) -> float:
 
     edges = np.array(bounds)[:, None]
     value = _settle(lambda n: _gl_panels(integrand, edges[:-1], edges[1:], n), 16, 2,
-                    REL_TOL, "gil-pelaez inversion", floor=1.0)
+                    "gil-pelaez inversion", floor=1.0)
     return min(1.0, max(0.0, 0.5 + value / math.pi))
 
 
-def _log_kanter_a_reflected(beta: float, xp=np):
+def _log_kanter_a_reflected(beta: float):
     """psi -> log A(pi - psi), A Zolotarev's function in Kanter's representation.
 
     A standard positive-stable S of index beta, E[exp(-s*S)] = exp(-s^beta),
@@ -218,11 +216,9 @@ def _log_kanter_a_reflected(beta: float, xp=np):
     A(phi) = sin(beta*phi)^k * sin((1-beta)*phi) / sin(phi)^(1/(1-beta)) rising
     from (1-beta)*beta^k at phi = 0+ to infinity at pi (Kanter 1975, Ann.
     Probab.). Sines taken from psi = pi - phi do not cancel near phi = pi.
-    xp = ``math`` evaluates it on one float, as ``_stable_tail_rule``'s
-    bisection does inline.
     """
     k, rest = beta / (1.0 - beta), 1.0 - beta
-    shift, log, sin = rest * math.pi, xp.log, xp.sin
+    shift, log, sin = rest * math.pi, np.log, np.sin
     return lambda psi: (k * log(sin(shift + beta * psi)) + log(sin(rest * (math.pi - psi)))
                         - log(sin(psi)) / rest)
 
@@ -328,7 +324,7 @@ def p_h_kanter(cfg: SystemConfig) -> float:
     tail = _stable_tail_rule(log_t, log_t, beta)
     first = dict(zip((32, 64), tail(log_t, 32, 64)))
     return min(1.0, _settle(lambda n: float(first[n] if n in first else tail(log_t, n)),
-                            32, 5, REL_TOL, "kanter harvest probability"))
+                            32, 5, "kanter harvest probability"))
 
 
 def guard_zone_prob(lambda_p: float, r_gz: float) -> float:
@@ -405,19 +401,20 @@ def _decode_kernel(q: float, dist_sq):
     return np.exp(-q * np.asarray(dist_sq, dtype=float))
 
 
-def _disc_mean_kernel(cfg: SystemConfig, method: str, context: str,
-                      q: float | None = None) -> float:
+def _disc_mean_kernel(cfg: SystemConfig, method: str, q: float | None = None) -> float:
     """Decode chance of one relay placed uniformly in the disc.
 
     int_0^R exp(-q*r^2) * 2r/R^2 dr = (1 - exp(-q*R^2)) / (q*R^2). ``q``
     passes the method's ``_decode_rate(cfg, method)`` when the caller has it.
+    psi31, omega1 and delta all rest on this one integral, so its quadrature
+    oracle gives up under one context, "disc mean".
     """
     radius = cfg.r_disc
     if q is None:
         q = _decode_rate(cfg, method)
     if method == "quad":
         return integrate_doubling(lambda r: _decode_kernel(q, r * r) * 2.0 * r / radius ** 2,
-                                  0.0, radius, context)
+                                  0.0, radius, "disc mean")
     q_area = q * radius ** 2
     if q_area == 0.0:
         return 1.0
@@ -437,15 +434,16 @@ def _guarded(cfg: SystemConfig, mean: float) -> float:
 
 def psi31_bound(cfg: SystemConfig, method: str = "closed") -> float:
     """Chance the best composite-channel relay fails to decode hop one:
-    ``_all_fail`` of the disc mean kernel, as ``omega1``."""
-    return _all_fail(cfg, _disc_mean_kernel(cfg, method, "psi31"))
+    ``_all_fail`` of the disc mean kernel, the very computation of ``omega1``."""
+    return _all_fail(cfg, _disc_mean_kernel(cfg, method))
 
 
 def omega1(cfg: SystemConfig, method: str = "closed") -> float:
     """Chance that every relay's instantaneous first-hop SIR is below
     threshold; the best-SIR and composite-channel rules coincide under one
-    secondary transmit power, so this is ``psi31_bound``'s value."""
-    return _all_fail(cfg, _disc_mean_kernel(cfg, method, "omega1"))
+    secondary transmit power, so this is ``psi31_bound``'s computation, its
+    quadrature oracle included."""
+    return _all_fail(cfg, _disc_mean_kernel(cfg, method))
 
 
 def psi4_far_field(cfg: SystemConfig, method: str = "closed") -> float:
@@ -461,7 +459,7 @@ def psi4_far_field(cfg: SystemConfig, method: str = "closed") -> float:
 def delta_decode(cfg: SystemConfig, method: str = "closed") -> float:
     """Chance a uniformly placed relay decodes hop one with the transmitter
     outside every guard zone (the guard factor is part of the definition)."""
-    return _guarded(cfg, _disc_mean_kernel(cfg, method, "delta"))
+    return _guarded(cfg, _disc_mean_kernel(cfg, method))
 
 
 def _destination_sq(r, theta, cfg: SystemConfig):
@@ -520,8 +518,7 @@ def chi_integral(cfg: SystemConfig) -> float:
         rho, arcs = _destination_rings(cfg, n, 0.0)
         return float(arcs @ np.exp(-q * rho * rho))
 
-    return _settle(evaluate, _START_NODES // 4, _MAX_DOUBLINGS, REL_TOL,
-                   "chi double integral")
+    return _settle(evaluate, _START_NODES // 4, _MAX_DOUBLINGS, "chi double integral")
 
 
 def chi_bstd(cfg: SystemConfig, delta: float | None = None) -> float:
@@ -639,8 +636,7 @@ def chi_common(cfg: SystemConfig) -> float:
         h_a = -math.expm1(-lam * float(w @ np.exp(-u_a * rho_a)))
         return 1.0 - guard * (h_a - lam * float((half * rule.w).ravel() @ slope))
 
-    return _settle(evaluate, _CHI_START_NODES, _CHI_MAX_DOUBLINGS, REL_TOL,
-                   "chi common interference")
+    return _settle(evaluate, _CHI_START_NODES, _CHI_MAX_DOUBLINGS, "chi common interference")
 
 
 # ---------------------------------------------------------------------------
@@ -682,32 +678,26 @@ class AnalyticBreakdown:
     p_succ: float | None = None
 
 
-class UnsupportedScheme(ValueError):
-    """Raised for schemes with no analytic expression (the random baseline)."""
+class UnsupportedScheme(ConfigError):
+    """A usage error: ``analyze`` has no expression for this scheme or config."""
 
 
 ANALYTIC_SCHEMES = ("bcc", "bsir", "bstd")
 
 
-def has_analytic(scheme: str, cfg: SystemConfig) -> bool:
-    """Whether ``analyze`` has an expression for ``scheme`` under ``cfg``: an
-    analytic scheme, with slot positions drawn afresh per slot."""
-    return scheme in ANALYTIC_SCHEMES and cfg.slot_position_model != "static"
-
-
 def require_analytic(scheme: str, cfg: SystemConfig | None = None) -> None:
-    """Raise UnsupportedScheme unless ``scheme`` is one of ``ANALYTIC_SCHEMES``,
-    and ConfigError if ``cfg`` keeps the primaries in place across the slots
-    (``slot_position_model`` static): every factor here takes each slot's
-    field as independent, but one static field both fills the battery and
-    jams both hops."""
+    """The one statement of what ``analyze`` answers. Raise UnsupportedScheme
+    unless ``scheme`` is one of ``ANALYTIC_SCHEMES`` and ``cfg``, if given,
+    draws the primaries afresh per slot: every factor here takes each slot's
+    field as independent, but one static field (``slot_position_model``
+    static) both fills the battery and jams both hops."""
     if scheme == "random_baseline":
-        raise UnsupportedScheme(
-            "random_baseline is a simulation-only reference; no analytic expression")
+        raise UnsupportedScheme([
+            "random_baseline is a simulation-only reference; no analytic expression"])
     if scheme not in ANALYTIC_SCHEMES:
-        raise UnsupportedScheme(f"unknown scheme {scheme!r}")
+        raise UnsupportedScheme([f"unknown scheme {scheme!r}"])
     if cfg is not None and cfg.slot_position_model == "static":
-        raise ConfigError([
+        raise UnsupportedScheme([
             "slot_position_model static has no analytic expression: analyze takes "
             "each slot's primaries as a fresh field; simulate it, or set "
             "slot_position_model independent"])
@@ -725,8 +715,8 @@ def analyze(cfg: SystemConfig, scheme: str) -> AnalyticBreakdown:
 
     bcc and bsir share one relay branch: the composite-channel and best-SIR
     rules coincide under a single secondary transmit power. The hop-one
-    all-fail chance is ``psi31_bound`` (bcc) or ``omega1`` (bsir), which
-    differ only in the failure context of their quadrature oracle, and the
+    all-fail chance is ``psi31_bound`` (bcc) or ``omega1`` (bsir), one
+    computation down to its quadrature oracle's failure context, and the
     selected relay forwards over the far-field hop ``psi4_far_field``. bcc
     reports them as psi31, psi3 = 1 - psi31 and psi4; bsir as omega1, omega
     and phi. Without the direct link p_dsucc_sd = psi3 * psi4 * guard_st *
@@ -751,11 +741,12 @@ def analyze(cfg: SystemConfig, scheme: str) -> AnalyticBreakdown:
       that all fail, plus the direct link alone when the decoding set is
       void (chance pr_n1_zero, which never exceeds chi).
 
-    ``require_analytic`` refuses the random baseline and a config with
-    static slot positions before anything is computed. A quadrature that
-    gives up raises ``QuadratureFailure`` with the context "kanter harvest
-    probability", "chi common interference", "positive-stable tail rule" or
-    "chi double integral".
+    ``require_analytic`` refuses the random baseline, an unknown scheme and
+    a config with static slot positions, with ``UnsupportedScheme``, before
+    anything is computed. A quadrature that gives up raises
+    ``QuadratureFailure`` with the context "kanter harvest probability", "chi
+    common interference", "positive-stable tail rule" or "chi double
+    integral".
     """
     if not cfg.validated:
         raise ValueError("config must pass validate() before analysis")
@@ -824,7 +815,7 @@ def alpha4_selfcheck(cfg: SystemConfig):
     columns = []
     for method in ("closed", "quad"):
         q = _decode_rate(cfg, method)
-        mean = _disc_mean_kernel(cfg, method, "psi31", q)
+        mean = _disc_mean_kernel(cfg, method, q)
         fail = _all_fail(cfg, mean)
         columns.append((fail, fail, _guarded(cfg, mean), float(_decode_kernel(q, cfg.d_sd ** 2)),
                         float(_decode_kernel(q, f_sq))))

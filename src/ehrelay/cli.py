@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .analytics import (BREAKDOWN_FIELDS, QuadratureFailure, UnsupportedScheme,
-                        alpha4_selfcheck, analyze, has_analytic, require_analytic)
+                        alpha4_selfcheck, analyze, require_analytic)
 from .config import (LINEAR_FIELDS, NUMERIC_FIELDS, RAW_FIELDS, ConfigError,
                      SystemConfig, apply_overrides, load_config, validate)
 from .simulate import FLAG_NAMES, SCHEMES, _simulate_all, simulate
@@ -211,7 +211,11 @@ def cmd_sweep(args) -> int:
         raise ConfigError(["sweep needs --values or --from/--to/--steps"])
 
     def analytic(cfg, scheme):
-        return analyze(cfg, scheme).p_succ if has_analytic(scheme, cfg) else None
+        try:
+            require_analytic(scheme, cfg)
+        except UnsupportedScheme:   # a cell that analyze refuses stays empty
+            return None
+        return analyze(cfg, scheme).p_succ
 
     with _output(args) as fh:
         _write_csv(fh, _GRID_COLUMNS + ["ana_p_succ"],
@@ -304,9 +308,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         for diagnostic in exc.diagnostics:
             print(f"error: {diagnostic}", file=sys.stderr)
-        return 2
-    except UnsupportedScheme as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
     except QuadratureFailure as exc:
         print(f"error: {exc}", file=sys.stderr)

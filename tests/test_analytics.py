@@ -70,7 +70,7 @@ def test_settle_stops_at_a_non_finite_level(monkeypatch):
 def test_settle_raises_at_an_infinite_finer_level():
     # inf - 1 is within any relative tolerance of inf; it is no settled value.
     with pytest.raises(QuadratureFailure) as info:
-        an._settle(lambda n: 1.0 if n == 16 else math.inf, 16, 2, an.REL_TOL, "inf")
+        an._settle(lambda n: 1.0 if n == 16 else math.inf, 16, 2, "inf")
     assert info.value.context == "inf"
 
 
@@ -168,6 +168,78 @@ def test_p_h_kanter_settles_close_to_alpha_2(node_counts):
     assert max(node_counts) <= 1024
     assert all(0.0 <= v <= 1.0 for v in values)
     assert values[0] >= values[1] >= values[2]
+
+
+# An exact sampler of the standard positive-stable law of index beta, as an
+# oracle for the quadratures near alpha = 2 that Gil-Pelaez cannot reach and
+# the alpha = 4 erf form does not cover: S = (A(phi)/E)^(1/k), k = beta/(1-beta),
+# phi ~ U(0, pi), E ~ Exp(1), with Zolotarev's function A in Kanter's form
+# (Kanter 1975; Chambers, Mallows & Stuck 1976). The seed was fixed before
+# any comparison was run.
+SAMPLER_SEED = 2026
+SAMPLER_DRAWS = 400_000
+
+
+def _log_kanter_a(phi, beta):
+    """log A(phi) = k log sin(beta phi) + log sin((1-beta) phi) - log sin(phi)/(1-beta)."""
+    k = beta / (1.0 - beta)
+    return (k * np.log(np.sin(beta * phi)) + np.log(np.sin((1.0 - beta) * phi))
+            - np.log(np.sin(phi)) / (1.0 - beta))
+
+
+def _stable_log_samples(beta):
+    """SAMPLER_DRAWS samples of log S, S standard positive stable of index beta."""
+    rng = np.random.default_rng(SAMPLER_SEED)
+    phi = rng.uniform(0.0, math.pi, SAMPLER_DRAWS)
+    log_e = np.log(rng.standard_exponential(SAMPLER_DRAWS))
+    return (_log_kanter_a(phi, beta) - log_e) * ((1.0 - beta) / beta)
+
+
+def _z_scores(sampled, exact):
+    exact = np.asarray(exact)
+    return (sampled - exact) / np.sqrt(exact * (1.0 - exact) / SAMPLER_DRAWS)
+
+
+@pytest.mark.parametrize("alpha,lambda_p,p_st_dbm", [
+    (2.02, 1e-5, 5.0), (2.05, 1e-5, 5.0), (2.1, 1e-5, -2.0), (2.1, 1e-4, 5.0),
+    (2.2, 1e-5, -2.0), (2.2, 1e-4, 5.0)])
+def test_p_h_kanter_matches_plane_field_sampler(alpha, lambda_p, p_st_dbm):
+    # K = C^(1/beta) * S over the whole plane, C = lambda_p*pi*Gamma(1+beta)
+    # *Gamma(1-beta)*(a^beta + ((1-a)/2)^beta), so P(K >= sigma) is the
+    # sampled share of log S above log sigma - log(C)/beta.
+    cfg = cfg_with(alpha=alpha, lambda_p=lambda_p, p_st_dbm=p_st_dbm, trunc_epsilon=1e300)
+    beta = 2.0 / alpha
+    c = (lambda_p * math.pi * math.gamma(1.0 + beta) * math.gamma(1.0 - beta)
+         * (cfg.a ** beta + ((1.0 - cfg.a) / 2.0) ** beta))
+    log_x = math.log(harvest_threshold(cfg)) - math.log(c) / beta
+    p_h = an.p_h_kanter(cfg)
+    assert 0.008 < p_h < 0.87
+    sampled = np.mean(_stable_log_samples(beta) > log_x)
+    assert abs(_z_scores(sampled, p_h)) <= 5.0
+
+
+# Per alpha, x values at which P(S > x) runs from about 0.99 to 0.001.
+TAIL_RULE_POINTS = {
+    2.2: (0.64, 0.71, 0.89, 1.85, 12.9, 141.0),
+    2.1: (0.774, 0.814, 0.916, 1.39, 6.2, 57.0),
+    2.05: (0.865, 0.887, 0.942, 1.18, 3.5, 26.0),
+    2.02: (0.935, 0.945, 0.968, 1.067, 1.97, 10.6),
+}
+
+
+@pytest.mark.parametrize("alpha", sorted(TAIL_RULE_POINTS))
+def test_stable_tail_rule_matches_plane_field_sampler(alpha):
+    # One rule over the whole x range, read at every level chi_common takes
+    # (a quarter of its 48..384 ring nodes), as chi_common reads it.
+    beta = 2.0 / alpha
+    k = beta / (1.0 - beta)
+    log_x = np.log(TAIL_RULE_POINTS[alpha])
+    tail = an._stable_tail_rule(-k * log_x[-1], -k * log_x[0], beta)
+    sampled = np.mean(_stable_log_samples(beta)[:, None] > log_x, axis=0)
+    for n in (12, 24, 48, 96):
+        exact = tail(-k * log_x, n)
+        assert exact[0] > 0.98 and exact[-1] < 0.002
+        assert np.all(np.abs(_z_scores(sampled, exact)) <= 5.0), n
 
 
 # Valid configs on which the oscillatory inversion stalls; analyze reads the
@@ -404,8 +476,13 @@ def test_bstd_total_on_sampled_configs():
     (lambda: guard_zone_prob(-1e-3, 1.0), ValueError, "must be >= 0"),
     (lambda: guard_zone_prob(1e-3, -1.0), ValueError, "must be >= 0"),
     (lambda: an.require_analytic("nope"), UnsupportedScheme, "unknown scheme 'nope'"),
+    (lambda: analyze(cfg_with(), "random_baseline"), UnsupportedScheme,
+     "random_baseline is a simulation-only reference"),
+    (lambda: analyze(cfg_with(slot_position_model="static"), "bcc"), UnsupportedScheme,
+     "slot_position_model static has no analytic expression"),
 ], ids=["gamma_pair", "laplace_K", "p_h_levy_erf", "guard_zone_prob-density",
-        "guard_zone_prob-radius", "require_analytic"])
+        "guard_zone_prob-radius", "require_analytic", "analyze-random_baseline",
+        "analyze-static"])
 def test_analytics_argument_checks(call, error, match):
     with pytest.raises(error, match=match):
         call()
@@ -603,7 +680,7 @@ def test_destination_rings_cover_the_disc(alpha, r_max, d_sd):
     # disc, pi*R^2 times its closed-form disc mean, at every level past the
     # first that chi_common runs.
     cfg = cfg_with(alpha=alpha, r_max=r_max, d_sd=d_sd)
-    exact = math.pi * cfg.r_disc ** 2 * an._disc_mean_kernel(cfg, "closed", "disc")
+    exact = math.pi * cfg.r_disc ** 2 * an._disc_mean_kernel(cfg, "closed")
     q = an._decode_rate(cfg)
     for n in (96, 192, 384):
         rho, weights = an._destination_rings(cfg, n, q)
@@ -621,14 +698,17 @@ def test_kanter_cdf_matches_levy_law():
     for n in (64, 128):
         assert tail(-np.log(x), n) == pytest.approx(exact, rel=1e-9)
     # chi_common bounds the lower tail of the law by A's value at phi = 0+.
+    # Away from both ends, where pi - phi or sin(phi) rounds, Kanter's formula
+    # in phi itself agrees with the reflected one.
     phi = np.linspace(1e-6, math.pi - 1e-3, 2001)
+    inner = (phi > 0.1) & (phi < math.pi - 0.1)
     for beta in (0.2, 0.4, 0.5, 2.0 / 3.0, 0.9):
         log_a = an._log_kanter_a_reflected(beta)(math.pi - phi)
         assert np.all(np.diff(log_a) > 0.0)
         k = beta / (1.0 - beta)
         assert math.exp(log_a[0]) == pytest.approx((1.0 - beta) * beta ** k, rel=1e-6)
-        assert an._log_kanter_a_reflected(beta, math)(math.pi - 0.3) == pytest.approx(
-            an._log_kanter_a_reflected(beta)(np.array([math.pi - 0.3]))[0], rel=1e-14)
+        assert log_a[inner] == pytest.approx(_log_kanter_a(phi[inner], beta), rel=1e-12,
+                                             abs=1e-12)
 
 
 @pytest.mark.parametrize("beta", [0.2, 0.5, 2.0 / 3.0, 0.9])
@@ -820,6 +900,8 @@ def test_breakdown_probability_fields_in_unit_interval():
 
 
 def test_analyze_rejects_random_baseline(baseline):
+    # Every refusal of analyze is a usage error, as the CLI reports it.
+    assert issubclass(UnsupportedScheme, ConfigError)
     with pytest.raises(UnsupportedScheme):
         analyze(baseline, "random_baseline")
 
@@ -841,7 +923,6 @@ def test_analyze_refuses_static_slot_positions(baseline, scheme):
     # One static field fills the battery and jams both hops; no factor here
     # models that, so analyze refuses instead of returning the independent value.
     static = validate(dataclasses.replace(baseline, slot_position_model="static"))
-    assert an.has_analytic(scheme, baseline) and not an.has_analytic(scheme, static)
     with pytest.raises(ConfigError, match="slot_position_model static"):
         analyze(static, scheme)
 
