@@ -21,7 +21,7 @@ from .analytics import (BREAKDOWN_FIELDS, QuadratureFailure, UnsupportedScheme,
                         alpha4_selfcheck, analyze, require_analytic)
 from .config import (LINEAR_FIELDS, NUMERIC_FIELDS, RAW_FIELDS, ConfigError,
                      SystemConfig, apply_overrides, load_config, validate)
-from .simulate import FLAG_NAMES, SCHEMES, _simulate_all, simulate
+from .simulate import FLAG_NAMES, SCHEMES, _simulate_all, require_drawable, simulate
 
 _SIM_FLAG_COLUMNS = tuple(n for n in FLAG_NAMES if n != "success")
 # The first eight columns of every sweep and compare row.
@@ -85,8 +85,8 @@ def _load_config(args) -> SystemConfig:
 
 
 def _grid_points(args, base: SystemConfig):
-    """(value, validated config) of every grid point, [] without a grid;
-    all are validated up front, and the first bad one aborts, named."""
+    """(value, validated config) of every grid point, [] without a grid; all
+    pass validate and ``require_drawable`` up front, and the first bad one aborts."""
     missing = [flag for flag, given in (("--from", args.grid_from), ("--to", args.grid_to),
                                         ("--steps", args.steps)) if given is None]
     if args.values is not None and len(missing) < 3:
@@ -121,7 +121,8 @@ def _grid_points(args, base: SystemConfig):
     points = []
     for value in values:
         try:
-            points.append((value, validate(apply_overrides(base, {param: value}))))
+            points.append((value, require_drawable(validate(apply_overrides(
+                base, {param: value})))))
         except ConfigError as exc:
             raise ConfigError(
                 [f"grid point {param}={_fmt(value)} invalid: {d}"
@@ -172,7 +173,7 @@ def _emit_selfcheck_warnings(cfg) -> None:
 
 
 def cmd_simulate(args) -> int:
-    cfg = validate(_load_config(args))
+    cfg = require_drawable(validate(_load_config(args)))
     config_fields = RAW_FIELDS + LINEAR_FIELDS
     with _output(args) as fh:
         result = simulate(cfg, args.scheme, args.trials, args.seed, workers=args.workers)
@@ -226,7 +227,7 @@ def cmd_sweep(args) -> int:
 def cmd_compare(args) -> int:
     base = _load_config(args)
     require_analytic(args.scheme)
-    points = _grid_points(args, base) or [(None, validate(base))]
+    points = _grid_points(args, base) or [(None, require_drawable(validate(base)))]
     require_analytic(args.scheme, points[0][1])  # a grid moves numeric fields only
     inside = 0
 
@@ -259,9 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--scheme", required=True, choices=SCHEMES)
         p.add_argument("--trials", type=_at_least_one, default=30000)
         p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--workers", type=_at_least_one, default=None,
-                       help="parallel workers (default: EHRELAY_WORKERS or 1); "
-                            "any value reproduces --workers 1 output exactly")
+        p.add_argument("--workers", type=_at_least_one, default=1,
+                       help="parallel workers (default 1); any value reproduces "
+                            "--workers 1 output exactly")
         p.add_argument("--out", metavar="FILE", default=None,
                        help="output CSV path (default: stdout)")
 

@@ -3,8 +3,8 @@
 All internal computation runs in linear units (mW, meters, dimensionless
 ratios); dB and dBm appear only at the configuration and reporting boundary.
 A config is usable by the other modules only after ``validate`` has set its
-linear-unit fields; each field's kind (bool, choice string, number or
-optional number) is read from its declaration.
+linear-unit fields; each field's kind (bool, choice string or number) is
+read from its declaration.
 """
 
 from __future__ import annotations
@@ -44,9 +44,10 @@ HARVEST_THRESHOLD_MODES = ("energy", "energy-over-a")
 class SystemConfig:
     """All physical and protocol parameters of one network scenario.
 
-    Raw fields use the units stated in their names. A ``None`` default marks
-    an optional number, a ``str`` default a choice among ``choices``. The
-    trailing ``*_mw`` / ``*_lin`` fields are not constructor arguments: only
+    Raw fields use the units stated in their names; a ``str`` default marks
+    a choice among ``choices``. No field holds the block duration T: a block
+    harvests eta * p_t * T * K and spends (1-a)/2 * p_st * T, so T cancels.
+    The trailing ``*_mw`` / ``*_lin`` fields are not constructor arguments: only
     ``validate`` sets them, on the copy it returns, so any ``replace`` copy
     starts out unvalidated.
     """
@@ -57,15 +58,12 @@ class SystemConfig:
     p_st_dbm: float = -2.0        # secondary transmit-power threshold
     eta: float = 0.8              # harvesting efficiency, in (0, 1]
     a: float = 0.5                # harvesting slot time fraction, in (0, 1)
-    t_block: float = 1e-3         # block duration, seconds
     alpha: float = 4.0            # path-loss exponent, > 2
     r_disc: float = 1.0           # relay-disc radius around the transmitter, m
     r_gz: float = 1.0             # guard-zone radius around each PR, m
     gamma_th_db: float = -10.0    # SIR decode threshold
     d_sd: float = 2.0             # transmitter-to-destination separation, m
     r_max: float = 50.0           # truncation radius for the primary fields, m
-    p_min_dbm: float | None = None   # optional lower feasibility bound on p_st
-    p_max_dbm: float | None = None   # optional upper feasibility bound on p_st
     direct_link: bool = False     # whether the direct ST-SD link exists
     slot_position_model: str = field(
         default="independent", metadata={"choices": SLOT_POSITION_MODELS})
@@ -104,9 +102,8 @@ def _kind_problem(f: dataclasses.Field, value):
     elif isinstance(f.default, str):
         if value not in f.metadata["choices"]:
             return f"{f.name} must be one of {f.metadata['choices']}, got {value!r}"
-    elif not ((f.default is None and value is None)
-              or (isinstance(value, numbers.Real) and not isinstance(value, bool)
-                  and math.isfinite(value))):
+    elif not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+              and math.isfinite(value)):
         return f"{f.name} must be a finite number, got {value!r}"
     return None
 
@@ -154,7 +151,7 @@ def validate(cfg: SystemConfig) -> SystemConfig:
     for name in ("lambda_p", "lambda_sr", "r_gz"):
         if getattr(cfg, name) < 0.0:
             problems.append(f"{name} must be >= 0, got {getattr(cfg, name)}")
-    for name in ("r_disc", "d_sd", "t_block", "trunc_epsilon"):
+    for name in ("r_disc", "d_sd", "trunc_epsilon"):
         if not getattr(cfg, name) > 0.0:
             problems.append(f"{name} must be > 0, got {getattr(cfg, name)}")
 
@@ -162,13 +159,6 @@ def validate(cfg: SystemConfig) -> SystemConfig:
     if cfg.r_max < min_r_max:
         problems.append(
             f"r_max must be >= 2*max(r_disc, d_sd) = {min_r_max}, got {cfg.r_max}")
-
-    if cfg.p_min_dbm is not None and cfg.p_st_dbm < cfg.p_min_dbm:
-        problems.append(
-            f"p_st_dbm {cfg.p_st_dbm} below feasibility bound p_min_dbm {cfg.p_min_dbm}")
-    if cfg.p_max_dbm is not None and cfg.p_st_dbm > cfg.p_max_dbm:
-        problems.append(
-            f"p_st_dbm {cfg.p_st_dbm} above feasibility bound p_max_dbm {cfg.p_max_dbm}")
 
     if cfg.alpha > 2.0 and powers_usable:
         tail = truncation_tail_mean(cfg, linear["p_t_mw"])
@@ -212,8 +202,6 @@ def parse_value(name: str, text: str):
         raise ConfigError([f"{name} must be a boolean, got {text!r}"])
     if isinstance(default, str):
         return text
-    if default is None and text.lower() in ("none", ""):
-        return None
     try:
         return float(text)
     except ValueError:

@@ -59,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SystemConfig, harvest_threshold
+from .config import ConfigError, SystemConfig, harvest_threshold
 from .geometry import (EPS_MIN, DiscBatch, RngStream, _path_loss, as_generator,
                        disc_ppp_batch, segment_starts, segment_sums,
                        shot_noise_batch)
@@ -79,6 +79,9 @@ ELEMENT_BUDGET = 1 << 16
 HEAP_TOP_PAD = 1 << 26
 # Allowance per trial, and per relay in ``_decide``, for its own arrays.
 _PER_TRIAL_ELEMENTS = 32
+# Expected array elements of one trial above which a config is refused
+# before anything is drawn; one trial just under it takes about 10 s.
+TRIAL_ELEMENT_CAP = ELEMENT_BUDGET << 12
 
 
 @dataclass(frozen=True)
@@ -133,21 +136,32 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
     return lo, hi
 
 
-def trials_per_block(cfg: SystemConfig) -> int:
-    """Trials drawn from one random stream; set by the config alone.
-
-    A trial is expected to hold the points of four primary fields, the relay
-    x slot-two primary pairs and a fixed allowance for its own arrays; a block
-    takes as many trials as fit ELEMENT_BUDGET, and at least one.
-    """
+def trial_elements(cfg: SystemConfig) -> float:
+    """Array elements one trial is expected to hold: four primary fields, the
+    relay x slot-two primary pairs and a fixed allowance for its own arrays."""
     primaries = cfg.lambda_p * math.pi * cfg.r_max ** 2
     relays = cfg.lambda_sr * math.pi * cfg.r_disc ** 2
-    per_trial = _PER_TRIAL_ELEMENTS + 4.0 * primaries + relays * primaries
-    return max(1, int(ELEMENT_BUDGET // per_trial))
+    return _PER_TRIAL_ELEMENTS + 4.0 * primaries + relays * primaries
+
+
+def trials_per_block(cfg: SystemConfig) -> int:
+    """Trials drawn from one random stream, set by the config alone: as many
+    as fit ELEMENT_BUDGET by ``trial_elements``, and at least one."""
+    return max(1, int(ELEMENT_BUDGET // trial_elements(cfg)))
+
+
+def require_drawable(cfg: SystemConfig) -> SystemConfig:
+    """``cfg``; a ``ConfigError`` if ``trial_elements`` exceeds TRIAL_ELEMENT_CAP."""
+    elements = trial_elements(cfg)
+    if not elements <= TRIAL_ELEMENT_CAP:
+        raise ConfigError([f"one trial would hold {elements:.3g} array elements, over the "
+                           f"cap of {TRIAL_ELEMENT_CAP}; lower lambda_p, r_max or lambda_sr"])
+    return cfg
 
 
 def harvested_energy(cfg: SystemConfig, dedicated, reused):
-    """Harvested energy in units of eta * p_t * t_block: the normalized sum K.
+    """Harvested energy in units of eta * p_t * T, T the block duration, which
+    cancels against the spent (1-a)/2 * p_st * T: the normalized sum K.
 
     ``dedicated`` and ``reused`` are the path-loss sums of the dedicated
     harvesting slot and the reused forwarding slot; K weights them by a and
@@ -406,7 +420,7 @@ def _blocks(cfg: SystemConfig, trials: int):
     """(block index, trials in it) covering ``trials`` trials."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    size = trials_per_block(cfg)
+    size = trials_per_block(require_drawable(cfg))
     return [(b, min(size, trials - b * size)) for b in range(-(-trials // size))]
 
 
@@ -527,14 +541,7 @@ def _pooled_counts(cfg: SystemConfig, seed: int, tasks, step) -> np.ndarray:
     return counts + sum(replies)
 
 
-def default_workers() -> int:
-    with contextlib.suppress(ValueError):
-        return max(1, int(os.environ.get("EHRELAY_WORKERS") or 1))
-    return 1
-
-
-def simulate_all(cfg: SystemConfig, trials: int, seed: int,
-                 workers: int | None = None) -> dict:
+def simulate_all(cfg: SystemConfig, trials: int, seed: int, workers: int = 1) -> dict:
     """Every scheme's estimate and flag frequencies from one pass.
 
     Returns {scheme: SimulationResult} over the same realizations. Counting
@@ -547,20 +554,20 @@ def simulate_all(cfg: SystemConfig, trials: int, seed: int,
     reused by later calls (and every grid point of a sweep); it is replaced
     when a call needs another size or an idle worker died, dropped when one
     dies during a call (``BrokenProcessPool``), rebuilt in a forked child and
-    ended at exit. Results are never cached.
+    ended at exit. Results are never cached. A config that
+    ``require_drawable`` refuses raises its ``ConfigError`` before any draw.
     """
-    return _simulate_all(cfg, trials, seed, workers, step=lambda: None)
+    return _simulate_all(cfg, trials, seed, workers)
 
 
-def _simulate_all(cfg: SystemConfig, trials: int, seed: int, workers: int | None,
-                  step) -> dict:
+def _simulate_all(cfg: SystemConfig, trials: int, seed: int, workers: int = 1,
+                  step=lambda: None) -> dict:
     """``simulate_all``, running ``step()`` in this process before its own
     share of blocks: after the workers' shares are sent when it has any,
     first otherwise. An exception ``step`` raises ends the call, so a caller
     that wants the counts first holds its own."""
     if not cfg.validated:
         raise ValueError("config must pass validate() before simulation")
-    workers = workers if workers is not None else default_workers()
     blocks = _blocks(cfg, trials)
 
     if workers <= 1 or len(blocks) == 1:
@@ -585,7 +592,7 @@ def _simulate_all(cfg: SystemConfig, trials: int, seed: int, workers: int | None
 
 
 def simulate(cfg: SystemConfig, scheme: str, trials: int, seed: int,
-             workers: int | None = None) -> SimulationResult:
+             workers: int = 1) -> SimulationResult:
     """Estimate one scheme's success probability and every intermediate-flag
     frequency; the scheme's row of ``simulate_all``."""
     if scheme not in SCHEMES:

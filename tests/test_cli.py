@@ -66,6 +66,13 @@ def test_simulate_row_and_determinism(tmp_path, baseline_path):
     assert "freq_harvest_ok" in header
 
 
+def test_simulate_csv_has_no_removed_option_columns(tmp_path):
+    out = tmp_path / "sim.csv"
+    assert run_cli(["simulate", "--scheme", "bcc", "--trials", "5", "--out", str(out)]) == 0
+    header, _ = header_and_row(out)
+    assert not {"t_block", "p_min_dbm", "p_max_dbm"} & set(header)
+
+
 def test_simulate_worker_count_invariance(tmp_path, baseline_path):
     base = ["simulate", "--config", baseline_path, "--scheme", "bcc",
             "--trials", "300", "--seed", "3"]
@@ -87,6 +94,38 @@ def test_simulate_invalid_alpha(capsys):
     assert run_cli(["simulate", "--scheme", "bcc", "--trials", "5",
                     "--alpha", "2"]) == 2
     assert "alpha must exceed 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["file", "flag"])
+def test_block_duration_is_not_a_config_key(source, tmp_path, capsys, monkeypatch):
+    # The block duration cancels from every formula, so no key sets it.
+    monkeypatch.setattr(cli, "simulate", _never)
+    path = tmp_path / "t_block.cfg"
+    path.write_text("t_block = 1e-3\n")
+    given = (["--config", str(path)] if source == "file" else ["--t_block", "1e-3"])
+    assert run_cli(["simulate", "--scheme", "bcc", "--trials", "5"] + given) == 2
+    err = capsys.readouterr().err
+    assert ("error: line 1: unknown config key 't_block'" in err if source == "file"
+            else "unrecognized arguments: --t_block 1e-3" in err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--scheme", "bcc"],
+    ["sweep", "--param", "p_st_dbm", "--values=0,5", "--schemes", "bcc"],
+    ["compare", "--scheme", "bcc"],
+    ["compare", "--scheme", "bcc", "--param", "p_st_dbm", "--values=0,5"],
+])
+def test_trial_too_large_to_draw_is_a_usage_error(argv, tmp_path, capsys, monkeypatch):
+    # Refused before --out is opened, and before anything is drawn.
+    for name in ("simulate", "_simulate_all", "analyze"):
+        monkeypatch.setattr(cli, name, _never)
+    out = tmp_path / "huge.csv"
+    start = time.perf_counter()
+    assert run_cli(argv + ["--lambda_p", "10", "--r_max", "10000", "--lambda_sr", "100",
+                           "--trials", "1", "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "over the cap of 268435456" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -677,16 +716,6 @@ def _exists(pid):
         return False
     except FileNotFoundError:   # it exited meanwhile, or there is no /proc
         return not os.path.isdir("/proc")
-
-
-def test_workers_env_default(monkeypatch):
-    from ehrelay.simulate import default_workers
-    monkeypatch.setenv("EHRELAY_WORKERS", "5")
-    assert default_workers() == 5
-    monkeypatch.setenv("EHRELAY_WORKERS", "junk")
-    assert default_workers() == 1
-    monkeypatch.delenv("EHRELAY_WORKERS")
-    assert default_workers() == 1
 
 
 def test_float_format_nine_significant_digits(tmp_path):

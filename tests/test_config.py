@@ -79,16 +79,6 @@ def test_r_max_floor():
     assert any("r_max" in d for d in err.value.diagnostics)
 
 
-def test_power_feasibility_bounds():
-    validate(SystemConfig(p_min_dbm=-5.0, p_max_dbm=10.0))
-    with pytest.raises(ConfigError) as err:
-        validate(SystemConfig(p_min_dbm=0.0))
-    assert any("p_min_dbm" in d for d in err.value.diagnostics)
-    with pytest.raises(ConfigError) as err:
-        validate(SystemConfig(p_max_dbm=-5.0))
-    assert any("p_max_dbm" in d for d in err.value.diagnostics)
-
-
 def test_harvest_threshold_modes():
     cfg = validate(SystemConfig())
     sigma = harvest_threshold(cfg)
@@ -164,7 +154,7 @@ def test_replace_of_any_field_clears_validation(baseline):
 
 def test_numpy_grid_values_validate():
     grid = np.linspace(-5.0, 5.0, 3)
-    cfg = validate(SystemConfig(p_st_dbm=grid[1], p_min_dbm=grid[0],
+    cfg = validate(SystemConfig(p_st_dbm=grid[1], gamma_th_db=grid[0],
                                 alpha=np.float64(3.0), r_max=400.0))
     assert cfg.p_st_mw == pytest.approx(1.0, rel=1e-12)
 
@@ -175,15 +165,12 @@ def test_numpy_grid_values_validate():
     ("r_disc", lambda: validate(SystemConfig(r_disc=0.0))),
     ("d_sd", lambda: validate(SystemConfig(d_sd=0.0))),
     ("r_gz", lambda: validate(SystemConfig(r_gz=-0.5))),
-    ("t_block", lambda: validate(SystemConfig(t_block=0.0))),
     ("trunc_epsilon", lambda: validate(SystemConfig(trunc_epsilon=0.0))),
     ("slot_position_model", lambda: validate(SystemConfig(slot_position_model="moving"))),
     ("harvest_threshold_mode",
      lambda: validate(SystemConfig(harvest_threshold_mode="power"))),
     ("eta", lambda: validate(SystemConfig(eta=math.inf))),
     ("gamma_th_db", lambda: validate(SystemConfig(gamma_th_db=-math.inf))),
-    ("p_min_dbm", lambda: validate(SystemConfig(p_min_dbm=math.nan))),
-    ("p_max_dbm", lambda: validate(SystemConfig(p_max_dbm="5"))),
     ("alpha", lambda: validate(SystemConfig(alpha="3"))),
     ("alpha", lambda: validate(SystemConfig(alpha=True))),
     ("lambda_p", lambda: validate(SystemConfig(lambda_p=None))),
@@ -196,9 +183,9 @@ def test_numpy_grid_values_validate():
     ("alpha", lambda: parse_value("alpha", "four")),
     ("alpha", lambda: parse_value("alpha", "none")),
     ("alpha", lambda: parse_config_text("alpha 3\n")),
-], ids=["lambda_p<0", "lambda_sr<0", "r_disc=0", "d_sd=0", "r_gz<0", "t_block=0",
+], ids=["lambda_p<0", "lambda_sr<0", "r_disc=0", "d_sd=0", "r_gz<0",
         "trunc_epsilon=0", "slot_model", "harvest_mode", "eta=inf",
-        "gamma_th_db=-inf", "p_min_dbm=nan", "p_max_dbm_str", "alpha_str",
+        "gamma_th_db=-inf", "alpha_str",
         "alpha_bool", "lambda_p_none", "direct_link_str", "direct_link_int",
         "direct_literal_events_none", "slot_model_none", "parse_bool",
         "parse_number", "parse_none_not_optional", "line_without_equals"])
@@ -210,8 +197,6 @@ def test_every_diagnostic_names_its_field(name, check):
 
 
 def test_parse_value_kinds():
-    assert parse_value("p_min_dbm", " None ") is None
-    assert parse_value("p_max_dbm", "") is None
     assert parse_value("direct_link", "Off") is False
     assert parse_value("harvest_threshold_mode", " energy-over-a ") == "energy-over-a"
     assert parse_value("alpha", "3.5") == 3.5

@@ -15,6 +15,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
 
@@ -22,16 +23,20 @@ import numpy as np
 import pytest
 
 from ehrelay import analytics as an
-from ehrelay.config import SystemConfig, validate
+from ehrelay.config import ConfigError, SystemConfig, validate
 from ehrelay.geometry import (DiscBatch, RngStream, _path_loss, disc_ppp_batch,
                               segment_starts)
-from ehrelay.simulate import (ELEMENT_BUDGET, FLAG_NAMES, SCHEMES, _pair_d2,
-                              _pair_sums, _received, _safe_ratio,
+from ehrelay.simulate import (ELEMENT_BUDGET, FLAG_NAMES, SCHEMES, TRIAL_ELEMENT_CAP,
+                              _pair_d2, _pair_sums, _received, _safe_ratio,
                               harvested_energy, outcomes, run_realization,
-                              select_relay, simulate, simulate_all,
+                              select_relay, simulate, simulate_all, trial_elements,
                               trials_per_block, wilson_interval)
 
 sim_mod = importlib.import_module("ehrelay.simulate")
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("reached although the call should have stopped")
 
 
 def cfg_with(**kw):
@@ -71,8 +76,9 @@ def test_harvested_energy_hand_case():
     one = 1.0 * _path_loss(np.array([1.0]), cfg.alpha)  # unit gain at 1 m
     k = harvested_energy(cfg, one, one)
     assert k[0] == pytest.approx(0.75, rel=1e-12)
-    # K is the energy in units of eta * p_t * t_block: 6e-4 mJ here.
-    assert cfg.eta * cfg.p_t_mw * cfg.t_block * k[0] == pytest.approx(6e-4, rel=1e-12)
+    # K is the energy in units of eta * p_t * T: 6e-4 mJ here, with T = 1 ms.
+    t_block = 1e-3
+    assert cfg.eta * cfg.p_t_mw * t_block * k[0] == pytest.approx(6e-4, rel=1e-12)
     zero = np.zeros(1)
     assert harvested_energy(cfg, zero, zero)[0] == 0.0
     # The weights a and (1-a)/2 go to the dedicated and the reused slot.
@@ -509,6 +515,16 @@ def test_simulate_deterministic_and_worker_invariant(baseline):
     assert a.estimate == c.estimate
 
 
+def test_workers_default_to_one_whatever_the_environment(baseline, monkeypatch):
+    # No environment variable sets the worker count: a call without
+    # ``workers`` runs its three blocks in this process.
+    monkeypatch.setenv("EHRELAY_WORKERS", "4")
+    monkeypatch.setattr(sim_mod, "_pooled_counts", _never)
+    trials = 2 * trials_per_block(baseline) + 5
+    assert simulate(baseline, "bcc", trials, seed=327) == simulate_all(
+        baseline, trials, seed=327, workers=1)["bcc"]
+
+
 def test_simulate_reads_one_all_scheme_pass(baseline):
     cfg = validate(dataclasses.replace(baseline, direct_link=True))
     every = simulate_all(cfg, 500, seed=328, workers=1)
@@ -647,6 +663,28 @@ def test_kernel_memory_stays_bounded(baseline, overrides, trials):
     finally:
         tracemalloc.stop()
     assert peak < bound
+
+
+# One trial of about 3.1e9 primaries per field and 1e12 elements, which
+# validate accepts.
+TOO_LARGE = {"lambda_p": 10.0, "r_max": 10000.0, "lambda_sr": 100.0}
+
+
+def test_trial_too_large_to_draw_is_refused(baseline, monkeypatch):
+    cfg = validate(dataclasses.replace(baseline, **TOO_LARGE))
+    monkeypatch.setattr(sim_mod, "_draw", _never)
+    for run in (lambda: simulate_all(cfg, 1, seed=1, workers=2),
+                lambda: outcomes(cfg, 1, seed=1)):
+        start = time.perf_counter()
+        with pytest.raises(ConfigError) as err:
+            run()
+        assert time.perf_counter() - start < 1.0
+        assert err.value.diagnostics == [
+            "one trial would hold 1e+12 array elements, over the cap of 268435456; "
+            "lower lambda_p, r_max or lambda_sr"]
+    # The largest trial the tests draw stays at least 10x under the cap.
+    huge = validate(dataclasses.replace(baseline, **HUGE_TRIAL))
+    assert 10 * trial_elements(huge) <= TRIAL_ELEMENT_CAP
 
 
 def test_ci_width_shrinks_with_doubled_trials(baseline):
