@@ -8,6 +8,7 @@ test.
 import dataclasses
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -307,6 +308,37 @@ def test_gil_pelaez_non_finite_level_raises(monkeypatch):
     with pytest.raises(QuadratureFailure) as info:
         p_h_gil_pelaez(cfg_with())
     assert info.value.context == "gil-pelaez inversion"
+
+
+def test_gil_pelaez_groups_sum_as_the_ungrouped_level(monkeypatch):
+    # 8,556 panels: under one group of the default size, which keeps the bits
+    # of the ungrouped sum, and nine groups of 1,000.
+    cfg = cfg_with(lambda_p=1e-3)
+    one_group = p_h_gil_pelaez(cfg)
+    monkeypatch.setattr(an, "_GIL_PELAEZ_GROUP", 1 << 30)
+    whole = p_h_gil_pelaez(cfg)
+    assert one_group == whole
+    rows = []
+    real = an._gl_panels
+    monkeypatch.setattr(an, "_gl_panels",
+                        lambda f, lo, hi, n: rows.append(len(lo)) or real(f, lo, hi, n))
+    monkeypatch.setattr(an, "_GIL_PELAEZ_GROUP", 1000)
+    assert p_h_gil_pelaez(cfg) == pytest.approx(whole, rel=1e-12)
+    assert max(rows) == 1000 and sum(rows) == 2 * 8556
+
+
+def test_gil_pelaez_memory_stays_near_one_group():
+    # 191k panels, 64 nodes at the finest level: 254 MB traced when every
+    # panel's nodes were built at once; now a few arrays of one group.
+    cfg = cfg_with(alpha=5.0, lambda_p=3e-3, p_st_dbm=5.0)
+    group_bytes = an._GIL_PELAEZ_GROUP * 64 * 8
+    tracemalloc.start()
+    try:
+        p_h_gil_pelaez(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * group_bytes
 
 
 def test_p_h_kanter_agrees_with_gil_pelaez_where_it_converges():
@@ -727,6 +759,32 @@ def test_tail_rule_joint_levels_keep_each_levels_bits(beta):
                                              tail(log_t, 256))
 
 
+def _saturation_values():
+    """Tail-rule values as test_tail_rule_joint_levels_keep_each_levels_bits
+    builds them, at four betas, then p_h_kanter and chi_common at a few configs."""
+    values = []
+    for beta in (0.2, 0.5, 2.0 / 3.0, 0.9):
+        for log_t in (-40.0, -6.0, -1.0, 0.5, 3.0, 15.0):
+            values.append(an._stable_tail_rule(log_t, log_t, beta)(log_t, 32, 64))
+        tail = an._stable_tail_rule(-30.0, 10.0, beta)
+        values += [v.tolist() for v in tail(np.array([-30.0, -12.5, 0.0, 10.0]), 64, 128)]
+    configs = [cfg_with(), cfg_with(alpha=3.0, r_max=400.0), cfg_with(alpha=5.0),
+               cfg_with(d_sd=0.5, lambda_p=3e-3, p_st_dbm=5.0), cfg_with(lambda_p=1e-8)]
+    return values + [(an.p_h_kanter(cfg), chi_common(cfg)) for cfg in configs]
+
+
+def test_tail_saturation_moves_no_bit(monkeypatch):
+    # The tail rule clips log(x^(-k) * A) at _TAIL_SATURATION instead of
+    # _TAIL_LOG_CUT: bit-identical only where expm1(-e^c) is exactly -1 for
+    # every c between them, as it is in IEEE double past c ~ 3.62. A platform
+    # whose expm1 does not round there to -1 fails this test.
+    c = np.linspace(an._TAIL_SATURATION, an._TAIL_LOG_CUT, 200_001)
+    assert np.all(np.expm1(-np.exp(c)) == -1.0)
+    saturated = _saturation_values()
+    monkeypatch.setattr(an, "_TAIL_SATURATION", an._TAIL_LOG_CUT)
+    assert _saturation_values() == saturated
+
+
 @pytest.mark.parametrize("overrides", [{}, {"lambda_p": 3e-3, "p_st_dbm": 5.0},
                                        {"d_sd": 0.5},
                                        {"d_sd": 0.5, "lambda_p": 3e-3, "p_st_dbm": 5.0},
@@ -761,6 +819,41 @@ def test_chi_common_against_levy_oracle(overrides):
     success = step * np.sum(log_density * h) + beyond * h[-1]
     oracle = 1.0 - math.exp(-math.pi * cfg.lambda_p * cfg.r_gz ** 2) * success
     assert chi_common(cfg) == pytest.approx(oracle, abs=1e-4)
+
+
+# The relays' seed of the chi_common Monte Carlo, fixed before any comparison
+# was run.
+RELAY_SEED = 2027
+
+
+@pytest.mark.parametrize("overrides", [{"alpha": 3.0, "r_max": 400.0}, {"alpha": 5.0}],
+                         ids=["alpha3", "alpha5"])
+def test_chi_common_matches_monte_carlo(overrides):
+    # Away from alpha 4, where the Levy oracle does not reach. Per draw, the
+    # destination interference I = (c * p_t^beta)^(1/beta) * S from the plane
+    # field sampler, c = lambda_p*pi*Gamma(1+beta)*Gamma(1-beta), and a
+    # Poisson field of relays in the disc; all fail with chance
+    # prod_j (1 - exp(-q r_j^2) * exp(-u f_j^alpha)), u = gamma * I / p_st,
+    # r_j and f_j the relay's distances to the transmitter and destination.
+    # The transmitter's guard event multiplies the relay branch.
+    cfg = cfg_with(**overrides)
+    beta = 2.0 / cfg.alpha
+    field = cfg.lambda_p * math.pi * math.gamma(1.0 + beta) * math.gamma(1.0 - beta)
+    u = (cfg.gamma_th_lin / cfg.p_st_mw * cfg.p_t_mw * field ** (1.0 / beta)
+         * np.exp(_stable_log_samples(beta)))
+    q = field * (cfg.gamma_th_lin * cfg.p_t_mw / cfg.p_st_mw) ** beta
+    rng = np.random.default_rng(RELAY_SEED)
+    counts = rng.poisson(cfg.lambda_sr * math.pi * cfg.r_disc ** 2, SAMPLER_DRAWS)
+    owner = np.repeat(np.arange(SAMPLER_DRAWS), counts)
+    r_sq = cfg.r_disc ** 2 * rng.uniform(size=owner.size)
+    f_sq = (r_sq + cfg.d_sd ** 2 - 2.0 * np.sqrt(r_sq) * cfg.d_sd
+            * np.cos(rng.uniform(0.0, 2.0 * math.pi, owner.size)))
+    log_fail = np.log1p(-np.exp(-q * r_sq - u[owner] * f_sq ** (cfg.alpha / 2.0)))
+    all_fail = np.exp(np.bincount(owner, weights=log_fail, minlength=SAMPLER_DRAWS))
+    guard = math.exp(-math.pi * cfg.lambda_p * cfg.r_gz ** 2)
+    sampled = 1.0 - guard * (1.0 - all_fail.mean())
+    error = guard * all_fail.std(ddof=1) / math.sqrt(SAMPLER_DRAWS)
+    assert abs(sampled - chi_common(cfg)) <= 5.0 * error
 
 
 def test_chi_common_not_below_independence_form():
