@@ -17,6 +17,20 @@ scheme's flags from the same draws, so the schemes are paired: their
 scheme-free flags agree trial by trial, and ``simulate`` of one scheme reads
 its row from one all-scheme pass.
 
+Draw memo: after a call whose draws hold at most ELEMENT_BUDGET elements
+(512 KiB), a process keeps them, read-only, keyed by the values of the config
+fields ``_draw`` reads (``_DRAW_FIELDS``), the seed and the blocks. A later
+call with that key decides those draws and draws nothing: the ``simulate``
+calls of one seed for each scheme, and every point after the first of a grid
+over fields ``_draw`` does not read (``p_st_dbm``, ``p_t_dbm``,
+``gamma_th_db``, ``eta``, ``a``, the threshold mode, the direct-link
+switches), in the caller and in each worker, whose share of blocks is the
+same at every point. Any other call empties the memo, so a fresh seed,
+another trial count or a call over the cap never hits. The cap is about 2,700
+trials a process, so a grid at the CLI's default 30,000 trials misses at every
+point below 12 workers. Decided draws give the same bits whether drawn or
+kept, so no result depends on the memo.
+
 Random streams: block b of a run with seed s draws from stream (s, b). The
 number of trials per block is set by the config alone
 (``trials_per_block``), never by the trial count or the worker count, so
@@ -306,15 +320,23 @@ def select_relay(cfg: SystemConfig, relays: DiscBatch, gains, relay_itf,
 class _Draws:
     """A block's draws as ``_decide`` reads them; blocks join field by field."""
 
-    trials: np.ndarray     # K, destination interference in slots 2 and 3, direct gain, pick
+    trials: np.ndarray     # dedicated and reused harvest sums, destination path-loss sums
+                           # in slots 2 and 3, direct gain, pick
     counts: np.ndarray     # relays and guard receivers per trial
-    relays: np.ndarray     # x, y, slot-two interference, hop-one and hop-two gain
+    relays: np.ndarray     # x, y, slot-two path-loss sum, hop-one and hop-two gain
     receivers: np.ndarray  # guard receivers' x, y
 
 
+# The config fields ``_draw`` reads: with the seed and the blocks, they fix
+# every draw, so they key the memo of ``_decided``.
+_DRAW_FIELDS = ("lambda_p", "lambda_sr", "alpha", "r_disc", "r_gz", "d_sd", "r_max",
+                "slot_position_model")
+
+
 def _draw(cfg: SystemConfig, gen, n: int) -> _Draws:
-    """Draw n trials from ``gen``, the primary fields reduced to sums."""
-    alpha, p_t, d_sd = cfg.alpha, cfg.p_t_mw, cfg.d_sd
+    """Draw n trials from ``gen``, the primary fields reduced to sums of
+    gain times path loss; reads only the fields in _DRAW_FIELDS."""
+    alpha, d_sd = cfg.alpha, cfg.d_sd
 
     # Fixed draw order, shared by every scheme and direct-link setting:
     # fields, hop gains, pair gains, destination and direct gains, pick.
@@ -335,27 +357,27 @@ def _draw(cfg: SystemConfig, gen, n: int) -> _Draws:
     receivers = disc_ppp_batch(cfg.lambda_p, cfg.r_disc + cfg.r_gz, n, gen)
     relays = disc_ppp_batch(cfg.lambda_sr, cfg.r_disc, n, gen)
     gain_hop1, gain_hop2 = gen.standard_exponential((2, relays.x.size))
-    relay_itf = p_t * _pair_sums(relays, slot2, first2, gen, alpha)
+    relay_loss = _pair_sums(relays, slot2, first2, gen, alpha)
     gains_sd_s2, gains_sd_s3, gain_direct = (
         gen.standard_exponential(size) for size in (slot2.x.size, slot3.x.size, n))
     pick = gen.random(n)
 
-    i_sd_s2 = p_t * _received(slot2.counts, first2, gains_sd_s2,
-                              _d2_from(slot2, d_sd), alpha)
-    i_sd_s3 = p_t * _received(slot3.counts, first3, gains_sd_s3,
-                              _d2_from(slot3, d_sd), alpha)
+    sd_loss_s2 = _received(slot2.counts, first2, gains_sd_s2, _d2_from(slot2, d_sd), alpha)
+    sd_loss_s3 = _received(slot3.counts, first3, gains_sd_s3, _d2_from(slot3, d_sd), alpha)
     # Stacking copies the gains out of the draw, which a view would keep alive.
-    return _Draws(np.stack((harvested_energy(cfg, dedicated, reused), i_sd_s2, i_sd_s3,
-                            gain_direct, pick)),
+    return _Draws(np.stack((dedicated, reused, sd_loss_s2, sd_loss_s3, gain_direct, pick)),
                   np.stack((relays.counts, receivers.counts)),
-                  np.stack((relays.x, relays.y, relay_itf, gain_hop1, gain_hop2)),
+                  np.stack((relays.x, relays.y, relay_loss, gain_hop1, gain_hop2)),
                   np.stack((receivers.x, receivers.y)))
 
 
 def _decide(cfg: SystemConfig, draws: _Draws) -> Outcomes:
     """Guard events, relay selection, decoding and flags, for every scheme."""
-    k_value, i_sd_s2, i_sd_s3, gain_direct, pick = draws.trials
-    relay_x, relay_y, relay_itf, gain_hop1, gain_hop2 = draws.relays
+    dedicated, reused, sd_loss_s2, sd_loss_s3, gain_direct, pick = draws.trials
+    relay_x, relay_y, relay_loss, gain_hop1, gain_hop2 = draws.relays
+    k_value = harvested_energy(cfg, dedicated, reused)
+    i_sd_s2, i_sd_s3, relay_itf = (cfg.p_t_mw * loss
+                                   for loss in (sd_loss_s2, sd_loss_s3, relay_loss))
     owners = np.arange(pick.size)
     relays = DiscBatch(draws.counts[0], owners.repeat(draws.counts[0]), relay_x, relay_y)
     # Nothing reads the receivers' owners, only their counts and coordinates.
@@ -433,21 +455,58 @@ def _pad_heap() -> None:
         mallopt(-2, HEAP_TOP_PAD)
 
 
-def _decided(cfg: SystemConfig, seed: int, blocks):
-    """Outcomes of ``blocks``, one per chunk: consecutive blocks whose draws
-    take at most ELEMENT_BUDGET elements in ``_decide``, or one larger block."""
-    _pad_heap()
+def _chunks(cfg: SystemConfig, seed: int, blocks):
+    """The draws of ``blocks``, joined per chunk: consecutive blocks whose
+    draws take at most ELEMENT_BUDGET elements in ``_decide``, or one larger
+    block."""
     chunk, elements = [], 0
     for block, n in blocks:
         draws = _draw(cfg, RngStream(seed, block).generator(), n)
         # An allowance per trial and per relay, and the relay x receiver pairs.
         size = _PER_TRIAL_ELEMENTS * (n + draws.relays.shape[1]) + int(np.dot(*draws.counts))
         if chunk and elements + size > ELEMENT_BUDGET:
-            yield _decide(cfg, _concat(chunk))
+            yield _concat(chunk)
             chunk, elements = [], 0
         chunk.append(draws)
         elements += size
-    yield _decide(cfg, _concat(chunk))
+    yield _concat(chunk)
+
+
+# The read-only chunks of the last call whose draws held at most
+# ELEMENT_BUDGET elements, as one (key, chunks) tuple. It is only ever
+# replaced whole, so a reader never pairs one call's key with another's chunks.
+_memo = None
+
+
+def _decided(cfg: SystemConfig, seed: int, blocks):
+    """Outcomes of ``blocks``, one per chunk of ``_chunks``.
+
+    A call whose draw fields, seed and blocks equal those of the call in the
+    memo decides the memo's chunks and draws nothing. Any other call empties
+    the memo, and fills it with its own chunks if they hold at most
+    ELEMENT_BUDGET elements in all."""
+    global _memo
+    key = (tuple(getattr(cfg, name) for name in _DRAW_FIELDS), seed, tuple(blocks))
+    memo = _memo
+    if memo is not None and memo[0] == key:
+        for draws in memo[1]:
+            yield _decide(cfg, draws)
+        return
+    _memo = None
+    _pad_heap()
+    kept, elements = [], 0
+    for draws in _chunks(cfg, seed, blocks):
+        for f in dataclasses.fields(draws):
+            array = getattr(draws, f.name)
+            array.flags.writeable = False
+            elements += array.size
+        if elements <= ELEMENT_BUDGET:
+            kept.append(draws)
+        else:
+            kept.clear()
+        yield _decide(cfg, draws)
+    if elements <= ELEMENT_BUDGET:
+        _memo = (key, tuple(kept))
 
 
 def _count_blocks(cfg: SystemConfig, seed: int, blocks) -> np.ndarray:
@@ -554,8 +613,10 @@ def simulate_all(cfg: SystemConfig, trials: int, seed: int, workers: int = 1) ->
     reused by later calls (and every grid point of a sweep); it is replaced
     when a call needs another size or an idle worker died, dropped when one
     dies during a call (``BrokenProcessPool``), rebuilt in a forked child and
-    ended at exit. Results are never cached. A config that
-    ``require_drawable`` refuses raises its ``ConfigError`` before any draw.
+    ended at exit. A call keyed like the last one decides the draws that
+    call kept (the draw memo, module docstring), with the bits of a fresh
+    draw. A config that ``require_drawable`` refuses raises its
+    ``ConfigError`` before any draw.
     """
     return _simulate_all(cfg, trials, seed, workers)
 

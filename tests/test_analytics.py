@@ -826,10 +826,12 @@ def test_chi_common_against_levy_oracle(overrides):
 RELAY_SEED = 2027
 
 
-@pytest.mark.parametrize("overrides", [{"alpha": 3.0, "r_max": 400.0}, {"alpha": 5.0}],
-                         ids=["alpha3", "alpha5"])
+@pytest.mark.parametrize("overrides", [{"alpha": 3.0, "r_max": 400.0}, {"alpha": 5.0},
+                                       {"d_sd": 1.0}],
+                         ids=["alpha3", "alpha5", "d_sd1"])
 def test_chi_common_matches_monte_carlo(overrides):
-    # Away from alpha 4, where the Levy oracle does not reach. Per draw, the
+    # Away from alpha 4, where the Levy oracle does not reach, and with the
+    # destination on the disc's edge (d_sd = r_disc). Per draw, the
     # destination interference I = (c * p_t^beta)^(1/beta) * S from the plane
     # field sampler, c = lambda_p*pi*Gamma(1+beta)*Gamma(1-beta), and a
     # Poisson field of relays in the disc; all fail with chance

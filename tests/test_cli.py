@@ -57,6 +57,7 @@ def test_simulate_row_and_determinism(tmp_path, baseline_path):
     args = ["simulate", "--config", baseline_path, "--scheme", "bsir",
             "--trials", "400", "--seed", "7"]
     assert run_cli(args + ["--out", str(out1)]) == 0
+    sim_mod._memo = None   # draw again rather than decide the kept draws
     assert run_cli(args + ["--out", str(out2)]) == 0
     assert read(out1) == read(out2)
     header, rows = header_and_row(out1)
@@ -352,6 +353,7 @@ def test_sweep_rows_ordered_and_stable(tmp_path, baseline_path):
             "--values=-2,0", "--schemes", "bsir,random_baseline",
             "--trials", "200", "--seed", "5"]
     assert run_cli(args + ["--out", str(out1)]) == 0
+    sim_mod._memo = None   # draw again rather than decide the kept draws
     assert run_cli(args + ["--out", str(out2)]) == 0
     assert read(out1) == read(out2)
     header, rows = header_and_row(out1)
@@ -361,6 +363,35 @@ def test_sweep_rows_ordered_and_stable(tmp_path, baseline_path):
     # analytic column present for bsir, absent for the flagged baseline pick
     assert rows[0][header.index("ana_p_succ")] != ""
     assert rows[1][header.index("ana_p_succ")] == ""
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("param, values", [("p_st_dbm", "-4,0,3,6"), ("p_t_dbm", "22,25,28")])
+def test_decision_field_grid_draws_once(param, values, workers, baseline, tmp_path,
+                                        monkeypatch):
+    # Six blocks per point. Every point after the first decides the draws
+    # the memo kept, here and in the worker, and writes the rows that the
+    # point run alone from an empty memo writes.
+    args = ["sweep", "--param", param, "--schemes", "bcc,bsir,bstd,random_baseline",
+            "--trials", "600", "--seed", "12"]
+    expected = []
+    for i, value in enumerate(values.split(",")):
+        sim_mod._memo = None
+        one = tmp_path / f"point{i}.csv"
+        assert run_cli(args + [f"--values={value}", "--workers", "1",
+                               "--out", str(one)]) == 0
+        expected += read(one).splitlines(keepends=True)[min(i, 1):]
+    sim_mod._memo = None
+    drawn = []
+    real_draw = sim_mod._draw
+    monkeypatch.setattr(sim_mod, "_draw", lambda *a: drawn.append(a[2]) or real_draw(*a))
+    grid = tmp_path / "grid.csv"
+    assert run_cli(args + [f"--values={values}", "--workers", workers,
+                           "--out", str(grid)]) == 0
+    assert read(grid) == b"".join(expected)
+    # This process draws its share of the first point's blocks, no more:
+    # all six, or the last three when the worker takes the first three.
+    assert sum(drawn) == 600 - (3 * trials_per_block(baseline) if workers == "2" else 0)
 
 
 def test_sweep_leaves_static_analytic_cells_empty(tmp_path, monkeypatch):

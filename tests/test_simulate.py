@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from ehrelay import analytics as an
-from ehrelay.config import ConfigError, SystemConfig, validate
+from ehrelay.config import RAW_FIELDS, ConfigError, SystemConfig, validate
 from ehrelay.geometry import (DiscBatch, RngStream, _path_loss, disc_ppp_batch,
                               segment_starts)
 from ehrelay.simulate import (ELEMENT_BUDGET, FLAG_NAMES, SCHEMES, TRIAL_ELEMENT_CAP,
@@ -383,6 +383,7 @@ def test_ideal_decode_success_equals_harvest():
 
 def test_realization_determinism(baseline):
     a = outcomes(baseline, 40, seed=313)
+    sim_mod._memo = None   # draw again rather than decide the kept draws
     b = outcomes(baseline, 40, seed=313)
     for field in dataclasses.fields(a):
         assert np.array_equal(getattr(a, field.name), getattr(b, field.name))
@@ -508,6 +509,7 @@ def test_best_sir_dominates_random_pick(baseline):
 
 def test_simulate_deterministic_and_worker_invariant(baseline):
     a = simulate(baseline, "bsir", 400, seed=323, workers=1)
+    sim_mod._memo = None   # draw again rather than decide the kept draws
     b = simulate(baseline, "bsir", 400, seed=323, workers=1)
     assert a.flag_counts == b.flag_counts
     c = simulate(baseline, "bsir", 400, seed=323, workers=3)
@@ -528,8 +530,10 @@ def test_workers_default_to_one_whatever_the_environment(baseline, monkeypatch):
 def test_simulate_reads_one_all_scheme_pass(baseline):
     cfg = validate(dataclasses.replace(baseline, direct_link=True))
     every = simulate_all(cfg, 500, seed=328, workers=1)
+    sim_mod._memo = None   # each call below draws its own blocks
     out = outcomes(cfg, 500, seed=328)
     for k, scheme in enumerate(SCHEMES):
+        sim_mod._memo = None
         one = simulate(cfg, scheme, 500, seed=328, workers=1)
         assert one == every[scheme], scheme
         assert one.flag_counts == dict(zip(FLAG_NAMES, out.flags[k].sum(axis=1).tolist()))
@@ -621,6 +625,7 @@ def test_chunks_keep_outcomes_bit_identical(baseline, monkeypatch, overrides,
         joined = np.concatenate([getattr(p, field.name) for p in parts], axis=-1)
         assert np.array_equal(getattr(out, field.name), joined), field.name
     counts = sum(p.flags.sum(axis=2) for p in parts)
+    sim_mod._memo = None   # chunk the blocks again at the patched budget
     results = simulate_all(cfg, trials, seed=333, workers=1)
     for k, scheme in enumerate(SCHEMES):
         assert results[scheme].flag_counts == dict(zip(FLAG_NAMES, counts[k].tolist()))
@@ -635,6 +640,7 @@ def test_row_groups_keep_outcomes_bit_identical(baseline, monkeypatch, budget):
     expected = outcomes(cfg, 3, seed=335)
     monkeypatch.setattr(sim_mod, "ELEMENT_BUDGET", budget)
     assert trials_per_block(cfg) == 1
+    sim_mod._memo = None   # draw the pairs again at the patched budget
     out = outcomes(cfg, 3, seed=335)
     for field in dataclasses.fields(out):
         assert np.array_equal(getattr(out, field.name), getattr(expected, field.name))
@@ -704,6 +710,7 @@ def test_static_position_model_runs(baseline):
     cfg = validate(dataclasses.replace(baseline, slot_position_model="static"))
     r = simulate(cfg, "bcc", 600, seed=326)
     assert 0.0 <= r.estimate.p_hat <= 1.0
+    sim_mod._memo = None   # draw again rather than decide the kept draws
     again = simulate(cfg, "bcc", 600, seed=326)
     assert r.flag_counts == again.flag_counts
 
@@ -717,6 +724,135 @@ def test_simulate_validates_inputs(baseline):
         outcomes(baseline, 0, seed=1)
     with pytest.raises(ValueError):
         simulate(SystemConfig(), "bcc", 10, seed=1)  # not validated
+
+
+# ---------------------------------------------------------------------------
+# Draw memo: a call keyed like the last one decides its kept draws
+# ---------------------------------------------------------------------------
+
+# One valid value per raw field, each differing from the default in that
+# field alone. The four that set the block size keep trials_per_block, so
+# that only the key's config values can tell such a config from the baseline.
+MEMO_ALTERNATIVES = {
+    "lambda_p": 0.00998, "lambda_sr": 1.005, "p_t_dbm": 27.0, "p_st_dbm": 0.0,
+    "eta": 0.6, "a": 0.4, "alpha": 3.8, "r_disc": 1.002, "r_gz": 1.5,
+    "gamma_th_db": -6.0, "d_sd": 1.8, "r_max": 49.95, "direct_link": True,
+    "slot_position_model": "static", "harvest_threshold_mode": "energy-over-a",
+    "direct_literal_events": True, "trunc_epsilon": 0.2,
+}
+
+
+def _memo_runs(cfg, warm_from, workers):
+    """``simulate_all`` and ``outcomes`` of ``cfg`` over three blocks, each
+    right after the same call of ``warm_from``, which leaves its draws in the
+    memo of this process and of each worker; from an empty memo when
+    ``warm_from`` is None."""
+    trials = 2 * trials_per_block(cfg) + 5
+
+    def listed_outcomes(c):
+        out = outcomes(c, trials, seed=336)
+        return [getattr(out, f.name).tolist() for f in dataclasses.fields(out)]
+
+    runs = []
+    for run in (lambda c: simulate_all(c, trials, seed=336, workers=workers),
+                listed_outcomes):
+        if warm_from is None:
+            sim_mod._memo = None
+        else:
+            run(warm_from)
+        runs.append(run(cfg))
+    return runs
+
+
+def test_memo_alternatives_cover_every_raw_field():
+    assert set(MEMO_ALTERNATIVES) == set(RAW_FIELDS)
+
+
+@pytest.mark.parametrize("field", RAW_FIELDS)
+def test_memo_serves_only_configs_with_the_same_draws(baseline, field):
+    # Right after a baseline call, a config that differs in one field gives
+    # what it gives from an empty memo, at one worker and at two, where the
+    # worker keeps a memo of its own share.
+    cfg = validate(dataclasses.replace(baseline, **{field: MEMO_ALTERNATIVES[field]}))
+    assert trials_per_block(cfg) == trials_per_block(baseline)
+    cold = _memo_runs(cfg, None, 1)
+    for workers in (1, 2):
+        assert _memo_runs(cfg, baseline, workers) == cold, workers
+
+
+@pytest.mark.parametrize("field", sim_mod._DRAW_FIELDS)
+def test_memo_key_without_a_draw_field_fails_the_memo_test(baseline, monkeypatch, field):
+    # The test above catches a key that leaves out any field _draw reads.
+    cfg = validate(dataclasses.replace(baseline, **{field: MEMO_ALTERNATIVES[field]}))
+    cold = _memo_runs(cfg, None, 1)
+    monkeypatch.setattr(sim_mod, "_DRAW_FIELDS",
+                        tuple(f for f in sim_mod._DRAW_FIELDS if f != field))
+    assert _memo_runs(cfg, baseline, 1) != cold
+
+
+def test_memo_reuses_the_last_calls_draws(baseline, monkeypatch):
+    sim_mod._memo = None
+    cold = simulate_all(baseline, 200, seed=337, workers=1)
+    key, chunks = sim_mod._memo
+    arrays = [getattr(draws, f.name) for draws in chunks for f in dataclasses.fields(draws)]
+    assert 0 < sum(a.size for a in arrays) <= ELEMENT_BUDGET
+    assert not any(a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError, match="read-only"):
+        arrays[0][0] = 0.0
+    monkeypatch.setattr(sim_mod, "_draw", _never)
+    for scheme in SCHEMES:
+        assert simulate(baseline, scheme, 200, seed=337) == cold[scheme]
+    assert sim_mod._memo[0] == key
+    # A fresh seed or another trial count draws.
+    for trials, seed in ((200, 338), (201, 337)):
+        with pytest.raises(AssertionError, match="should have stopped"):
+            simulate_all(baseline, trials, seed=seed, workers=1)
+    assert sim_mod._memo is None
+
+
+def test_memo_keeps_nothing_over_its_cap(baseline):
+    simulate_all(baseline, 200, seed=337, workers=1)
+    assert sim_mod._memo is not None
+    simulate_all(baseline, 2000, seed=337, workers=1)   # about 50k elements: kept
+    assert sim_mod._memo is not None
+    simulate_all(baseline, 20_000, seed=337, workers=1)
+    assert sim_mod._memo is None
+
+
+def test_threads_share_the_memo_safely(baseline):
+    # Three threads call two seeds and two decision-field configs in turn,
+    # so each call finds the memo filled or emptied by another; every result
+    # stays that of its own draws.
+    other = validate(dataclasses.replace(baseline, p_st_dbm=2.0))
+    runs = [(cfg, seed) for cfg in (baseline, other) for seed in (339, 340)]
+    expected = {}
+    for i, (cfg, seed) in enumerate(runs):
+        sim_mod._memo = None
+        expected[i] = simulate_all(cfg, 300, seed, workers=1)
+    results, errors = [], []
+
+    def run(offset):
+        try:
+            for k in range(12):
+                i = (k + offset) % len(runs)
+                cfg, seed = runs[i]
+                results.append((i, simulate_all(cfg, 300, seed, workers=1)))
+        except Exception as exc:   # reported by the main thread below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(offset,)) for offset in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors
+    assert len(results) == 36 and all(r == expected[i] for i, r in results)
 
 
 # ---------------------------------------------------------------------------
