@@ -21,7 +21,8 @@ from .analytics import (BREAKDOWN_FIELDS, QuadratureFailure, UnsupportedScheme,
                         alpha4_selfcheck, analyze, require_analytic)
 from .config import (LINEAR_FIELDS, NUMERIC_FIELDS, RAW_FIELDS, ConfigError,
                      SystemConfig, apply_overrides, load_config, validate)
-from .simulate import FLAG_NAMES, SCHEMES, _simulate_all, require_drawable, simulate
+from .simulate import (FLAG_NAMES, SCHEMES, _draw_key, _simulate_all, require_drawable,
+                       simulate)
 
 _SIM_FLAG_COLUMNS = tuple(n for n in FLAG_NAMES if n != "success")
 # The first eight columns of every sweep and compare row.
@@ -131,31 +132,36 @@ def _grid_points(args, base: SystemConfig):
 
 
 def _grid_rows(args, points, schemes, analytic, tail):
-    """The rows of sweep and compare: per grid point one simulation pass,
-    and per scheme the cells of ``_GRID_COLUMNS`` followed by
-    ``tail(analytic(cfg, scheme), estimate)``. A point whose value is None
-    (compare without a grid) leaves param and value blank.
+    """The rows of sweep and compare: per grid point and scheme, the cells of
+    ``_GRID_COLUMNS`` followed by ``tail(analytic(cfg, scheme), estimate)``.
+    A point whose value is None (compare without a grid) leaves param and
+    value blank. Consecutive points that share the fields the draw stage
+    reads make one simulation pass (the grid runner of ``simulate``).
 
-    The point's analytic values are computed while the workers simulate,
-    scheme by scheme up to the first that raises. That exception is held,
-    and raised after the rows of the schemes before it, as a serial loop
-    would; an exception from the simulation comes first."""
-    for value, cfg in points:
+    A pass's analytic values are computed while the workers simulate, point
+    by point and scheme by scheme up to the first that raises. That
+    exception is held, and raised after the rows before it, as a serial loop
+    would. An exception from the simulation comes first, and the pass it
+    ends writes no row."""
+    for _, group in itertools.groupby(points, key=lambda point: _draw_key(point[1])):
+        group = list(group)
         cells, failure = [], []
 
-        def analyze_point():
+        def analyze_group():
             try:
-                for scheme in schemes:
-                    cells.append(analytic(cfg, scheme))
+                for _, cfg in group:
+                    for scheme in schemes:
+                        cells.append(analytic(cfg, scheme))
             except Exception as exc:
                 failure.append(exc)
 
-        results = _simulate_all(cfg, args.trials, args.seed, args.workers, analyze_point)
-        for scheme, ana in zip(schemes, cells):
-            est = results[scheme].estimate
+        results = _simulate_all([cfg for _, cfg in group], args.trials, args.seed,
+                                args.workers, analyze_group)
+        rows = ((value, scheme, point[scheme].estimate)
+                for (value, _), point in zip(group, results) for scheme in schemes)
+        for (value, scheme, est), ana in zip(rows, cells):
             yield ([None if value is None else args.param, value, scheme, args.trials,
-                    args.seed, est.p_hat, est.ci_low, est.ci_high]
-                   + tail(ana, est))
+                    args.seed, est.p_hat, est.ci_low, est.ci_high] + tail(ana, est))
         if failure:
             raise failure[0]
 

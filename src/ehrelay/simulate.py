@@ -14,22 +14,19 @@ events, relay selection, decoding and flags once over a chunk, consecutive
 blocks whose sums fit ELEMENT_BUDGET. Its steps work per trial, relay or
 segment, so any chunking gives the same bits. One block gives every
 scheme's flags from the same draws, so the schemes are paired: their
-scheme-free flags agree trial by trial, and ``simulate`` of one scheme reads
-its row from one all-scheme pass.
+scheme-free flags agree trial by trial.
 
-Draw memo: after a call whose draws hold at most ELEMENT_BUDGET elements
-(512 KiB), a process keeps them, read-only, keyed by the values of the config
-fields ``_draw`` reads (``_DRAW_FIELDS``), the seed and the blocks. A later
-call with that key decides those draws and draws nothing: the ``simulate``
-calls of one seed for each scheme, and every point after the first of a grid
-over fields ``_draw`` does not read (``p_st_dbm``, ``p_t_dbm``,
-``gamma_th_db``, ``eta``, ``a``, the threshold mode, the direct-link
-switches), in the caller and in each worker, whose share of blocks is the
-same at every point. Any other call empties the memo, so a fresh seed,
-another trial count or a call over the cap never hits. The cap is about 2,700
-trials a process, so a grid at the CLI's default 30,000 trials misses at every
-point below 12 workers. Decided draws give the same bits whether drawn or
-kept, so no result depends on the memo.
+Grid runner: configs that share the values of the fields ``_draw`` reads
+(``_DRAW_FIELDS``) share every draw, so one pass serves them all: each chunk
+is drawn once and decided for every config, in the caller and in each
+worker. The CLI groups a grid's consecutive points by those values, so a
+grid over any other field (``p_st_dbm``, ``p_t_dbm``, ``gamma_th_db``,
+``eta``, ``a``, the threshold mode, the direct-link switches) is one pass
+and a grid over a draw field one pass per point. A pass keeps one chunk's
+draws at a time, at any trial count. ``simulate`` of one scheme keeps the
+other rows of its all-scheme pass and hands each of them out once, to a
+later call with the same config, trial count and seed. Nothing else
+outlives a call.
 
 Random streams: block b of a run with seed s draws from stream (s, b). The
 number of trials per block is set by the config alone
@@ -42,7 +39,7 @@ Workers: a call sends every share of blocks but the last down the duplex
 pipe of a persistent worker process, then runs the last share, the lightest
 as it holds the short block, in the calling thread, so no helper thread
 competes with the kernel. Between the two, a private caller may run a step
-of its own (the CLI computes a grid point's analytic cells there), which
+of its own (the CLI computes a grid pass's analytic cells there), which
 the workers' shares hide. A worker ends at EOF. The
 first block in each process, caller or worker, sets glibc's top pad to
 HEAP_TOP_PAD, never reversed: the heap pages a block frees stay resident for
@@ -328,9 +325,13 @@ class _Draws:
 
 
 # The config fields ``_draw`` reads: with the seed and the blocks, they fix
-# every draw, so they key the memo of ``_decided``.
+# every draw, so configs that share their values can share one pass.
 _DRAW_FIELDS = ("lambda_p", "lambda_sr", "alpha", "r_disc", "r_gz", "d_sd", "r_max",
                 "slot_position_model")
+
+
+def _draw_key(cfg: SystemConfig) -> tuple:
+    return tuple(getattr(cfg, name) for name in _DRAW_FIELDS)
 
 
 def _draw(cfg: SystemConfig, gen, n: int) -> _Draws:
@@ -459,6 +460,7 @@ def _chunks(cfg: SystemConfig, seed: int, blocks):
     """The draws of ``blocks``, joined per chunk: consecutive blocks whose
     draws take at most ELEMENT_BUDGET elements in ``_decide``, or one larger
     block."""
+    _pad_heap()
     chunk, elements = [], 0
     for block, n in blocks:
         draws = _draw(cfg, RngStream(seed, block).generator(), n)
@@ -472,50 +474,18 @@ def _chunks(cfg: SystemConfig, seed: int, blocks):
     yield _concat(chunk)
 
 
-# The read-only chunks of the last call whose draws held at most
-# ELEMENT_BUDGET elements, as one (key, chunks) tuple. It is only ever
-# replaced whole, so a reader never pairs one call's key with another's chunks.
-_memo = None
-
-
-def _decided(cfg: SystemConfig, seed: int, blocks):
-    """Outcomes of ``blocks``, one per chunk of ``_chunks``.
-
-    A call whose draw fields, seed and blocks equal those of the call in the
-    memo decides the memo's chunks and draws nothing. Any other call empties
-    the memo, and fills it with its own chunks if they hold at most
-    ELEMENT_BUDGET elements in all."""
-    global _memo
-    key = (tuple(getattr(cfg, name) for name in _DRAW_FIELDS), seed, tuple(blocks))
-    memo = _memo
-    if memo is not None and memo[0] == key:
-        for draws in memo[1]:
-            yield _decide(cfg, draws)
-        return
-    _memo = None
-    _pad_heap()
-    kept, elements = [], 0
-    for draws in _chunks(cfg, seed, blocks):
-        for f in dataclasses.fields(draws):
-            array = getattr(draws, f.name)
-            array.flags.writeable = False
-            elements += array.size
-        if elements <= ELEMENT_BUDGET:
-            kept.append(draws)
-        else:
-            kept.clear()
-        yield _decide(cfg, draws)
-    if elements <= ELEMENT_BUDGET:
-        _memo = (key, tuple(kept))
-
-
-def _count_blocks(cfg: SystemConfig, seed: int, blocks) -> np.ndarray:
-    return sum(decided.flags.sum(axis=2) for decided in _decided(cfg, seed, blocks))
+def _count_blocks(cfgs, seed: int, blocks) -> np.ndarray:
+    """(config, scheme, flag) counts of ``blocks``: each chunk is drawn once,
+    from ``cfgs[0]``, and decided for every config; they must all share
+    their ``_DRAW_FIELDS`` values."""
+    return sum(np.array([_decide(cfg, draws).flags.sum(axis=2) for cfg in cfgs])
+               for draws in _chunks(cfgs[0], seed, blocks))
 
 
 def outcomes(cfg: SystemConfig, trials: int, seed: int) -> Outcomes:
     """Per-trial events of the same trials ``simulate`` counts."""
-    return _concat(list(_decided(cfg, seed, _blocks(cfg, trials))))
+    return _concat([_decide(cfg, draws)
+                    for draws in _chunks(cfg, seed, _blocks(cfg, trials))])
 
 
 _workers: list = []   # the process-wide worker set: (process, our end of its pipe)
@@ -527,7 +497,7 @@ class _RemoteTraceback(Exception):
 
 
 def _serve(conn) -> None:
-    """Worker loop: send back the counts of every (cfg, seed, blocks)
+    """Worker loop: send back the counts of every (cfgs, seed, blocks)
     received, or the exception raised with its formatted traceback; return
     at EOF."""
     with contextlib.suppress(EOFError):   # raised by recv() alone
@@ -565,7 +535,7 @@ def _forget_workers() -> None:
 os.register_at_fork(after_in_child=_forget_workers)
 
 
-def _pooled_counts(cfg: SystemConfig, seed: int, tasks, step) -> np.ndarray:
+def _pooled_counts(cfgs, seed: int, tasks, step) -> np.ndarray:
     """Sum of ``_count_blocks`` over ``tasks``: each task but the last is
     sent to its own worker; this process then runs ``step()`` and the last
     task, and reads the replies. ``step`` runs under the worker set's lock,
@@ -583,9 +553,9 @@ def _pooled_counts(cfg: SystemConfig, seed: int, tasks, step) -> np.ndarray:
                 child_end.close()
         try:
             for (_, conn), task in zip(_workers, tasks[:-1]):
-                conn.send((cfg, seed, task))
+                conn.send((cfgs, seed, task))
             step()
-            counts = _count_blocks(cfg, seed, tasks[-1])
+            counts = _count_blocks(cfgs, seed, tasks[-1])
             replies = [conn.recv() for _, conn in _workers]
         except (EOFError, OSError) as exc:
             from concurrent.futures.process import BrokenProcessPool
@@ -610,52 +580,75 @@ def simulate_all(cfg: SystemConfig, trials: int, seed: int, workers: int = 1) ->
     worker, at most one per block; the worker set runs every share but the
     last, this process the last one, and it re-raises what a worker raised,
     chained to the worker's traceback. The set is built on first use and
-    reused by later calls (and every grid point of a sweep); it is replaced
+    reused by later calls (and every pass of a sweep); it is replaced
     when a call needs another size or an idle worker died, dropped when one
     dies during a call (``BrokenProcessPool``), rebuilt in a forked child and
-    ended at exit. A call keyed like the last one decides the draws that
-    call kept (the draw memo, module docstring), with the bits of a fresh
-    draw. A config that ``require_drawable`` refuses raises its
+    ended at exit. A config that ``require_drawable`` refuses raises its
     ``ConfigError`` before any draw.
     """
-    return _simulate_all(cfg, trials, seed, workers)
+    return _simulate_all([cfg], trials, seed, workers)[0]
 
 
-def _simulate_all(cfg: SystemConfig, trials: int, seed: int, workers: int = 1,
-                  step=lambda: None) -> dict:
-    """``simulate_all``, running ``step()`` in this process before its own
+def _simulate_all(cfgs, trials: int, seed: int, workers: int = 1,
+                  step=lambda: None) -> list:
+    """``simulate_all`` of each config in ``cfgs``, all from one pass (the
+    grid runner, module docstring), so they must share their
+    ``_DRAW_FIELDS`` values. ``step()`` runs in this process before its own
     share of blocks: after the workers' shares are sent when it has any,
     first otherwise. An exception ``step`` raises ends the call, so a caller
     that wants the counts first holds its own."""
-    if not cfg.validated:
+    if not all(cfg.validated for cfg in cfgs):
         raise ValueError("config must pass validate() before simulation")
-    blocks = _blocks(cfg, trials)
+    if len({_draw_key(cfg) for cfg in cfgs}) != 1:
+        raise ValueError(f"the configs of one pass must share {_DRAW_FIELDS}")
+    blocks = _blocks(cfgs[0], trials)
 
     if workers <= 1 or len(blocks) == 1:
         step()
-        counts = _count_blocks(cfg, seed, blocks)
+        counts = _count_blocks(cfgs, seed, blocks)
     else:
         per_task = -(-len(blocks) // workers)
         tasks = [blocks[i:i + per_task] for i in range(0, len(blocks), per_task)]
-        counts = _pooled_counts(cfg, seed, tasks, step)
+        counts = _pooled_counts(cfgs, seed, tasks, step)
 
-    results = {}
-    for scheme, row in zip(SCHEMES, counts):
-        flag_counts = dict(zip(FLAG_NAMES, (int(c) for c in row)))
-        flag_freq = {name: flag_counts[name] / trials for name in FLAG_NAMES}
-        lo, hi = wilson_interval(flag_counts["success"], trials)
-        estimate = EstimateCI(p_hat=flag_freq["success"], trials=trials,
-                              ci_low=lo, ci_high=hi, seed=seed)
-        results[scheme] = SimulationResult(
-            scheme=scheme, trials=trials, seed=seed, estimate=estimate,
-            flag_counts=flag_counts, flag_frequencies=flag_freq)
+    results = [{} for _ in cfgs]
+    for result, config_counts in zip(results, counts):
+        for scheme, row in zip(SCHEMES, config_counts):
+            flag_counts = dict(zip(FLAG_NAMES, (int(c) for c in row)))
+            flag_freq = {name: flag_counts[name] / trials for name in FLAG_NAMES}
+            lo, hi = wilson_interval(flag_counts["success"], trials)
+            estimate = EstimateCI(p_hat=flag_freq["success"], trials=trials,
+                                  ci_low=lo, ci_high=hi, seed=seed)
+            result[scheme] = SimulationResult(
+                scheme=scheme, trials=trials, seed=seed, estimate=estimate,
+                flag_counts=flag_counts, flag_frequencies=flag_freq)
     return results
+
+
+# The rows of the last pass ``simulate`` ran that it has not returned yet,
+# as one ((cfg, trials, seed), {scheme: result}) tuple, replaced whole.
+_handoff = (None, {})
 
 
 def simulate(cfg: SystemConfig, scheme: str, trials: int, seed: int,
              workers: int = 1) -> SimulationResult:
     """Estimate one scheme's success probability and every intermediate-flag
-    frequency; the scheme's row of ``simulate_all``."""
+    frequency; the scheme's row of ``simulate_all``.
+
+    A call keeps the other rows of its pass, and a later call with an equal
+    config, trial count and seed takes its row from them instead of running a
+    pass. Each row is handed out at most once, so the four schemes of one
+    seed cost one pass, a second call for a scheme runs a pass again, and no
+    result is returned twice. A caller that wants several schemes can take
+    them from one ``simulate_all`` call."""
+    global _handoff
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
-    return simulate_all(cfg, trials, seed, workers)[scheme]
+    key = (cfg, trials, seed)
+    held, rows = _handoff
+    row = rows.pop(scheme, None) if held == key else None   # pop: one thread gets it
+    if row is None:
+        rows = simulate_all(cfg, trials, seed, workers)
+        row = rows.pop(scheme)
+        _handoff = (key, rows)
+    return row

@@ -57,7 +57,6 @@ def test_simulate_row_and_determinism(tmp_path, baseline_path):
     args = ["simulate", "--config", baseline_path, "--scheme", "bsir",
             "--trials", "400", "--seed", "7"]
     assert run_cli(args + ["--out", str(out1)]) == 0
-    sim_mod._memo = None   # draw again rather than decide the kept draws
     assert run_cli(args + ["--out", str(out2)]) == 0
     assert read(out1) == read(out2)
     header, rows = header_and_row(out1)
@@ -353,7 +352,6 @@ def test_sweep_rows_ordered_and_stable(tmp_path, baseline_path):
             "--values=-2,0", "--schemes", "bsir,random_baseline",
             "--trials", "200", "--seed", "5"]
     assert run_cli(args + ["--out", str(out1)]) == 0
-    sim_mod._memo = None   # draw again rather than decide the kept draws
     assert run_cli(args + ["--out", str(out2)]) == 0
     assert read(out1) == read(out2)
     header, rows = header_and_row(out1)
@@ -365,33 +363,97 @@ def test_sweep_rows_ordered_and_stable(tmp_path, baseline_path):
     assert rows[1][header.index("ana_p_succ")] == ""
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
-@pytest.mark.parametrize("param, values", [("p_st_dbm", "-4,0,3,6"), ("p_t_dbm", "22,25,28")])
-def test_decision_field_grid_draws_once(param, values, workers, baseline, tmp_path,
-                                        monkeypatch):
-    # Six blocks per point. Every point after the first decides the draws
-    # the memo kept, here and in the worker, and writes the rows that the
-    # point run alone from an empty memo writes.
-    args = ["sweep", "--param", param, "--schemes", "bcc,bsir,bstd,random_baseline",
-            "--trials", "600", "--seed", "12"]
+def _one_point_at_a_time(args, values, tmp_path):
+    """The CSV of a sweep over ``values``, joined from one run per point."""
     expected = []
     for i, value in enumerate(values.split(",")):
-        sim_mod._memo = None
         one = tmp_path / f"point{i}.csv"
         assert run_cli(args + [f"--values={value}", "--workers", "1",
                                "--out", str(one)]) == 0
         expected += read(one).splitlines(keepends=True)[min(i, 1):]
-    sim_mod._memo = None
+    return b"".join(expected)
+
+
+def _sweep_drawing(args, monkeypatch, path):
+    """Run the sweep ``args`` into ``path``; the trials of each ``_draw`` call
+    this process made."""
     drawn = []
     real_draw = sim_mod._draw
     monkeypatch.setattr(sim_mod, "_draw", lambda *a: drawn.append(a[2]) or real_draw(*a))
+    assert run_cli(args + ["--out", str(path)]) == 0
+    monkeypatch.undo()
+    return drawn
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("param, values", [("p_st_dbm", "-4,0,3,6"), ("p_t_dbm", "22,25,28")])
+def test_decision_field_grid_draws_once(param, values, workers, baseline, tmp_path,
+                                        monkeypatch):
+    # Six blocks, drawn once for the whole grid: here and in the worker,
+    # which decides its three blocks for every point. The rows are those of
+    # the points run one at a time.
+    args = ["sweep", "--param", param, "--schemes", "bcc,bsir,bstd,random_baseline",
+            "--trials", "600", "--seed", "12"]
+    expected = _one_point_at_a_time(args, values, tmp_path)
     grid = tmp_path / "grid.csv"
-    assert run_cli(args + [f"--values={values}", "--workers", workers,
-                           "--out", str(grid)]) == 0
-    assert read(grid) == b"".join(expected)
-    # This process draws its share of the first point's blocks, no more:
-    # all six, or the last three when the worker takes the first three.
+    drawn = _sweep_drawing(args + [f"--values={values}", "--workers", workers],
+                           monkeypatch, grid)
+    assert read(grid) == expected
+    # This process draws its share of the blocks, once: all six, or the
+    # last three when the worker takes the first three.
     assert sum(drawn) == 600 - (3 * trials_per_block(baseline) if workers == "2" else 0)
+
+
+def test_decision_field_grid_draws_once_at_any_trial_count(baseline, tmp_path, monkeypatch):
+    # 55 blocks, about 150k draw elements: each block is drawn once for the
+    # four points.
+    args = ["sweep", "--param", "p_st_dbm", "--schemes", "bcc,bsir,bstd,random_baseline",
+            "--trials", "6000", "--seed", "13"]
+    values = "-5,0,5,10"
+    expected = _one_point_at_a_time(args, values, tmp_path)
+    grid = tmp_path / "grid.csv"
+    drawn = _sweep_drawing(args + [f"--values={values}", "--workers", "1"],
+                           monkeypatch, grid)
+    assert read(grid) == expected
+    assert drawn == [n for _, n in sim_mod._blocks(baseline, 6000)]
+
+
+def test_draw_field_grid_draws_once_per_point(baseline, tmp_path, monkeypatch):
+    # r_gz moves the guard receivers' disc, so no two points share a draw.
+    args = ["sweep", "--param", "r_gz", "--schemes", "bcc,bstd", "--trials", "600",
+            "--seed", "14"]
+    values = "0.5,1,1.5"
+    expected = _one_point_at_a_time(args, values, tmp_path)
+    grid = tmp_path / "grid.csv"
+    drawn = _sweep_drawing(args + [f"--values={values}", "--workers", "1"],
+                           monkeypatch, grid)
+    assert read(grid) == expected
+    assert drawn == 3 * [n for _, n in sim_mod._blocks(baseline, 600)]
+
+
+@pytest.mark.parametrize("param, values, kept", [("p_st_dbm", "-4,0,3", 0),
+                                                 ("r_gz", "0.5,1,1.5", 2)])
+def test_simulation_error_drops_the_rows_of_its_pass(param, values, kept, tmp_path,
+                                                     monkeypatch):
+    # The kernel fails at the last point. A grid over a decision field is one
+    # pass, so it writes no row; a grid over a draw field keeps the rows of
+    # the points before.
+    args = ["sweep", "--param", param, "--schemes", "bcc,bstd", "--trials", "600",
+            "--seed", "15"]
+    expected = _one_point_at_a_time(args, values, tmp_path).splitlines(keepends=True)
+    last = float(values.split(",")[-1])
+    real_decide = sim_mod._decide
+
+    def decide(cfg, draws):
+        if getattr(cfg, param) == last:
+            raise RuntimeError("kernel fault")
+        return real_decide(cfg, draws)
+
+    monkeypatch.setattr(sim_mod, "_decide", decide)
+    grid = tmp_path / "grid.csv"
+    with pytest.raises(RuntimeError, match="kernel fault"):
+        run_cli(args + [f"--values={values}", "--workers", "1", "--out", str(grid)])
+    assert read(grid).splitlines(keepends=True) == expected[:1 + 2 * kept]
 
 
 def test_sweep_leaves_static_analytic_cells_empty(tmp_path, monkeypatch):
@@ -643,9 +705,9 @@ def test_pooled_point_analyzes_between_sending_and_its_own_share(baseline,
         events.append(("send", task[2]))
         real_send(task)
 
-    def count_blocks(cfg, seed, blocks):
+    def count_blocks(cfgs, seed, blocks):
         events.append(("count", blocks))
-        return real_count(cfg, seed, blocks)
+        return real_count(cfgs, seed, blocks)
 
     def analyze(cfg, scheme):
         events.append(("analyze", scheme))

@@ -4,6 +4,7 @@ Per-trial checks read the kernel's outcome arrays (``simulate.outcomes``),
 which hold every scheme's events from the same draws.
 """
 
+import argparse
 import dataclasses
 import importlib
 import math
@@ -23,6 +24,7 @@ import numpy as np
 import pytest
 
 from ehrelay import analytics as an
+from ehrelay import cli
 from ehrelay.config import RAW_FIELDS, ConfigError, SystemConfig, validate
 from ehrelay.geometry import (DiscBatch, RngStream, _path_loss, disc_ppp_batch,
                               segment_starts)
@@ -383,7 +385,6 @@ def test_ideal_decode_success_equals_harvest():
 
 def test_realization_determinism(baseline):
     a = outcomes(baseline, 40, seed=313)
-    sim_mod._memo = None   # draw again rather than decide the kept draws
     b = outcomes(baseline, 40, seed=313)
     for field in dataclasses.fields(a):
         assert np.array_equal(getattr(a, field.name), getattr(b, field.name))
@@ -509,7 +510,6 @@ def test_best_sir_dominates_random_pick(baseline):
 
 def test_simulate_deterministic_and_worker_invariant(baseline):
     a = simulate(baseline, "bsir", 400, seed=323, workers=1)
-    sim_mod._memo = None   # draw again rather than decide the kept draws
     b = simulate(baseline, "bsir", 400, seed=323, workers=1)
     assert a.flag_counts == b.flag_counts
     c = simulate(baseline, "bsir", 400, seed=323, workers=3)
@@ -530,13 +530,14 @@ def test_workers_default_to_one_whatever_the_environment(baseline, monkeypatch):
 def test_simulate_reads_one_all_scheme_pass(baseline):
     cfg = validate(dataclasses.replace(baseline, direct_link=True))
     every = simulate_all(cfg, 500, seed=328, workers=1)
-    sim_mod._memo = None   # each call below draws its own blocks
     out = outcomes(cfg, 500, seed=328)
     for k, scheme in enumerate(SCHEMES):
-        sim_mod._memo = None
-        one = simulate(cfg, scheme, 500, seed=328, workers=1)
-        assert one == every[scheme], scheme
-        assert one.flag_counts == dict(zip(FLAG_NAMES, out.flags[k].sum(axis=1).tolist()))
+        # The first call may take its row from the pass of an earlier one;
+        # the second runs a pass of its own.
+        for one in [simulate(cfg, scheme, 500, seed=328, workers=1) for _ in range(2)]:
+            assert one == every[scheme], scheme
+            assert one.flag_counts == dict(zip(FLAG_NAMES,
+                                               out.flags[k].sum(axis=1).tolist()))
     free = ("harvest_ok", "st_clear", "relay_nonempty", "direct_decode_ok")
     assert len({tuple(every[s].flag_counts[f] for f in free) for s in SCHEMES}) == 1
 
@@ -625,7 +626,6 @@ def test_chunks_keep_outcomes_bit_identical(baseline, monkeypatch, overrides,
         joined = np.concatenate([getattr(p, field.name) for p in parts], axis=-1)
         assert np.array_equal(getattr(out, field.name), joined), field.name
     counts = sum(p.flags.sum(axis=2) for p in parts)
-    sim_mod._memo = None   # chunk the blocks again at the patched budget
     results = simulate_all(cfg, trials, seed=333, workers=1)
     for k, scheme in enumerate(SCHEMES):
         assert results[scheme].flag_counts == dict(zip(FLAG_NAMES, counts[k].tolist()))
@@ -640,7 +640,6 @@ def test_row_groups_keep_outcomes_bit_identical(baseline, monkeypatch, budget):
     expected = outcomes(cfg, 3, seed=335)
     monkeypatch.setattr(sim_mod, "ELEMENT_BUDGET", budget)
     assert trials_per_block(cfg) == 1
-    sim_mod._memo = None   # draw the pairs again at the patched budget
     out = outcomes(cfg, 3, seed=335)
     for field in dataclasses.fields(out):
         assert np.array_equal(getattr(out, field.name), getattr(expected, field.name))
@@ -710,7 +709,6 @@ def test_static_position_model_runs(baseline):
     cfg = validate(dataclasses.replace(baseline, slot_position_model="static"))
     r = simulate(cfg, "bcc", 600, seed=326)
     assert 0.0 <= r.estimate.p_hat <= 1.0
-    sim_mod._memo = None   # draw again rather than decide the kept draws
     again = simulate(cfg, "bcc", 600, seed=326)
     assert r.flag_counts == again.flag_counts
 
@@ -727,13 +725,13 @@ def test_simulate_validates_inputs(baseline):
 
 
 # ---------------------------------------------------------------------------
-# Draw memo: a call keyed like the last one decides its kept draws
+# Grid runner: one pass draws once for every config that shares its draws
 # ---------------------------------------------------------------------------
 
 # One valid value per raw field, each differing from the default in that
 # field alone. The four that set the block size keep trials_per_block, so
-# that only the key's config values can tell such a config from the baseline.
-MEMO_ALTERNATIVES = {
+# that only the values of _DRAW_FIELDS can tell such a config from the baseline.
+ALTERNATIVES = {
     "lambda_p": 0.00998, "lambda_sr": 1.005, "p_t_dbm": 27.0, "p_st_dbm": 0.0,
     "eta": 0.6, "a": 0.4, "alpha": 3.8, "r_disc": 1.002, "r_gz": 1.5,
     "gamma_th_db": -6.0, "d_sd": 1.8, "r_max": 49.95, "direct_link": True,
@@ -742,105 +740,136 @@ MEMO_ALTERNATIVES = {
 }
 
 
-def _memo_runs(cfg, warm_from, workers):
-    """``simulate_all`` and ``outcomes`` of ``cfg`` over three blocks, each
-    right after the same call of ``warm_from``, which leaves its draws in the
-    memo of this process and of each worker; from an empty memo when
-    ``warm_from`` is None."""
-    trials = 2 * trials_per_block(cfg) + 5
+def _count_draws(monkeypatch):
+    """A list that collects the trials of every ``_draw`` call from now on."""
+    drawn = []
+    real_draw = sim_mod._draw
+    monkeypatch.setattr(sim_mod, "_draw", lambda *a: drawn.append(a[2]) or real_draw(*a))
+    return drawn
 
-    def listed_outcomes(c):
-        out = outcomes(c, trials, seed=336)
-        return [getattr(out, f.name).tolist() for f in dataclasses.fields(out)]
 
+def _grid_runs(monkeypatch, cfgs, workers):
+    """The results ``cli._grid_rows`` simulates for a grid with one point per
+    config in ``cfgs``, over three blocks: one dict per config."""
     runs = []
-    for run in (lambda c: simulate_all(c, trials, seed=336, workers=workers),
-                listed_outcomes):
-        if warm_from is None:
-            sim_mod._memo = None
-        else:
-            run(warm_from)
-        runs.append(run(cfg))
+    real = cli._simulate_all
+
+    def spy(*args):
+        runs.extend(real(*args))
+        return runs[-len(args[0]):]
+
+    args = argparse.Namespace(param=None, trials=2 * trials_per_block(cfgs[0]) + 5,
+                              seed=336, workers=workers)
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_simulate_all", spy)
+        rows = list(cli._grid_rows(args, [(None, cfg) for cfg in cfgs], SCHEMES,
+                                   lambda cfg, scheme: None, lambda ana, est: []))
+    assert len(rows) == len(cfgs) * len(SCHEMES)
     return runs
 
 
-def test_memo_alternatives_cover_every_raw_field():
-    assert set(MEMO_ALTERNATIVES) == set(RAW_FIELDS)
+def test_alternatives_cover_every_raw_field():
+    assert set(ALTERNATIVES) == set(RAW_FIELDS)
 
 
 @pytest.mark.parametrize("field", RAW_FIELDS)
-def test_memo_serves_only_configs_with_the_same_draws(baseline, field):
-    # Right after a baseline call, a config that differs in one field gives
-    # what it gives from an empty memo, at one worker and at two, where the
-    # worker keeps a memo of its own share.
-    cfg = validate(dataclasses.replace(baseline, **{field: MEMO_ALTERNATIVES[field]}))
+def test_runner_shares_draws_only_among_equal_draw_fields(baseline, monkeypatch, field):
+    # A grid over the baseline and a config that differs in one field gives
+    # each config's own run, at one worker and at two, where the worker
+    # runs its share of blocks for both when they make one pass.
+    cfg = validate(dataclasses.replace(baseline, **{field: ALTERNATIVES[field]}))
     assert trials_per_block(cfg) == trials_per_block(baseline)
-    cold = _memo_runs(cfg, None, 1)
+    alone = [_grid_runs(monkeypatch, [c], 1)[0] for c in (baseline, cfg)]
     for workers in (1, 2):
-        assert _memo_runs(cfg, baseline, workers) == cold, workers
+        assert _grid_runs(monkeypatch, [baseline, cfg], workers) == alone, workers
 
 
 @pytest.mark.parametrize("field", sim_mod._DRAW_FIELDS)
-def test_memo_key_without_a_draw_field_fails_the_memo_test(baseline, monkeypatch, field):
-    # The test above catches a key that leaves out any field _draw reads.
-    cfg = validate(dataclasses.replace(baseline, **{field: MEMO_ALTERNATIVES[field]}))
-    cold = _memo_runs(cfg, None, 1)
+def test_runner_key_without_a_draw_field_fails_the_runner_test(baseline, monkeypatch,
+                                                                field):
+    # The test above catches a grouping that leaves out any field _draw reads.
+    cfg = validate(dataclasses.replace(baseline, **{field: ALTERNATIVES[field]}))
+    alone = _grid_runs(monkeypatch, [cfg], 1)[0]
     monkeypatch.setattr(sim_mod, "_DRAW_FIELDS",
                         tuple(f for f in sim_mod._DRAW_FIELDS if f != field))
-    assert _memo_runs(cfg, baseline, 1) != cold
+    assert _grid_runs(monkeypatch, [baseline, cfg], 1)[1] != alone
 
 
-def test_memo_reuses_the_last_calls_draws(baseline, monkeypatch):
-    sim_mod._memo = None
-    cold = simulate_all(baseline, 200, seed=337, workers=1)
-    key, chunks = sim_mod._memo
-    arrays = [getattr(draws, f.name) for draws in chunks for f in dataclasses.fields(draws)]
-    assert 0 < sum(a.size for a in arrays) <= ELEMENT_BUDGET
-    assert not any(a.flags.writeable for a in arrays)
-    with pytest.raises(ValueError, match="read-only"):
-        arrays[0][0] = 0.0
+def test_one_pass_refuses_configs_that_draw_apart(baseline, monkeypatch):
     monkeypatch.setattr(sim_mod, "_draw", _never)
-    for scheme in SCHEMES:
-        assert simulate(baseline, scheme, 200, seed=337) == cold[scheme]
-    assert sim_mod._memo[0] == key
-    # A fresh seed or another trial count draws.
-    for trials, seed in ((200, 338), (201, 337)):
-        with pytest.raises(AssertionError, match="should have stopped"):
-            simulate_all(baseline, trials, seed=seed, workers=1)
-    assert sim_mod._memo is None
+    for field in sim_mod._DRAW_FIELDS:
+        cfg = validate(dataclasses.replace(baseline, **{field: ALTERNATIVES[field]}))
+        with pytest.raises(ValueError, match="must share"):
+            sim_mod._simulate_all([baseline, cfg], 600, seed=336)
 
 
-def test_memo_keeps_nothing_over_its_cap(baseline):
-    simulate_all(baseline, 200, seed=337, workers=1)
-    assert sim_mod._memo is not None
-    simulate_all(baseline, 2000, seed=337, workers=1)   # about 50k elements: kept
-    assert sim_mod._memo is not None
-    simulate_all(baseline, 20_000, seed=337, workers=1)
-    assert sim_mod._memo is None
+def test_runner_draws_each_block_once_for_a_group(baseline, monkeypatch):
+    cfgs = [validate(dataclasses.replace(baseline, p_st_dbm=v)) for v in (-4.0, 0.0, 3.0)]
+    alone = [simulate_all(cfg, 600, seed=337) for cfg in cfgs]
+    drawn = _count_draws(monkeypatch)
+    assert sim_mod._simulate_all(cfgs, 600, seed=337) == alone
+    assert drawn == [n for _, n in sim_mod._blocks(baseline, 600)]
 
 
-def test_threads_share_the_memo_safely(baseline):
-    # Three threads call two seeds and two decision-field configs in turn,
-    # so each call finds the memo filled or emptied by another; every result
-    # stays that of its own draws.
+# ---------------------------------------------------------------------------
+# Row handoff: simulate() hands out each other row of its pass once
+# ---------------------------------------------------------------------------
+
+def test_four_schemes_of_one_seed_cost_one_pass(baseline, monkeypatch):
+    every = simulate_all(baseline, 600, seed=338)
+    drawn = _count_draws(monkeypatch)
+    rows = [simulate(baseline, scheme, 600, seed=338) for scheme in SCHEMES]
+    assert rows == [every[scheme] for scheme in SCHEMES]
+    assert drawn == [n for _, n in sim_mod._blocks(baseline, 600)]
+
+
+def test_second_call_for_a_scheme_draws_again(baseline, monkeypatch):
+    simulate(baseline, "bcc", 600, seed=339)
+    drawn = _count_draws(monkeypatch)
+    first = simulate(baseline, "bsir", 600, seed=339)   # handed out
+    assert drawn == []
+    again = simulate(baseline, "bsir", 600, seed=339)
+    assert again == first and again is not first
+    assert sum(drawn) == 600
+    # Another trial count, seed or config runs a pass of its own.
+    for cfg, trials, seed in ((baseline, 601, 339), (baseline, 600, 340),
+                              (validate(dataclasses.replace(baseline, p_st_dbm=0.0)), 600, 339)):
+        drawn.clear()
+        simulate(cfg, "bcc", trials, seed)
+        assert sum(drawn) == trials
+
+
+def test_no_result_is_returned_twice(baseline):
+    calls = [("bcc", 341), ("bsir", 341), ("bsir", 341), ("bcc", 341), ("bstd", 342),
+             ("bstd", 341), ("random_baseline", 341), ("bstd", 341), ("bcc", 341)]
+    results = [simulate(baseline, scheme, 200, seed) for scheme, seed in calls]
+    assert len({id(r) for r in results}) == len(results)
+    assert len({id(r.flag_counts) for r in results}) == len(results)
+    for (scheme, seed), result in zip(calls, results):
+        assert result == simulate_all(baseline, 200, seed)[scheme]
+
+
+def test_threads_share_the_handoff_safely(baseline):
+    # Three threads call every scheme at two seeds and two decision-field
+    # configs in turn, so a call finds the rows another thread's pass left,
+    # or its own row already taken. Every result is that of its own config,
+    # seed and scheme, and none is returned twice.
     other = validate(dataclasses.replace(baseline, p_st_dbm=2.0))
-    runs = [(cfg, seed) for cfg in (baseline, other) for seed in (339, 340)]
-    expected = {}
-    for i, (cfg, seed) in enumerate(runs):
-        sim_mod._memo = None
-        expected[i] = simulate_all(cfg, 300, seed, workers=1)
+    runs = [(cfg, seed, scheme) for cfg in (baseline, other) for seed in (343, 344)
+            for scheme in SCHEMES]
+    expected = [simulate_all(cfg, 300, seed)[scheme] for cfg, seed, scheme in runs]
     results, errors = [], []
 
     def run(offset):
         try:
-            for k in range(12):
+            for k in range(len(runs)):
                 i = (k + offset) % len(runs)
-                cfg, seed = runs[i]
-                results.append((i, simulate_all(cfg, 300, seed, workers=1)))
+                cfg, seed, scheme = runs[i]
+                results.append((i, simulate(cfg, scheme, 300, seed)))
         except Exception as exc:   # reported by the main thread below
             errors.append(exc)
 
-    threads = [threading.Thread(target=run, args=(offset,)) for offset in range(3)]
+    threads = [threading.Thread(target=run, args=(offset,)) for offset in (0, 1, 5)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -852,7 +881,8 @@ def test_threads_share_the_memo_safely(baseline):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert not errors
-    assert len(results) == 36 and all(r == expected[i] for i, r in results)
+    assert len(results) == 3 * len(runs) and all(r == expected[i] for i, r in results)
+    assert len({id(r) for _, r in results}) == len(results)
 
 
 # ---------------------------------------------------------------------------
@@ -862,16 +892,16 @@ def test_threads_share_the_memo_safely(baseline):
 _real_count_blocks = sim_mod._count_blocks
 
 
-def _exit_in_worker(cfg, seed, blocks, parent=os.getpid()):
+def _exit_in_worker(cfgs, seed, blocks, parent=os.getpid()):
     if os.getpid() != parent:
         os._exit(1)
-    return _real_count_blocks(cfg, seed, blocks)
+    return _real_count_blocks(cfgs, seed, blocks)
 
 
-def _raise_in_worker(cfg, seed, blocks, parent=os.getpid()):
+def _raise_in_worker(cfgs, seed, blocks, parent=os.getpid()):
     if os.getpid() != parent and seed == 332:
         raise ValueError("raised in a worker")
-    return _real_count_blocks(cfg, seed, blocks)
+    return _real_count_blocks(cfgs, seed, blocks)
 
 
 @pytest.fixture
@@ -971,10 +1001,10 @@ def test_caller_share_exception_drops_the_set(baseline, three_blocks, monkeypatc
     [old] = sim_mod._workers
     error = ValueError("raised in the caller")
 
-    def raise_in_caller(cfg, seed, blocks, parent=os.getpid()):
+    def raise_in_caller(cfgs, seed, blocks, parent=os.getpid()):
         if os.getpid() == parent:
             raise error
-        return _real_count_blocks(cfg, seed, blocks)
+        return _real_count_blocks(cfgs, seed, blocks)
 
     monkeypatch.setattr(sim_mod, "_count_blocks", raise_in_caller)
     with pytest.raises(ValueError) as info:

@@ -14,15 +14,12 @@ static primary positions, the direct link) and fixed-seed draws of
 ``shot_noise_batch`` and ``clearance_batch``. The third covers the arrays of
 ``outcomes(cfg, trials, 5)`` at two configs whose one-trial block is larger
 than ELEMENT_BUDGET, so the kernel streams its relay x primary pairs in
-several groups. Each of these ``outcomes`` is computed twice in a row, from
-an empty draw memo and then from the memo that call left, and the script
-exits 1 if that call kept nothing or the two differ. The fourth covers the
-stdout, stderr and exit code of ``cli.main`` on CLI_ARGVS: ``simulate``,
-``sweep`` over linear and log grids (``random_baseline`` among the schemes,
-one and two workers), ``compare`` with and without a grid and with two
-workers, a two-worker ``sweep`` that fails at its second point (exit 3
-after that point's ``bcc`` row, as bstd's tail rule gives up), and three
-usage errors. The fifth covers
+several groups. The fourth covers the stdout, stderr and exit code of
+``cli.main`` on CLI_ARGVS: ``simulate``, ``sweep`` over linear and log grids
+(``random_baseline`` among the schemes, one and two workers), ``compare``
+with and without a grid and with two workers, a two-worker ``sweep`` that
+fails at its second point (exit 3 after that point's ``bcc`` row, as bstd's
+tail rule gives up), and three usage errors. The fifth covers
 ``p_h_gil_pelaez`` at the 80 distinct (alpha, lambda_p, p_st_dbm) points of
 the first grid, with trunc_epsilon 1e12: the repr of each value, or the
 context of its ``QuadratureFailure``. The sixth covers ``alpha4_selfcheck``
@@ -32,9 +29,9 @@ value it compares, not only those that print a warning. The seventh covers
 ``analyze`` in-process at every point of the first grid, the same way: the
 repr of each scheme's ``AnalyticBreakdown``, so that a factor's last bit
 shows, where the first line sees 9 digits. The script imports
-ehrelay from the ``src`` directory next to it and exits 0, or 1 when the
-memo check above fails. Run it with ``-W error::RuntimeWarning`` to have a
-quadrature that turns inf or nan on these grids fail it.
+ehrelay from the ``src`` directory next to it and exits 0. Run it with
+``-W error::RuntimeWarning`` to have a quadrature that turns inf or nan on
+these grids fail it.
 """
 
 from __future__ import annotations
@@ -42,7 +39,6 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import hashlib
-import importlib
 import io
 import itertools
 import pathlib
@@ -59,8 +55,6 @@ from ehrelay.config import (SystemConfig, apply_overrides, parse_value,  # noqa:
                             validate)
 from ehrelay.geometry import RngStream, clearance_batch, shot_noise_batch  # noqa: E402
 from ehrelay.simulate import Outcomes, outcomes  # noqa: E402
-
-simulate_module = importlib.import_module("ehrelay.simulate")
 
 GRID = {
     "alpha": ("2.5", "3", "3.5", "4", "5"),
@@ -143,16 +137,9 @@ def analyze_digest():
 
 
 def _update_outcomes(digest, name, overrides, trials) -> None:
-    cfg = validate(apply_overrides(SystemConfig(), overrides))
-    simulate_module._memo = None
-    result = outcomes(cfg, trials, 5)
-    if simulate_module._memo is None:
-        sys.exit(f"{name}: the draw memo kept nothing")
-    warm = outcomes(cfg, trials, 5)
+    result = outcomes(validate(apply_overrides(SystemConfig(), overrides)), trials, 5)
     _update(digest, name)
     for f in dataclasses.fields(Outcomes):
-        if not np.array_equal(getattr(warm, f.name), getattr(result, f.name)):
-            sys.exit(f"{name}: outcomes served by the draw memo differ in {f.name}")
         _update_array(digest, getattr(result, f.name))
 
 

@@ -13,8 +13,8 @@ whose heap stays resident between blocks reads a few faults per call; one
 that hands its heap back after each block re-faults hundreds to thousands.
 A kernel that holds a trial's relay x primary pairs at once reads several
 MB of peak at the over-budget corner, where streaming them reads about 1 MB.
-Every call takes a fresh seed, so the draw memo of ``simulate`` never
-serves one: each call draws its blocks, and the tool measures the kernel.
+Every call takes a fresh seed and draws all its blocks (``simulate_all``
+keeps nothing between calls), so the tool measures the kernel.
 The script imports ehrelay from the ``src`` directory next to it and exits
 0; where ``resource`` is missing it prints no faults.
 """
