@@ -61,15 +61,18 @@ def _write_csv(fh, header, rows) -> None:
         fh.write(",".join(map(_fmt, cells)) + "\n")
 
 
-def _at_least_one(text: str) -> int:
-    """argparse type of --trials, --workers and --steps: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(floor: int):
+    """argparse type of an integer of at least ``floor``: 1 for --trials,
+    --workers and --steps, 0 for --seed."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < floor:
+            raise argparse.ArgumentTypeError(f"must be at least {floor}, got {value}")
+        return value
+    return parse
 
 
 def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
@@ -264,9 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
         _add_config_arguments(p)
         if schemes:
             p.add_argument("--scheme", required=True, choices=SCHEMES)
-        p.add_argument("--trials", type=_at_least_one, default=30000)
-        p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--workers", type=_at_least_one, default=1,
+        p.add_argument("--trials", type=_int_at_least(1), default=30000)
+        p.add_argument("--seed", type=_int_at_least(0), default=1)
+        p.add_argument("--workers", type=_int_at_least(1), default=1,
                        help="parallel workers (default 1); any value reproduces "
                             "--workers 1 output exactly")
         p.add_argument("--out", metavar="FILE", default=None,
@@ -290,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "for values starting with a dash")
         p.add_argument("--from", dest="grid_from", type=float, default=None)
         p.add_argument("--to", dest="grid_to", type=float, default=None)
-        p.add_argument("--steps", type=_at_least_one, default=None)
+        p.add_argument("--steps", type=_int_at_least(1), default=None)
         p.add_argument("--spacing", choices=("linear", "log"), default="linear")
 
     p_sweep = sub.add_parser("sweep", help="grid x schemes, simulated and analytic")

@@ -34,10 +34,6 @@ def db_to_linear(x_db: float) -> float:
 
 
 SLOT_POSITION_MODELS = ("independent", "static")
-# Threshold on the normalized harvested sum K above which the transmitter has
-# enough energy: "energy" balances harvested against required transmit energy;
-# "energy-over-a" additionally divides by the harvesting time fraction.
-HARVEST_THRESHOLD_MODES = ("energy", "energy-over-a")
 
 
 @dataclass(frozen=True)
@@ -46,8 +42,9 @@ class SystemConfig:
 
     Raw fields use the units stated in their names; a ``str`` default marks
     a choice among ``choices``. No field holds the block duration T: a block
-    harvests eta * p_t * T * K and spends (1-a)/2 * p_st * T, so T cancels.
-    The trailing ``*_mw`` / ``*_lin`` fields are not constructor arguments: only
+    harvests eta * p_t * T * K and spends (1-a)/2 * p_st * T, so T cancels
+    from the one threshold on K (``harvest_threshold``). The trailing
+    ``*_mw`` / ``*_lin`` fields are not constructor arguments: only
     ``validate`` sets them, on the copy it returns, so any ``replace`` copy
     starts out unvalidated.
     """
@@ -67,8 +64,6 @@ class SystemConfig:
     direct_link: bool = False     # whether the direct ST-SD link exists
     slot_position_model: str = field(
         default="independent", metadata={"choices": SLOT_POSITION_MODELS})
-    harvest_threshold_mode: str = field(
-        default="energy", metadata={"choices": HARVEST_THRESHOLD_MODES})
     direct_literal_events: bool = False  # restrict the direct branch to the exact decomposed event set
     trunc_epsilon: float = 0.1    # allowed mean tail interference, fraction of p_st
     # Linear-unit values of p_t_dbm, p_st_dbm and gamma_th_db, set by validate().
@@ -180,14 +175,11 @@ def validate(cfg: SystemConfig) -> SystemConfig:
 def harvest_threshold(cfg: SystemConfig) -> float:
     """Threshold on the normalized harvested sum K for a scheduled transmission.
 
-    Default mode balances harvested energy against the required transmit
-    energy, giving (1-a)/2 * p_st / (eta * p_t); the alternative mode divides
-    by the harvesting fraction a on top of that.
+    A block harvests eta * p_t * T * K and its transmission slot spends
+    (1-a)/2 * p_st * T, so the transmitter has enough energy when
+    K >= (1-a)/2 * p_st / (eta * p_t).
     """
-    sigma = ((1.0 - cfg.a) / 2.0) * cfg.p_st_mw / (cfg.eta * cfg.p_t_mw)
-    if cfg.harvest_threshold_mode == "energy-over-a":
-        sigma /= cfg.a
-    return sigma
+    return ((1.0 - cfg.a) / 2.0) * cfg.p_st_mw / (cfg.eta * cfg.p_t_mw)
 
 
 def parse_value(name: str, text: str):

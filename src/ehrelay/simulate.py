@@ -21,12 +21,11 @@ Grid runner: configs that share the values of the fields ``_draw`` reads
 is drawn once and decided for every config, in the caller and in each
 worker. The CLI groups a grid's consecutive points by those values, so a
 grid over any other field (``p_st_dbm``, ``p_t_dbm``, ``gamma_th_db``,
-``eta``, ``a``, the threshold mode, the direct-link switches) is one pass
-and a grid over a draw field one pass per point. A pass keeps one chunk's
-draws at a time, at any trial count. ``simulate`` of one scheme keeps the
-other rows of its all-scheme pass and hands each of them out once, to a
-later call with the same config, trial count and seed. Nothing else
-outlives a call.
+``eta``, ``a``, the direct-link switches) is one pass and a grid over a
+draw field one pass per point. A pass keeps one chunk's draws at a time,
+at any trial count. ``simulate`` of one scheme keeps the other rows of its
+all-scheme pass and hands each of them out once, to a later call with the
+same config, trial count and seed. Nothing else outlives a call.
 
 Random streams: block b of a run with seed s draws from stream (s, b). The
 number of trials per block is set by the config alone

@@ -23,8 +23,7 @@ from ehrelay.analytics import (AnalyticBreakdown,
                                gamma_pair, guard_zone_prob, laplace_K, omega1,
                                p_h_gil_pelaez, p_h_levy_erf, p_nonempty,
                                psi31_bound, psi4_far_field, xi_bstd)
-from ehrelay.config import (HARVEST_THRESHOLD_MODES, ConfigError, SystemConfig,
-                            harvest_threshold, validate)
+from ehrelay.config import ConfigError, SystemConfig, harvest_threshold, validate
 from ehrelay.geometry import RngStream, shot_noise_batch
 
 
@@ -136,12 +135,6 @@ def test_p_h_monotone_in_p_st_and_lambda_p():
     assert all(b >= a - 1e-12 for a, b in zip(vals_l, vals_l[1:]))
 
 
-def test_p_h_threshold_mode_variant():
-    base = p_h_gil_pelaez(cfg_with())
-    over_a = p_h_gil_pelaez(cfg_with(harvest_threshold_mode="energy-over-a"))
-    assert over_a < base  # higher threshold, lower harvest probability
-
-
 @pytest.mark.parametrize("lambda_p", [1e-14, 1e-8, 1e-4, 1e-2])
 @pytest.mark.parametrize("p_st_dbm", [-10.0, 15.0])
 def test_p_h_kanter_matches_levy_erf_far_in_the_tail(lambda_p, p_st_dbm):
@@ -162,8 +155,10 @@ def node_counts(monkeypatch):
 def test_p_h_kanter_settles_close_to_alpha_2(node_counts):
     # At alpha = 2.001 the integrand falls as psi^(-2001) past the split; the
     # u-range must stop where it is negligible or 1024 nodes do not settle.
-    values = [an.p_h_kanter(cfg_with(alpha=2.001, lambda_p=1e-8, p_st_dbm=p, a=0.05,
-                                     harvest_threshold_mode="energy-over-a",
+    # p_st is raised by 10 log10(1/a) dB, which puts the threshold 1/a = 20
+    # times above that of the unraised p_st.
+    values = [an.p_h_kanter(cfg_with(alpha=2.001, lambda_p=1e-8, a=0.05,
+                                     p_st_dbm=p + 10.0 * math.log10(1.0 / 0.05),
                                      trunc_epsilon=1e300))
               for p in (2.5, 10.0, 15.0)]
     assert max(node_counts) <= 1024
@@ -357,12 +352,11 @@ def test_p_h_kanter_agrees_with_gil_pelaez_where_it_converges():
     assert checked >= 9
 
 
-def _p_h_at(alpha, lambda_p, p_st_dbm, a, eta, mode):
+def _p_h_at(alpha, lambda_p, p_st_dbm, a, eta):
     # The truncation radius does not enter p_h; a loose trunc_epsilon lets
     # validate() accept every drawn alpha and density at r_max = 50.
     return an.p_h_kanter(cfg_with(alpha=alpha, lambda_p=lambda_p, p_st_dbm=p_st_dbm,
-                                  a=a, eta=eta, harvest_threshold_mode=mode,
-                                  trunc_epsilon=1e12))
+                                  a=a, eta=eta, trunc_epsilon=1e12))
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
@@ -372,15 +366,14 @@ def _p_h_at(alpha, lambda_p, p_st_dbm, a, eta, mode):
        d_p_st=st.floats(0.0, 5.0),
        log_ratio=st.floats(0.0, 2.0),
        a=st.floats(0.01, 0.99),
-       eta=st.floats(0.05, 1.0),
-       mode=st.sampled_from(["energy", "energy-over-a"]))
-def test_p_h_kanter_properties(alpha, log_lambda, p_st, d_p_st, log_ratio, a, eta, mode):
+       eta=st.floats(0.05, 1.0))
+def test_p_h_kanter_properties(alpha, log_lambda, p_st, d_p_st, log_ratio, a, eta):
     lam = 10.0 ** log_lambda
-    p_h = _p_h_at(alpha, lam, p_st, a, eta, mode)
+    p_h = _p_h_at(alpha, lam, p_st, a, eta)
     assert math.isfinite(p_h) and 0.0 <= p_h <= 1.0
-    louder = _p_h_at(alpha, lam, min(p_st + d_p_st, 15.0), a, eta, mode)
+    louder = _p_h_at(alpha, lam, min(p_st + d_p_st, 15.0), a, eta)
     assert louder <= p_h + 1e-12
-    denser = _p_h_at(alpha, min(lam * 10.0 ** log_ratio, 0.1), p_st, a, eta, mode)
+    denser = _p_h_at(alpha, min(lam * 10.0 ** log_ratio, 0.1), p_st, a, eta)
     assert denser >= p_h - 1e-12
 
 
@@ -1035,7 +1028,8 @@ def _box_configs(seed, draws=100):
     p_st_dbm U(-60, 60), p_t_dbm U(-30, 60), gamma_th_db U(-40, 30), r_disc
     and d_sd 10^U(-2, 1.5), r_gz 0 with chance 0.2 (a uniform draw) else
     10^U(-3, 1), a U(0.01, 0.99), eta U(0.01, 1), trunc_epsilon 10^U(-1, 300),
-    the direct link with chance 0.5, the threshold mode by choice, and last
+    the direct link with chance 0.5, a choice of two whose value is unused
+    (it keeps the later draws where they were), and last
     r_max = 2 * max(r_disc, d_sd) * 10^U(0, 2).
     """
     rng = np.random.default_rng(seed)
@@ -1052,7 +1046,7 @@ def _box_configs(seed, draws=100):
         draw["eta"] = rng.uniform(0.01, 1.0)
         draw["trunc_epsilon"] = 10.0 ** rng.uniform(-1.0, 300.0)
         draw["direct_link"] = bool(rng.uniform() < 0.5)
-        draw["harvest_threshold_mode"] = str(rng.choice(HARVEST_THRESHOLD_MODES))
+        rng.choice(2)
         draw["r_max"] = 2.0 * max(draw["r_disc"], draw["d_sd"]) * 10.0 ** rng.uniform(0.0, 2.0)
         try:
             configs.append(cfg_with(**draw))

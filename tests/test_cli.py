@@ -70,7 +70,7 @@ def test_simulate_csv_has_no_removed_option_columns(tmp_path):
     out = tmp_path / "sim.csv"
     assert run_cli(["simulate", "--scheme", "bcc", "--trials", "5", "--out", str(out)]) == 0
     header, _ = header_and_row(out)
-    assert not {"t_block", "p_min_dbm", "p_max_dbm"} & set(header)
+    assert not {"t_block", "p_min_dbm", "p_max_dbm", "harvest_threshold_mode"} & set(header)
 
 
 def test_simulate_worker_count_invariance(tmp_path, baseline_path):
@@ -98,15 +98,17 @@ def test_simulate_invalid_alpha(capsys):
 
 @pytest.mark.parametrize("source", ["file", "flag"])
 def test_block_duration_is_not_a_config_key(source, tmp_path, capsys, monkeypatch):
-    # The block duration cancels from every formula, so no key sets it.
+    # The block duration cancels from every formula, so no key sets it; nor
+    # does any key choose the harvest threshold, which has one formula.
     monkeypatch.setattr(cli, "simulate", _never)
-    path = tmp_path / "t_block.cfg"
-    path.write_text("t_block = 1e-3\n")
-    given = (["--config", str(path)] if source == "file" else ["--t_block", "1e-3"])
-    assert run_cli(["simulate", "--scheme", "bcc", "--trials", "5"] + given) == 2
-    err = capsys.readouterr().err
-    assert ("error: line 1: unknown config key 't_block'" in err if source == "file"
-            else "unrecognized arguments: --t_block 1e-3" in err)
+    for key, value in (("t_block", "1e-3"), ("harvest_threshold_mode", "energy")):
+        path = tmp_path / f"{key}.cfg"
+        path.write_text(f"{key} = {value}\n")
+        given = (["--config", str(path)] if source == "file" else [f"--{key}", value])
+        assert run_cli(["simulate", "--scheme", "bcc", "--trials", "5"] + given) == 2
+        err = capsys.readouterr().err
+        assert (f"error: line 1: unknown config key '{key}'" in err if source == "file"
+                else f"unrecognized arguments: --{key} {value}" in err)
 
 
 @pytest.mark.parametrize("argv", [
@@ -634,14 +636,20 @@ def test_workers_below_one_rejected(value, capsys):
     ("sweep", ["--schemes", "bcc", "--param", "p_st_dbm", "--values=0"]),
     ("compare", ["--scheme", "bcc"]),
 ])
-@pytest.mark.parametrize("value,message", [
-    ("0", "must be at least 1"), ("-5", "must be at least 1"),
-    ("abc", "invalid int value: 'abc'"),
-], ids=["0", "-5", "abc"])
-def test_trials_below_one_rejected(command, args, value, message, tmp_path, capsys):
+@pytest.mark.parametrize("option,message", [
+    ("--trials=0", "argument --trials: must be at least 1, got 0"),
+    ("--trials=-5", "argument --trials: must be at least 1, got -5"),
+    ("--trials=abc", "argument --trials: invalid int value: 'abc'"),
+    ("--seed=-1", "argument --seed: must be at least 0, got -1"),
+], ids=["0", "-5", "abc", "seed-1"])
+def test_trials_below_one_rejected(command, args, option, message, tmp_path, capsys,
+                                   monkeypatch):
+    # A usage error before --out is opened and before anything is drawn.
+    for name in ("simulate", "_simulate_all", "analyze"):
+        monkeypatch.setattr(cli, name, _never)
     out = tmp_path / "t.csv"
-    assert run_cli([command, f"--trials={value}", "--out", str(out)] + args) == 2
-    assert f"argument --trials: {message}" in capsys.readouterr().err
+    assert run_cli([command, option, "--out", str(out)] + args) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

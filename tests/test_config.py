@@ -2,12 +2,14 @@
 
 import dataclasses
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
 
 from ehrelay.analytics import analyze
-from ehrelay.config import (ConfigError, SystemConfig, apply_overrides,
+from ehrelay.config import (RAW_FIELDS, ConfigError, SystemConfig, apply_overrides,
                             db_to_linear, harvest_threshold, load_config,
                             parse_config_text, parse_value, validate)
 from ehrelay.simulate import simulate_all
@@ -82,11 +84,19 @@ def test_r_max_floor():
 def test_harvest_threshold_modes():
     cfg = validate(SystemConfig())
     sigma = harvest_threshold(cfg)
-    expected = 0.5 * cfg.p_st_mw / (2 * 0.8 * cfg.p_t_mw) * 2  # (1-a)/2 with a=0.5
     assert sigma == pytest.approx((1 - cfg.a) / 2 * cfg.p_st_mw / (cfg.eta * cfg.p_t_mw),
                                   rel=1e-12)
-    alt = validate(dataclasses.replace(cfg, harvest_threshold_mode="energy-over-a"))
-    assert harvest_threshold(alt) == pytest.approx(sigma / cfg.a, rel=1e-12)
+
+
+def test_readme_configuration_block_names_every_raw_field():
+    # The first fenced block under "## Configuration" lists the keys, each
+    # line's first column holding one or more comma-separated field names.
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1]
+    block = section.split("```\n", 2)[1]
+    names = {name for line in block.splitlines()
+             for name in re.split(r"\s{2,}", line.strip())[0].split(", ")}
+    assert names == set(RAW_FIELDS)
 
 
 def test_parse_config_text():
@@ -167,8 +177,6 @@ def test_numpy_grid_values_validate():
     ("r_gz", lambda: validate(SystemConfig(r_gz=-0.5))),
     ("trunc_epsilon", lambda: validate(SystemConfig(trunc_epsilon=0.0))),
     ("slot_position_model", lambda: validate(SystemConfig(slot_position_model="moving"))),
-    ("harvest_threshold_mode",
-     lambda: validate(SystemConfig(harvest_threshold_mode="power"))),
     ("eta", lambda: validate(SystemConfig(eta=math.inf))),
     ("gamma_th_db", lambda: validate(SystemConfig(gamma_th_db=-math.inf))),
     ("alpha", lambda: validate(SystemConfig(alpha="3"))),
@@ -184,7 +192,7 @@ def test_numpy_grid_values_validate():
     ("alpha", lambda: parse_value("alpha", "none")),
     ("alpha", lambda: parse_config_text("alpha 3\n")),
 ], ids=["lambda_p<0", "lambda_sr<0", "r_disc=0", "d_sd=0", "r_gz<0",
-        "trunc_epsilon=0", "slot_model", "harvest_mode", "eta=inf",
+        "trunc_epsilon=0", "slot_model", "eta=inf",
         "gamma_th_db=-inf", "alpha_str",
         "alpha_bool", "lambda_p_none", "direct_link_str", "direct_link_int",
         "direct_literal_events_none", "slot_model_none", "parse_bool",
@@ -198,7 +206,7 @@ def test_every_diagnostic_names_its_field(name, check):
 
 def test_parse_value_kinds():
     assert parse_value("direct_link", "Off") is False
-    assert parse_value("harvest_threshold_mode", " energy-over-a ") == "energy-over-a"
+    assert parse_value("slot_position_model", " static ") == "static"
     assert parse_value("alpha", "3.5") == 3.5
 
 

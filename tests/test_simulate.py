@@ -735,8 +735,8 @@ ALTERNATIVES = {
     "lambda_p": 0.00998, "lambda_sr": 1.005, "p_t_dbm": 27.0, "p_st_dbm": 0.0,
     "eta": 0.6, "a": 0.4, "alpha": 3.8, "r_disc": 1.002, "r_gz": 1.5,
     "gamma_th_db": -6.0, "d_sd": 1.8, "r_max": 49.95, "direct_link": True,
-    "slot_position_model": "static", "harvest_threshold_mode": "energy-over-a",
-    "direct_literal_events": True, "trunc_epsilon": 0.2,
+    "slot_position_model": "static", "direct_literal_events": True,
+    "trunc_epsilon": 0.2,
 }
 
 
