@@ -116,22 +116,13 @@ def _field_scale(cfg: SystemConfig) -> float:
     return cfg.lambda_p * math.pi * gamma_pair(cfg.alpha)
 
 
-def laplace_K(s: float, cfg: SystemConfig) -> float:
-    """Laplace transform of the normalized harvested sum K at s >= 0.
-
-    exp(-lambda_p*pi*Gamma(1+2/alpha)*Gamma(1-2/alpha)
-        * [a^(2/alpha) + ((1-a)/2)^(2/alpha)] * s^(2/alpha)),
+def levy_scale(cfg: SystemConfig) -> float:
+    """Coefficient C of the normalized harvested sum K's Laplace transform,
+    E[exp(-s*K)] = exp(-C * s^(2/alpha)) for s >= 0:
+    C = lambda_p*pi*Gamma(1+2/alpha)*Gamma(1-2/alpha)
+        * [a^(2/alpha) + ((1-a)/2)^(2/alpha)],
     the product of the two independent slot contributions.
     """
-    if s < 0:
-        raise ValueError(f"s must be >= 0, got {s}")
-    if s == 0.0 or cfg.lambda_p == 0.0:
-        return 1.0
-    return math.exp(-levy_scale(cfg) * s ** (2.0 / cfg.alpha))
-
-
-def levy_scale(cfg: SystemConfig) -> float:
-    """Coefficient C in laplace_K(s) = exp(-C * s^(2/alpha))."""
     weights = cfg.a ** (2.0 / cfg.alpha) + ((1.0 - cfg.a) / 2.0) ** (2.0 / cfg.alpha)
     return _field_scale(cfg) * weights
 

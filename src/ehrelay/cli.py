@@ -97,6 +97,8 @@ def _grid_points(args, base: SystemConfig):
         raise ConfigError(["give --values or --from/--to/--steps, not both"])
     if 0 < len(missing) < 3:
         raise ConfigError([f"a --from/--to/--steps range misses {', '.join(missing)}"])
+    if args.spacing is not None and missing:
+        raise ConfigError(["--spacing applies to a --from/--to/--steps range"])
     if args.values is not None:
         values = []
         for text in args.values.split(","):
@@ -294,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--from", dest="grid_from", type=float, default=None)
         p.add_argument("--to", dest="grid_to", type=float, default=None)
         p.add_argument("--steps", type=_int_at_least(1), default=None)
-        p.add_argument("--spacing", choices=("linear", "log"), default="linear")
+        p.add_argument("--spacing", choices=("linear", "log"), default=None)
 
     p_sweep = sub.add_parser("sweep", help="grid x schemes, simulated and analytic")
     common(p_sweep, schemes=False)

@@ -43,10 +43,11 @@ class SystemConfig:
     Raw fields use the units stated in their names; a ``str`` default marks
     a choice among ``choices``. No field holds the block duration T: a block
     harvests eta * p_t * T * K and spends (1-a)/2 * p_st * T, so T cancels
-    from the one threshold on K (``harvest_threshold``). The trailing
-    ``*_mw`` / ``*_lin`` fields are not constructor arguments: only
-    ``validate`` sets them, on the copy it returns, so any ``replace`` copy
-    starts out unvalidated.
+    from the one threshold on K (``harvest_threshold``). With ``direct_link``
+    a trial succeeds when the direct or the relayed branch decodes
+    (selection combining). The trailing ``*_mw`` / ``*_lin`` fields are not
+    constructor arguments: only ``validate`` sets them, on the copy it
+    returns, so any ``replace`` copy starts out unvalidated.
     """
 
     lambda_p: float = 0.01        # density of PTs and PRs, nodes per m^2
@@ -64,7 +65,6 @@ class SystemConfig:
     direct_link: bool = False     # whether the direct ST-SD link exists
     slot_position_model: str = field(
         default="independent", metadata={"choices": SLOT_POSITION_MODELS})
-    direct_literal_events: bool = False  # restrict the direct branch to the exact decomposed event set
     trunc_epsilon: float = 0.1    # allowed mean tail interference, fraction of p_st
     # Linear-unit values of p_t_dbm, p_st_dbm and gamma_th_db, set by validate().
     p_t_mw: float | None = field(default=None, init=False)

@@ -21,7 +21,7 @@ Grid runner: configs that share the values of the fields ``_draw`` reads
 is drawn once and decided for every config, in the caller and in each
 worker. The CLI groups a grid's consecutive points by those values, so a
 grid over any other field (``p_st_dbm``, ``p_t_dbm``, ``gamma_th_db``,
-``eta``, ``a``, the direct-link switches) is one pass and a grid over a
+``eta``, ``a``, ``direct_link``) is one pass and a grid over a
 draw field one pass per point. A pass keeps one chunk's draws at a time,
 at any trial count. ``simulate`` of one scheme keeps the other rows of its
 all-scheme pass and hands each of them out once, to a later call with the
@@ -31,7 +31,7 @@ Random streams: block b of a run with seed s draws from stream (s, b). The
 number of trials per block is set by the config alone
 (``trials_per_block``), never by the trial count or the worker count, so
 results are bit-identical for any ``workers``. The draw order inside a block
-does not depend on the scheme or on the direct-link switches, so runs that
+does not depend on the scheme or on ``direct_link``, so runs that
 differ only in those see the same networks.
 
 Workers: a call sends every share of blocks but the last down the duplex
@@ -405,16 +405,7 @@ def _decide(cfg: SystemConfig, draws: _Draws) -> Outcomes:
     sr_decode, sd_decode, sr_clear = events[:, selected]
     sr_decode[SCHEMES.index("bstd")] = decode_count > 0
     relay_branch = nonempty & sr_decode & sr_clear & sd_decode
-    if not cfg.direct_link:
-        reach = relay_branch
-    elif cfg.direct_literal_events:
-        # Exact decomposed event set: the direct branch only counts
-        # alongside a decoding, guard-cleared relay or when no relay
-        # decoded at all.
-        reach = ((sr_decode & sr_clear & (direct_ok | sd_decode))
-                 | (~sr_decode & direct_ok))
-    else:
-        reach = direct_ok | relay_branch
+    reach = direct_ok | relay_branch if cfg.direct_link else relay_branch
 
     flags = np.empty((len(SCHEMES), len(FLAG_NAMES), pick.size), dtype=bool)
     for f, flag in enumerate((harvest_ok, st_clear, nonempty, sr_decode, sr_clear,

@@ -70,7 +70,8 @@ def test_simulate_csv_has_no_removed_option_columns(tmp_path):
     out = tmp_path / "sim.csv"
     assert run_cli(["simulate", "--scheme", "bcc", "--trials", "5", "--out", str(out)]) == 0
     header, _ = header_and_row(out)
-    assert not {"t_block", "p_min_dbm", "p_max_dbm", "harvest_threshold_mode"} & set(header)
+    assert not {"t_block", "p_min_dbm", "p_max_dbm", "harvest_threshold_mode",
+                "direct_literal_events"} & set(header)
 
 
 def test_simulate_worker_count_invariance(tmp_path, baseline_path):
@@ -99,9 +100,11 @@ def test_simulate_invalid_alpha(capsys):
 @pytest.mark.parametrize("source", ["file", "flag"])
 def test_block_duration_is_not_a_config_key(source, tmp_path, capsys, monkeypatch):
     # The block duration cancels from every formula, so no key sets it; nor
-    # does any key choose the harvest threshold, which has one formula.
+    # does any key choose the harvest threshold or the direct-link event
+    # set, which have one rule each.
     monkeypatch.setattr(cli, "simulate", _never)
-    for key, value in (("t_block", "1e-3"), ("harvest_threshold_mode", "energy")):
+    for key, value in (("t_block", "1e-3"), ("harvest_threshold_mode", "energy"),
+                       ("direct_literal_events", "true")):
         path = tmp_path / f"{key}.cfg"
         path.write_text(f"{key} = {value}\n")
         given = (["--config", str(path)] if source == "file" else [f"--{key}", value])
@@ -519,8 +522,11 @@ def test_sweep_needs_grid(capsys):
     (["--values=0"], "a grid needs --param naming the swept config field"),
     (["--param", "direct_link", "--values=0"],
      f"cannot sweep 'direct_link'; numeric fields: {NUMERIC_FIELDS}"),
+    (["--param", "p_st_dbm", "--values=0", "--spacing", "log"],
+     "--spacing applies to a --from/--to/--steps range"),
+    (["--spacing", "log"], "--spacing applies to a --from/--to/--steps range"),
 ], ids=["no-steps", "no-endpoints", "param-alone", "values-and-range", "log-from-zero",
-        "values-alone", "non-numeric-param"])
+        "values-alone", "non-numeric-param", "spacing-with-values", "spacing-alone"])
 def test_partial_or_mixed_grid_rejected(command, grid, message, tmp_path, capsys,
                                         monkeypatch):
     # Rejected before anything runs, where compare used to answer for the

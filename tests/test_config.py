@@ -184,8 +184,6 @@ def test_numpy_grid_values_validate():
     ("lambda_p", lambda: validate(SystemConfig(lambda_p=None))),
     ("direct_link", lambda: validate(SystemConfig(direct_link="false"))),
     ("direct_link", lambda: validate(SystemConfig(direct_link=0))),
-    ("direct_literal_events",
-     lambda: validate(SystemConfig(direct_literal_events=None))),
     ("slot_position_model", lambda: validate(SystemConfig(slot_position_model=None))),
     ("direct_link", lambda: parse_value("direct_link", "maybe")),
     ("alpha", lambda: parse_value("alpha", "four")),
@@ -195,7 +193,7 @@ def test_numpy_grid_values_validate():
         "trunc_epsilon=0", "slot_model", "eta=inf",
         "gamma_th_db=-inf", "alpha_str",
         "alpha_bool", "lambda_p_none", "direct_link_str", "direct_link_int",
-        "direct_literal_events_none", "slot_model_none", "parse_bool",
+        "slot_model_none", "parse_bool",
         "parse_number", "parse_none_not_optional", "line_without_equals"])
 def test_every_diagnostic_names_its_field(name, check):
     # A value of the wrong kind is a ConfigError, never a TypeError or a pass.

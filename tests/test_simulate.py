@@ -486,12 +486,17 @@ def test_direct_link_never_hurts_per_trial(baseline):
 
 
 def test_direct_literal_events_subset(baseline):
-    on_cfg = validate(dataclasses.replace(baseline, direct_link=True))
-    literal_cfg = validate(dataclasses.replace(on_cfg, direct_literal_events=True))
-    default = outcomes(on_cfg, 1500, seed=321)
-    literal = outcomes(literal_cfg, 1500, seed=321)
-    for scheme in ("bcc", "bstd"):
-        assert np.all(default.flag(scheme, "success") >= literal.flag(scheme, "success"))
+    # The paper's decomposed direct-link event set counts the direct branch
+    # only beside a decoding, guard-cleared relay or when no relay decoded,
+    # so it is a strict subset of selection combining's successes.
+    out = outcomes(validate(dataclasses.replace(baseline, direct_link=True)), 1500, seed=321)
+    for scheme in SCHEMES:
+        f = {name: out.flag(scheme, name) for name in FLAG_NAMES}
+        literal = f["harvest_ok"] & f["st_clear"] & (
+            (f["sr_decode_ok"] & f["sr_clear"] & (f["direct_decode_ok"] | f["sd_decode_ok"]))
+            | (~f["sr_decode_ok"] & f["direct_decode_ok"]))
+        assert np.all(f["success"] >= literal), scheme
+        assert np.any(f["success"] > literal), scheme
 
 
 def test_best_sir_dominates_random_pick(baseline):
@@ -573,7 +578,7 @@ def test_trials_per_block_depends_on_config_only(baseline):
     block = trials_per_block(baseline)
     assert block >= 1
     for change in ({"p_st_dbm": 3.0}, {"direct_link": True}, {"gamma_th_db": -5.0},
-                   {"slot_position_model": "static"}, {"direct_literal_events": True}):
+                   {"slot_position_model": "static"}):
         assert trials_per_block(validate(dataclasses.replace(baseline, **change))) == block
     # The trial count does not move block boundaries: a longer run starts
     # with the same trials.
@@ -602,7 +607,7 @@ DENSE = {"alpha": 3.0, "r_max": 400.0, "p_st_dbm": 5.0}
     ({}, 1000, None),
     ({"lambda_sr": 20.0}, 1000, None),
     ({"slot_position_model": "static"}, 1000, None),
-    ({"direct_link": True, "direct_literal_events": True}, 1000, None),
+    ({"direct_link": True}, 1000, None),
     # One trial per block at any budget below a dense trial's elements, so a
     # smaller budget splits 40 trials into chunks without moving a block.
     (DENSE, 40, 1024),
@@ -735,8 +740,7 @@ ALTERNATIVES = {
     "lambda_p": 0.00998, "lambda_sr": 1.005, "p_t_dbm": 27.0, "p_st_dbm": 0.0,
     "eta": 0.6, "a": 0.4, "alpha": 3.8, "r_disc": 1.002, "r_gz": 1.5,
     "gamma_th_db": -6.0, "d_sd": 1.8, "r_max": 49.95, "direct_link": True,
-    "slot_position_model": "static", "direct_literal_events": True,
-    "trunc_epsilon": 0.2,
+    "slot_position_model": "static", "trunc_epsilon": 0.2,
 }
 
 
