@@ -212,8 +212,9 @@ def p_h_gil_pelaez(cfg: SystemConfig) -> float:
     return min(1.0, max(0.0, 0.5 + value / math.pi))
 
 
-def _log_kanter_a_reflected(beta: float):
-    """psi -> log A(pi - psi), A Zolotarev's function in Kanter's representation.
+def _log_kanter_a_reflected(beta: float, log=np.log, sin=np.sin):
+    """psi -> log A(pi - psi), A Zolotarev's function in Kanter's representation;
+    on arrays, or on floats given ``math.log`` and ``math.sin``.
 
     A standard positive-stable S of index beta, E[exp(-s*S)] = exp(-s^beta),
     has P(S > x) = (1/pi) int_0^pi -expm1(-A(phi) x^(-k)) dphi, k = beta/(1-beta),
@@ -222,7 +223,7 @@ def _log_kanter_a_reflected(beta: float):
     Probab.). Sines taken from psi = pi - phi do not cancel near phi = pi.
     """
     k, rest = beta / (1.0 - beta), 1.0 - beta
-    shift, log, sin = rest * math.pi, np.log, np.sin
+    shift = rest * math.pi
     return lambda psi: (k * log(sin(shift + beta * psi)) + log(sin(rest * (math.pi - psi)))
                         - log(sin(psi)) / rest)
 
@@ -257,23 +258,20 @@ def _stable_tail_rule(log_t_lo: float, log_t_hi: float, beta: float):
     log(psi) on one panel and one more per ``_TAIL_PANEL_SPAN`` of range, up to
     where the integrand of the greatest x^(-k) is below e^(-40) of its total.
     """
-    k, rest = beta / (1.0 - beta), 1.0 - beta
-    shift, pi, exp, log, sin = rest * math.pi, math.pi, math.exp, math.log, math.sin
+    k = beta / (1.0 - beta)
     log_a_min = math.log((1.0 - beta) * beta ** k)  # log A(0+), A's least value
     log_pi = math.log(math.pi)
     log_a = _log_kanter_a_reflected(beta)
+    log_a_float = _log_kanter_a_reflected(beta, math.log, math.sin)
 
     def crossing(log_t: float, level: float, lo: float) -> float:
-        """log(psi) at which log(x^(-k) * A) falls to level; log(pi) if never.
-        The test is ``_log_kanter_a_reflected``'s formula on floats."""
+        """log(psi) at which log(x^(-k) * A) falls to level; log(pi) if never."""
         if log_t + log_a_min >= level:
             return log_pi
         hi = log_pi
         for _ in range(16):  # from [log(1e-300), log(pi)] to within 0.011
             mid = 0.5 * (lo + hi)
-            psi = exp(mid)
-            if log_t + (k * log(sin(shift + beta * psi)) + log(sin(rest * (pi - psi)))
-                        - log(sin(psi)) / rest) >= level:
+            if log_t + log_a_float(math.exp(mid)) >= level:
                 lo = mid
             else:
                 hi = mid
@@ -593,7 +591,7 @@ def chi_common(cfg: SystemConfig) -> float:
     if u_unit == 0.0:
         # Interference cannot matter (no primaries or a zero threshold), so
         # every relay decodes both hops and G = pi*R^2.
-        return 1.0 - guard * -math.expm1(-mean_relays)
+        return 1.0 - guard * p_nonempty(cfg)
 
     # Range of Y. A >= A(0+) bounds P(Y < y_lo). Beyond y_hi the piece left out
     # is at most h(y_hi) * P(Y > y_hi): P(S > x) <= x^-beta/(1 - 1/e), and

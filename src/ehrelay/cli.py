@@ -113,6 +113,9 @@ def _grid_points(args, base: SystemConfig):
         if args.param is not None:
             raise ConfigError([f"--param {args.param} needs --values or --from/--to/--steps"])
         return []
+    elif not np.isfinite(args.grid_to - args.grid_from):   # also inf or nan at an end
+        raise ConfigError([f"a --from/--to/--steps range needs finite ends and span, got "
+                           f"--from {_fmt(args.grid_from)} --to {_fmt(args.grid_to)}"])
     elif args.spacing == "log":
         if args.grid_from <= 0 or args.grid_to <= 0:
             raise ConfigError(["log spacing needs positive endpoints"])

@@ -20,8 +20,7 @@ Grid runner: configs that share the values of the fields ``_draw`` reads
 (``_DRAW_FIELDS``) share every draw, so one pass serves them all: each chunk
 is drawn once and decided for every config, in the caller and in each
 worker. The CLI groups a grid's consecutive points by those values, so a
-grid over any other field (``p_st_dbm``, ``p_t_dbm``, ``gamma_th_db``,
-``eta``, ``a``, ``direct_link``) is one pass and a grid over a
+grid over any field outside ``_DRAW_FIELDS`` is one pass and a grid over a
 draw field one pass per point. A pass keeps one chunk's draws at a time,
 at any trial count. ``simulate`` of one scheme keeps the other rows of its
 all-scheme pass and hands each of them out once, to a later call with the
@@ -102,7 +101,6 @@ class EstimateCI:
     trials: int
     ci_low: float
     ci_high: float
-    seed: int
 
 
 @dataclass
@@ -161,7 +159,10 @@ def trials_per_block(cfg: SystemConfig) -> int:
 
 
 def require_drawable(cfg: SystemConfig) -> SystemConfig:
-    """``cfg``; a ``ConfigError`` if ``trial_elements`` exceeds TRIAL_ELEMENT_CAP."""
+    """``cfg``; a ``ValueError`` unless validated, a ``ConfigError`` if ``trial_elements``
+    exceeds TRIAL_ELEMENT_CAP. Every kernel entry calls it before its first draw."""
+    if not cfg.validated:
+        raise ValueError("config must pass validate() before simulation")
     elements = trial_elements(cfg)
     if not elements <= TRIAL_ELEMENT_CAP:
         raise ConfigError([f"one trial would hold {elements:.3g} array elements, over the "
@@ -419,7 +420,7 @@ def _decide(cfg: SystemConfig, draws: _Draws) -> Outcomes:
 
 def run_realization(cfg: SystemConfig, rng, n: int) -> Outcomes:
     """Outcomes of n trials from one stream, every scheme from the same draws."""
-    return _decide(cfg, _draw(cfg, as_generator(rng), n))
+    return _decide(cfg, _draw(require_drawable(cfg), as_generator(rng), n))
 
 
 def _concat(parts):
@@ -433,7 +434,7 @@ def _blocks(cfg: SystemConfig, trials: int):
     """(block index, trials in it) covering ``trials`` trials."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    size = trials_per_block(require_drawable(cfg))
+    size = trials_per_block(cfg)
     return [(b, min(size, trials - b * size)) for b in range(-(-trials // size))]
 
 
@@ -474,8 +475,8 @@ def _count_blocks(cfgs, seed: int, blocks) -> np.ndarray:
 
 def outcomes(cfg: SystemConfig, trials: int, seed: int) -> Outcomes:
     """Per-trial events of the same trials ``simulate`` counts."""
-    return _concat([_decide(cfg, draws)
-                    for draws in _chunks(cfg, seed, _blocks(cfg, trials))])
+    blocks = _blocks(require_drawable(cfg), trials)
+    return _concat([_decide(cfg, draws) for draws in _chunks(cfg, seed, blocks)])
 
 
 _workers: list = []   # the process-wide worker set: (process, our end of its pipe)
@@ -574,7 +575,7 @@ def simulate_all(cfg: SystemConfig, trials: int, seed: int, workers: int = 1) ->
     when a call needs another size or an idle worker died, dropped when one
     dies during a call (``BrokenProcessPool``), rebuilt in a forked child and
     ended at exit. A config that ``require_drawable`` refuses raises its
-    ``ConfigError`` before any draw.
+    error before any draw.
     """
     return _simulate_all([cfg], trials, seed, workers)[0]
 
@@ -587,8 +588,8 @@ def _simulate_all(cfgs, trials: int, seed: int, workers: int = 1,
     share of blocks: after the workers' shares are sent when it has any,
     first otherwise. An exception ``step`` raises ends the call, so a caller
     that wants the counts first holds its own."""
-    if not all(cfg.validated for cfg in cfgs):
-        raise ValueError("config must pass validate() before simulation")
+    for cfg in cfgs:
+        require_drawable(cfg)
     if len({_draw_key(cfg) for cfg in cfgs}) != 1:
         raise ValueError(f"the configs of one pass must share {_DRAW_FIELDS}")
     blocks = _blocks(cfgs[0], trials)
@@ -608,7 +609,7 @@ def _simulate_all(cfgs, trials: int, seed: int, workers: int = 1,
             flag_freq = {name: flag_counts[name] / trials for name in FLAG_NAMES}
             lo, hi = wilson_interval(flag_counts["success"], trials)
             estimate = EstimateCI(p_hat=flag_freq["success"], trials=trials,
-                                  ci_low=lo, ci_high=hi, seed=seed)
+                                  ci_low=lo, ci_high=hi)
             result[scheme] = SimulationResult(
                 scheme=scheme, trials=trials, seed=seed, estimate=estimate,
                 flag_counts=flag_counts, flag_frequencies=flag_freq)

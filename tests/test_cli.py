@@ -525,8 +525,16 @@ def test_sweep_needs_grid(capsys):
     (["--param", "p_st_dbm", "--values=0", "--spacing", "log"],
      "--spacing applies to a --from/--to/--steps range"),
     (["--spacing", "log"], "--spacing applies to a --from/--to/--steps range"),
+    (["--param", "p_st_dbm", "--from", "0", "--to", "1e400", "--steps", "2"],
+     "a --from/--to/--steps range needs finite ends and span, got --from 0 --to inf"),
+    (["--param", "p_st_dbm", "--from", "1e308", "--to=-1e308", "--steps", "2"],
+     "a --from/--to/--steps range needs finite ends and span, got --from 1e+308 --to -1e+308"),
+    (["--param", "lambda_p", "--from", "1e-3", "--to", "1e400", "--steps", "2",
+      "--spacing", "log"],
+     "a --from/--to/--steps range needs finite ends and span, got --from 0.001 --to inf"),
 ], ids=["no-steps", "no-endpoints", "param-alone", "values-and-range", "log-from-zero",
-        "values-alone", "non-numeric-param", "spacing-with-values", "spacing-alone"])
+        "values-alone", "non-numeric-param", "spacing-with-values", "spacing-alone",
+        "infinite-end", "overflowing-span", "log-infinite-end"])
 def test_partial_or_mixed_grid_rejected(command, grid, message, tmp_path, capsys,
                                         monkeypatch):
     # Rejected before anything runs, where compare used to answer for the

@@ -12,6 +12,7 @@ import multiprocessing
 import os
 import pathlib
 import platform
+import re
 import signal
 import subprocess
 import sys
@@ -684,7 +685,8 @@ def test_trial_too_large_to_draw_is_refused(baseline, monkeypatch):
     cfg = validate(dataclasses.replace(baseline, **TOO_LARGE))
     monkeypatch.setattr(sim_mod, "_draw", _never)
     for run in (lambda: simulate_all(cfg, 1, seed=1, workers=2),
-                lambda: outcomes(cfg, 1, seed=1)):
+                lambda: outcomes(cfg, 1, seed=1),
+                lambda: run_realization(cfg, RngStream(1, 0), 1)):
         start = time.perf_counter()
         with pytest.raises(ConfigError) as err:
             run()
@@ -727,6 +729,33 @@ def test_simulate_validates_inputs(baseline):
         outcomes(baseline, 0, seed=1)
     with pytest.raises(ValueError):
         simulate(SystemConfig(), "bcc", 10, seed=1)  # not validated
+
+
+def test_every_kernel_entry_refuses_an_unvalidated_config(monkeypatch):
+    # The derived linear fields are unset until validate(), so a draw would
+    # end in a TypeError; each entry checks first and draws nothing.
+    monkeypatch.setattr(sim_mod, "_draw", _never)
+    for run in (lambda: simulate_all(SystemConfig(), 10, seed=1),
+                lambda: outcomes(SystemConfig(), 10, seed=1),
+                lambda: run_realization(SystemConfig(), RngStream(1, 0), 5)):
+        with pytest.raises(ValueError, match=r"^config must pass validate\(\) before simulation$"):
+            run()
+
+
+def test_readme_field_lists_match_the_draw_fields():
+    # README's "Grid runner" lists the fields the draw stage reads, and its
+    # "Scheme pairing" the raw fields it does not; each list is the one
+    # parenthesis of backticked names in its bullet.
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+
+    def listed(bullet):
+        text = readme.split(f"\n* **{bullet}.**", 1)[1].split("\n* ", 1)[0]
+        (names,) = re.findall(r"\(((?:`\w+`,\s*)+`\w+`)[;)]", text)
+        return sorted(re.findall(r"`(\w+)`", names))
+
+    draw_fields = sim_mod._DRAW_FIELDS
+    assert listed("Grid runner") == sorted(draw_fields)
+    assert listed("Scheme pairing") == sorted(set(RAW_FIELDS) - set(draw_fields))
 
 
 # ---------------------------------------------------------------------------
