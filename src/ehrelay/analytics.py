@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, fields
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -48,7 +48,7 @@ _Nodes = namedtuple("_Nodes", "x w x1 w_pi s three_less_2s one_less_s circles")
 def _leggauss(n: int) -> _Nodes:
     """n Gauss-Legendre nodes x and weights w, with the config-free arithmetic
     the rules below do on them, built once per n and read-only: x1 = x + 1,
-    w_pi = w / pi, s = (x + 1)/2, 3 - 2s, 1 - s, and ``_destination_rings``'
+    w_pi = w / pi, s = (x + 1)/2, 3 - 2s, 1 - s, and the ring rule's (``_Rings``)
     full-circle factors exp(2j + x + 1), one row per j = -_RING_PANELS..-1."""
     x, w = np.polynomial.legendre.leggauss(n)
     s = 0.5 * (x + 1.0)
@@ -228,6 +228,13 @@ def _log_kanter_a_reflected(beta: float, log=np.log, sin=np.sin):
                         - log(sin(psi)) / rest)
 
 
+def _kanter_a_min(beta: float) -> float:
+    """A(0+) = (1-beta)*beta^k, k = beta/(1-beta): the least value of Kanter's
+    A (see ``_log_kanter_a_reflected``), on which the tail rule's bisection
+    and ``chi_common``'s lower end of Y both rest."""
+    return (1.0 - beta) * beta ** (beta / (1.0 - beta))
+
+
 # The part of [0, phi*] where x^(-k) * A < e^(-40) * psi*/pi adds less than
 # e^(-40) * psi*, against a total above psi*/2, so it is left out.
 _TAIL_LOG_CUT = 40.0
@@ -258,8 +265,7 @@ def _stable_tail_rule(log_t_lo: float, log_t_hi: float, beta: float):
     log(psi) on one panel and one more per ``_TAIL_PANEL_SPAN`` of range, up to
     where the integrand of the greatest x^(-k) is below e^(-40) of its total.
     """
-    k = beta / (1.0 - beta)
-    log_a_min = math.log((1.0 - beta) * beta ** k)  # log A(0+), A's least value
+    log_a_min = math.log(_kanter_a_min(beta))
     log_pi = math.log(math.pi)
     log_a = _log_kanter_a_reflected(beta)
     log_a_float = _log_kanter_a_reflected(beta, math.log, math.sin)
@@ -484,6 +490,60 @@ def xi_bstd(r, theta, cfg: SystemConfig, method: str = "closed"):
 
 
 _RING_PANELS = 10  # log-radius panels, each 2 wide, see _destination_rings
+# Disc geometries whose ring rules stay cached (see _ring_geometry).
+_RING_CACHE_SIZE = 16
+
+
+class _Rings:
+    """The config-free part of ``_destination_rings`` for a destination at
+    distance d from the centre of a disc of radius ``radius``, on n nodes:
+    radii ``rho``, arc weights ``arcs`` = rho * radial weight * half the arc's
+    angle inside the disc, the ring rule's weights ``w`` and, built on first
+    use, ``r_sq``, the squared distance from the transmitter to each ring node
+    (one row per rho, one column per ``w``). Every array is read-only."""
+
+    def __init__(self, d: float, radius: float, n: int):
+        lo, hi = abs(d - radius), d + radius
+        arc, ring = _leggauss(n // 2), _leggauss(n // 4)
+        s = arc.s
+        rho = lo + (hi - lo) * s * s * arc.three_less_2s
+        step = 3.0 * (hi - lo) * s * arc.one_less_s * arc.w
+        if d < radius:
+            circles = lo * ring.circles
+            rho = np.concatenate([rho, circles.ravel()])
+            step = np.concatenate([step, (circles * ring.w).ravel()])
+        cos_edge = (d * d + rho * rho - radius * radius) / (2.0 * d * rho)
+        np.minimum(cos_edge, 1.0, out=cos_edge)
+        half_angle = np.arccos(np.maximum(cos_edge, -1.0, out=cos_edge))
+        self._d, self._half_angle, self._s = d, half_angle, ring.s
+        self.rho, self.arcs, self.w = rho, rho * step * half_angle, ring.w
+        for array in (rho, half_angle, self.arcs):
+            array.flags.writeable = False
+
+    @cached_property
+    def r_sq(self):
+        d, rho = self._d, self.rho[:, None]
+        r_sq = d * d + rho ** 2 - 2.0 * d * rho * np.cos(np.multiply.outer(self._half_angle,
+                                                                           self._s))
+        r_sq.flags.writeable = False
+        return r_sq
+
+
+@lru_cache(maxsize=_RING_CACHE_SIZE)
+def _ring_geometry(d_sd: float, r_disc: float, n: int) -> _Rings:
+    """The ``_Rings`` of one disc geometry and node count, built once.
+
+    They read no density, power or threshold, so every config of a sweep over
+    anything but d_sd and r_disc shares them. At most _RING_CACHE_SIZE = 16
+    stay cached; a settling bstd ``analyze`` uses four, two levels each of
+    ``chi_common`` and ``chi_integral``. ``r_sq`` is the large part, and only
+    ``chi_common`` reads it: with the destination inside the disc it holds
+    (n/2 + 10*n/4) * n/4 floats, 0.9 MB at its last level of 384 nodes, and
+    3.5 MB per entry if that ladder went on to 768. It is built on first
+    use because ``chi_integral``'s ladder runs to 4,096 nodes, where it
+    would take 100 MB.
+    """
+    return _Rings(d_sd, r_disc, n)
 
 
 def _destination_rings(cfg: SystemConfig, n: int, q: float):
@@ -496,25 +556,13 @@ def _destination_rings(cfg: SystemConfig, n: int, q: float):
     nodes, mapped by rho = a + (b - a)*(3s^2 - 2s^3) to smooth its square-root
     ends, each arc n/4, and full circles (destination inside the disc) n/4 per
     log-radius panel; the disc they leave out holds under e^-40 of the disc.
+    Everything but exp(-q*r^2) comes from ``_ring_geometry``; rho is its
+    read-only array, the weights a fresh one.
     """
-    d, radius = cfg.d_sd, cfg.r_disc
-    lo, hi = abs(d - radius), d + radius
-    arc, ring = _leggauss(n // 2), _leggauss(n // 4)
-    s = arc.s
-    rho = lo + (hi - lo) * s * s * arc.three_less_2s
-    step = 3.0 * (hi - lo) * s * arc.one_less_s * arc.w
-    if d < radius:
-        circles = lo * ring.circles
-        rho = np.concatenate([rho, circles.ravel()])
-        step = np.concatenate([step, (circles * ring.w).ravel()])
-    cos_edge = (d * d + rho * rho - radius * radius) / (2.0 * d * rho)
-    np.minimum(cos_edge, 1.0, out=cos_edge)
-    half_angle = np.arccos(np.maximum(cos_edge, -1.0, out=cos_edge))
+    rings = _ring_geometry(cfg.d_sd, cfg.r_disc, n)
     if q == 0.0:
-        return rho, 2.0 * rho * step * half_angle
-    r_sq = d * d + rho[:, None] ** 2 - 2.0 * d * rho[:, None] * np.cos(
-        np.multiply.outer(half_angle, ring.s))
-    return rho, rho * step * half_angle * (np.exp(-q * r_sq) @ ring.w)
+        return rings.rho, 2.0 * rings.arcs
+    return rings.rho, rings.arcs * (np.exp(-q * rings.r_sq) @ rings.w)
 
 
 def chi_integral(cfg: SystemConfig) -> float:
@@ -599,7 +647,7 @@ def chi_common(cfg: SystemConfig) -> float:
     # nearest relay, h <= lam*pi*R^2*exp(-u*f_min^alpha). Below y_flat h moves
     # by at most lam*(G(0) - G(u)) <= u*lam*pi*R^2*f_max^alpha.
     cut = _CHI_TAIL_LOG
-    y_lo = -math.log(cut / ((1.0 - beta) * beta ** k)) / k
+    y_lo = -math.log(cut / _kanter_a_min(beta)) / k
     log_u = math.log(u_unit)
     upper = cut - math.log1p(-math.exp(-1.0))
     y_hi = min(upper / beta, (upper + math.log(lam * math.pi * math.gamma(1.0 + beta))

@@ -7,6 +7,8 @@ test.
 
 import dataclasses
 import math
+import sys
+import threading
 import time
 import tracemalloc
 
@@ -60,7 +62,16 @@ def test_gamma_pair_alpha4_constant():
         assert gamma_pair(alpha) == pytest.approx(direct, rel=1e-12)
 
 
-def test_settle_stops_at_a_non_finite_level(monkeypatch):
+@pytest.fixture
+def fresh_rings():
+    """An empty ring-rule cache on entry and exit, so that a rule built while a
+    test patches ``_leggauss`` neither hides behind a cached one nor stays."""
+    an._ring_geometry.cache_clear()
+    yield
+    an._ring_geometry.cache_clear()
+
+
+def test_settle_stops_at_a_non_finite_level(monkeypatch, fresh_rings):
     # A NaN level is final: doubling it would build rules up to 16,384 nodes
     # (a 2 GB companion matrix) before giving up.
     built = []
@@ -149,7 +160,7 @@ def test_p_h_kanter_matches_levy_erf_far_in_the_tail(lambda_p, p_st_dbm):
 
 
 @pytest.fixture
-def node_counts(monkeypatch):
+def node_counts(monkeypatch, fresh_rings):
     """Gauss-Legendre node counts that analytics builds while the test runs."""
     counts = []
     leggauss = an._leggauss
@@ -301,7 +312,7 @@ def test_gil_pelaez_overflowing_phase_rate_is_a_panel_failure():
     assert 0.0 <= analyze(cfg, "bcc").p_succ <= 1.0
 
 
-def test_gil_pelaez_non_finite_level_raises(monkeypatch):
+def test_gil_pelaez_non_finite_level_raises(monkeypatch, fresh_rings):
     # A NaN integral is no harvest probability; clamped, it read 0.
     real = an._leggauss
     monkeypatch.setattr(an, "_leggauss", lambda n: (real(n)[0], np.full(n, np.nan)))
@@ -717,6 +728,99 @@ def test_destination_rings_cover_the_disc(alpha, r_max, d_sd):
         assert weights.sum() == pytest.approx(exact, rel=1e-10)
 
 
+def _ring_bits(cfg, n, q):
+    return tuple(a.tobytes() for a in an._destination_rings(cfg, n, q))
+
+
+@pytest.mark.parametrize("d_sd", [0.5, 1.0, 2.0], ids=["inside", "edge", "outside"])
+def test_destination_rings_same_bits_from_a_cold_or_warm_cache(d_sd, fresh_rings):
+    # Every level either chi integral reads, at u = 0 (chi_integral's arcs)
+    # and at the decode rate (chi_common's weights), built from an empty
+    # cache, read back from it, and built again after another geometry.
+    cfg = cfg_with(d_sd=d_sd)
+    q = an._decode_rate(cfg)
+    for n in (32, 48, 64, 96, 128, 192, 256, 384):
+        for rate in (0.0, q):
+            an._ring_geometry.cache_clear()
+            cold = _ring_bits(cfg, n, rate)
+            assert _ring_bits(cfg, n, rate) == cold
+            an._ring_geometry.cache_clear()
+            _ring_bits(cfg_with(d_sd=1.5), n, q)
+            assert _ring_bits(cfg, n, rate) == cold
+
+
+@pytest.mark.parametrize("d_sd", [0.5, 1.0, 2.0], ids=["inside", "edge", "outside"])
+def test_chi_same_bits_from_a_cold_or_warm_cache(d_sd, fresh_rings):
+    cfg = cfg_with(d_sd=d_sd, lambda_p=3e-3, p_st_dbm=5.0)
+    cold = (chi_common(cfg), chi_bstd(cfg))
+    an._ring_geometry.cache_clear()
+    for other in (0.25, 0.75, 1.0, 1.5, 3.0):
+        chi_common(cfg_with(d_sd=other))
+        chi_bstd(cfg_with(d_sd=other))
+    # Rebuilt after five other geometries, then read from the cache.
+    assert (chi_common(cfg), chi_bstd(cfg)) == cold
+    assert (chi_common(cfg), chi_bstd(cfg)) == cold
+
+
+def test_ring_cache_is_read_only_and_returns_fresh_weights(fresh_rings):
+    cfg = cfg_with(d_sd=0.5)
+    q = an._decode_rate(cfg)
+    rho, weights = an._destination_rings(cfg, 96, q)
+    rings = an._ring_geometry(cfg.d_sd, cfg.r_disc, 96)
+    for array in (rings.rho, rings.arcs, rings.w, rings.r_sq, rho):
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+    kept = weights.copy()
+    weights[:] = 0.0
+    assert _ring_bits(cfg, 96, q) == (rho.tobytes(), kept.tobytes())
+    _, arcs = an._destination_rings(cfg, 96, 0.0)
+    arcs[:] = 0.0
+    assert np.all(an._destination_rings(cfg, 96, 0.0)[1] > 0.0)
+
+
+def test_ring_cache_stays_bounded_over_a_d_sd_sweep(fresh_rings):
+    # chi_bstd (through chi_integral) and chi_common each cache two levels
+    # per d_sd, so this sweep builds 4 * 12 geometries, three times the bound.
+    for d_sd in np.linspace(0.3, 3.0, 12):
+        chi_bstd(cfg_with(d_sd=float(d_sd)))
+        chi_common(cfg_with(d_sd=float(d_sd)))
+    info = an._ring_geometry.cache_info()
+    assert info.maxsize == an._RING_CACHE_SIZE == 16
+    assert info.currsize <= 16 and info.misses >= 3 * 16
+
+
+def test_threads_share_the_ring_cache_safely(fresh_rings):
+    # Four threads run chi_common and chi_bstd over six geometries in turn,
+    # 24 ring rules against a bound of 16, so entries are built, read and
+    # evicted under each other. Every value keeps the bits of a serial call.
+    configs = [cfg_with(d_sd=d, lambda_p=3e-3) for d in (0.4, 0.8, 1.0, 1.3, 2.0, 2.6)]
+    expected = [(chi_common(cfg), chi_bstd(cfg)) for cfg in configs]
+    results, errors = [], []
+
+    def run(offset):
+        try:
+            for k in range(2 * len(configs)):
+                i = (k + offset) % len(configs)
+                results.append((i, (chi_common(configs[i]), chi_bstd(configs[i]))))
+        except Exception as exc:   # reported by the main thread below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(offset,)) for offset in (0, 1, 3, 5)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors
+    assert len(results) == 4 * 2 * len(configs)
+    assert all(values == expected[i] for i, values in results)
+
+
 def test_kanter_cdf_matches_levy_law():
     # At beta = 1/2 the standard positive-stable law (Laplace transform
     # exp(-sqrt(s))) is Levy with upper tail erf(1/(2*sqrt(x))); k = 1, so
@@ -735,6 +839,7 @@ def test_kanter_cdf_matches_levy_law():
         log_a = an._log_kanter_a_reflected(beta)(math.pi - phi)
         assert np.all(np.diff(log_a) > 0.0)
         k = beta / (1.0 - beta)
+        assert an._kanter_a_min(beta) == (1.0 - beta) * beta ** k
         assert math.exp(log_a[0]) == pytest.approx((1.0 - beta) * beta ** k, rel=1e-6)
         assert log_a[inner] == pytest.approx(_log_kanter_a(phi[inner], beta), rel=1e-12,
                                              abs=1e-12)
