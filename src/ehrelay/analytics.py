@@ -538,10 +538,10 @@ def _ring_geometry(d_sd: float, r_disc: float, n: int) -> _Rings:
     stay cached; a settling bstd ``analyze`` uses four, two levels each of
     ``chi_common`` and ``chi_integral``. ``r_sq`` is the large part, and only
     ``chi_common`` reads it: with the destination inside the disc it holds
-    (n/2 + 10*n/4) * n/4 floats, 0.9 MB at its last level of 384 nodes, and
-    3.5 MB per entry if that ladder went on to 768. It is built on first
-    use because ``chi_integral``'s ladder runs to 4,096 nodes, where it
-    would take 100 MB.
+    (n/2 + 10*n/4) * n/4 floats: 0.9 MB at 384 nodes and 3.5 MB at its last
+    level of 768, so at most 57 MB if all 16 entries held that level. It is
+    built on first use because ``chi_integral``'s ladder runs to 4,096
+    nodes, where it would take 100 MB.
     """
     return _Rings(d_sd, r_disc, n)
 
@@ -603,7 +603,9 @@ _CHI_TAIL_LOG = math.log(1e16)
 # The first level, passed to ``_destination_rings``; a y-panel takes a sixth,
 # a tail-rule piece a quarter.
 _CHI_START_NODES = 48
-_CHI_MAX_DOUBLINGS = 3
+# So the ladder ends at 768 nodes; large alpha over a wide disc (alpha 9,
+# r_disc 10) settles only there.
+_CHI_MAX_DOUBLINGS = 4
 _CHI_PANEL_WIDTH = 2.0
 
 

@@ -143,15 +143,20 @@ def segment_starts(counts) -> np.ndarray:
 
 
 def segment_sums(values, counts, first=None) -> np.ndarray:
-    """Sums of the consecutive segments of ``values`` whose lengths are
+    """Float sums of the consecutive segments of ``values`` whose lengths are
     ``counts``; ``first`` passes ``segment_starts(counts)`` when the caller
-    has it already."""
+    has it already. With no empty segment this is one reduceat over the
+    starts; otherwise the nonempty segments' sums, over the same starts,
+    are scattered into zeros. Both give the same bits."""
+    if not len(values):
+        return np.zeros(len(counts))
+    if first is None:
+        first = segment_starts(counts)
+    if counts.all():
+        return np.add.reduceat(values, first, dtype=float)
     sums = np.zeros(len(counts))
     present = counts > 0
-    if len(values):
-        if first is None:
-            first = segment_starts(counts)
-        sums[present] = np.add.reduceat(values, first[present])
+    sums[present] = np.add.reduceat(values, first[present])
     return sums
 
 
@@ -177,11 +182,12 @@ def disc_ppp_batch(density: float, radius: float, n_samples: int,
     xy *= 2.0 * radius
     xy -= radius
     x, y = xy[:total], xy[total:]
-    r2 = x * x
-    r2 += y * y
+    squares = np.square(xy)
+    r2 = squares[:total]
+    r2 += squares[total:]
     keep = (r2 <= radius * radius).nonzero()[0]
     if n_samples == 1:
-        return DiscBatch(np.full(1, keep.size), np.zeros(keep.size, dtype=np.intp),
+        return DiscBatch(np.array([keep.size]), np.zeros(keep.size, dtype=np.intp),
                          x[keep], y[keep])
     owner = np.arange(n_samples).repeat(drawn)[keep]
     return DiscBatch(np.bincount(owner, minlength=n_samples), owner, x[keep], y[keep])
@@ -199,7 +205,9 @@ def shot_noise_batch(density: float, r_max: float, alpha: float,
     counts = gen.poisson(density * math.pi * r_max * r_max, n_samples)
     total = int(counts.sum())
     # r^2 = r_max^2 * u for r = r_max * sqrt(u)
-    loss = _path_loss(gen.random(total) * (r_max * r_max), alpha)
+    r2 = gen.random(total)
+    r2 *= r_max * r_max
+    loss = _path_loss(r2, alpha)
     loss *= gen.standard_exponential(total)
     return segment_sums(loss, counts)
 

@@ -11,10 +11,11 @@ takes them as rows of an outer product, a group of rows of at most
 ELEMENT_BUDGET pairs at a time, so a trial over the budget holds its primary
 fields but never all its pairs, with the same bits. ``_decide`` runs guard
 events, relay selection, decoding and flags once over a chunk, consecutive
-blocks whose sums fit ELEMENT_BUDGET. Its steps work per trial, relay or
-segment, so any chunking gives the same bits. One block gives every
-scheme's flags from the same draws, so the schemes are paired: their
-scheme-free flags agree trial by trial.
+blocks whose sums fit ELEMENT_BUDGET; a chunk joins its blocks' arrays
+once, and a chunk of one block is that block's arrays as drawn. Its steps
+work per trial, relay or segment, so any chunking gives the same bits. One
+block gives every scheme's flags from the same draws, so the schemes are
+paired: their scheme-free flags agree trial by trial.
 
 Grid runner: configs that share the values of the fields ``_draw`` reads
 (``_DRAW_FIELDS``) share every draw, so one pass serves them all: each chunk
@@ -252,7 +253,10 @@ def _pair_sums(points, other, other_first, gen, alpha: float) -> np.ndarray:
     for lo in range(0, sums.size, rows):
         d2 = np.subtract.outer(points.x[lo:lo + rows], other.x)
         d2 *= d2
-        d2 += np.square(np.subtract.outer(points.y[lo:lo + rows], other.y))
+        dy = np.subtract.outer(points.y[lo:lo + rows], other.y)
+        dy *= dy
+        d2 += dy
+        del dy   # freed before the row's gains and path loss are allocated
         k = len(d2)
         sums[lo:lo + k] = _received(counts[:k], first[:k],
                                     gen.standard_exponential(d2.size), d2.ravel(), alpha)
@@ -315,13 +319,28 @@ def select_relay(cfg: SystemConfig, relays: DiscBatch, gains, relay_itf,
 
 @dataclass(frozen=True)
 class _Draws:
-    """A block's draws as ``_decide`` reads them; blocks join field by field."""
+    """A block's draws as ``_decide`` reads them, each array as drawn; blocks
+    join array by array."""
 
-    trials: np.ndarray     # dedicated and reused harvest sums, destination path-loss sums
-                           # in slots 2 and 3, direct gain, pick
-    counts: np.ndarray     # relays and guard receivers per trial
-    relays: np.ndarray     # x, y, slot-two path-loss sum, hop-one and hop-two gain
-    receivers: np.ndarray  # guard receivers' x, y
+    # Per trial: dedicated and reused harvest sums, destination path-loss
+    # sums in slots 2 and 3, direct gain, pick; relays and guard receivers.
+    dedicated: np.ndarray
+    reused: np.ndarray
+    sd_loss_s2: np.ndarray
+    sd_loss_s3: np.ndarray
+    gain_direct: np.ndarray
+    pick: np.ndarray
+    relay_counts: np.ndarray
+    receiver_counts: np.ndarray
+    # Per relay: x, y, slot-two path-loss sum, hop-one and hop-two gain.
+    relay_x: np.ndarray
+    relay_y: np.ndarray
+    relay_loss: np.ndarray
+    gain_hop1: np.ndarray
+    gain_hop2: np.ndarray
+    # Per guard receiver: x, y.
+    receiver_x: np.ndarray
+    receiver_y: np.ndarray
 
 
 # The config fields ``_draw`` reads: with the seed and the blocks, they fix
@@ -365,24 +384,26 @@ def _draw(cfg: SystemConfig, gen, n: int) -> _Draws:
 
     sd_loss_s2 = _received(slot2.counts, first2, gains_sd_s2, _d2_from(slot2, d_sd), alpha)
     sd_loss_s3 = _received(slot3.counts, first3, gains_sd_s3, _d2_from(slot3, d_sd), alpha)
-    # Stacking copies the gains out of the draw, which a view would keep alive.
-    return _Draws(np.stack((dedicated, reused, sd_loss_s2, sd_loss_s3, gain_direct, pick)),
-                  np.stack((relays.counts, receivers.counts)),
-                  np.stack((relays.x, relays.y, relay_loss, gain_hop1, gain_hop2)),
-                  np.stack((receivers.x, receivers.y)))
+    # Each kept array is its own or, for the hop gains, shares its draw only
+    # with the other, so keeping them as drawn holds nothing else alive.
+    return _Draws(dedicated, reused, sd_loss_s2, sd_loss_s3, gain_direct, pick,
+                  relays.counts, receivers.counts, relays.x, relays.y, relay_loss,
+                  gain_hop1, gain_hop2, receivers.x, receivers.y)
 
 
 def _decide(cfg: SystemConfig, draws: _Draws) -> Outcomes:
-    """Guard events, relay selection, decoding and flags, for every scheme."""
-    dedicated, reused, sd_loss_s2, sd_loss_s3, gain_direct, pick = draws.trials
-    relay_x, relay_y, relay_loss, gain_hop1, gain_hop2 = draws.relays
-    k_value = harvested_energy(cfg, dedicated, reused)
-    i_sd_s2, i_sd_s3, relay_itf = (cfg.p_t_mw * loss
-                                   for loss in (sd_loss_s2, sd_loss_s3, relay_loss))
+    """Guard events, relay selection, decoding and flags, for every scheme.
+    It never writes into ``draws``: the grid runner decides one chunk for
+    several configs."""
+    pick = draws.pick
+    k_value = harvested_energy(cfg, draws.dedicated, draws.reused)
+    i_sd_s2, i_sd_s3, relay_itf = (cfg.p_t_mw * loss for loss in
+                                   (draws.sd_loss_s2, draws.sd_loss_s3, draws.relay_loss))
     owners = np.arange(pick.size)
-    relays = DiscBatch(draws.counts[0], owners.repeat(draws.counts[0]), relay_x, relay_y)
+    relays = DiscBatch(draws.relay_counts, owners.repeat(draws.relay_counts),
+                       draws.relay_x, draws.relay_y)
     # Nothing reads the receivers' owners, only their counts and coordinates.
-    receivers = DiscBatch(draws.counts[1], None, *draws.receivers)
+    receivers = DiscBatch(draws.receiver_counts, None, draws.receiver_x, draws.receiver_y)
     harvest_ok = k_value >= harvest_threshold(cfg)
     first_rx = segment_starts(receivers.counts)
     st_clear = _none_within(receivers.counts, first_rx, _d2_from(receivers), cfg.r_gz)
@@ -390,11 +411,12 @@ def _decide(cfg: SystemConfig, draws: _Draws) -> Outcomes:
 
     # A scalar power: numpy's vectorized power can differ from it in the last bit.
     direct_loss = max(cfg.d_sd * cfg.d_sd, EPS_MIN * EPS_MIN) ** (-0.5 * cfg.alpha)
-    direct_ok = _safe_ratio(cfg.p_st_mw * gain_direct * direct_loss,
+    direct_ok = _safe_ratio(cfg.p_st_mw * draws.gain_direct * direct_loss,
                             i_sd_s2) >= cfg.gamma_th_lin
 
     first_relay = segment_starts(relays.counts)
-    selected, sir_hop1, sir_hop2 = select_relay(cfg, relays, (gain_hop1, gain_hop2),
+    selected, sir_hop1, sir_hop2 = select_relay(cfg, relays,
+                                                (draws.gain_hop1, draws.gain_hop2),
                                                 relay_itf, i_sd_s3, pick, first_relay)
     hop1_ok = sir_hop1 >= cfg.gamma_th_lin
     decode_count = np.bincount(relays.owner[hop1_ok], minlength=pick.size)
@@ -424,7 +446,10 @@ def run_realization(cfg: SystemConfig, rng, n: int) -> Outcomes:
 
 
 def _concat(parts):
-    """The dataclass of ``parts`` with each array joined along its last axis."""
+    """The dataclass of ``parts`` with each array joined along its last axis;
+    a single part as it is."""
+    if len(parts) == 1:
+        return parts[0]
     return type(parts[0])(**{f.name: np.concatenate([getattr(p, f.name) for p in parts],
                                                     axis=-1)
                              for f in dataclasses.fields(parts[0])})
@@ -456,7 +481,8 @@ def _chunks(cfg: SystemConfig, seed: int, blocks):
     for block, n in blocks:
         draws = _draw(cfg, RngStream(seed, block).generator(), n)
         # An allowance per trial and per relay, and the relay x receiver pairs.
-        size = _PER_TRIAL_ELEMENTS * (n + draws.relays.shape[1]) + int(np.dot(*draws.counts))
+        size = (_PER_TRIAL_ELEMENTS * (n + draws.relay_x.size)
+                + int(np.dot(draws.relay_counts, draws.receiver_counts)))
         if chunk and elements + size > ELEMENT_BUDGET:
             yield _concat(chunk)
             chunk, elements = [], 0

@@ -14,7 +14,7 @@ from ehrelay import geometry as geo
 from ehrelay.geometry import (PointField, RngStream, clearance_batch,
                               disc_ppp_batch, interference_sum,
                               is_clear_of_guard_zones, sample_disc_ppp,
-                              shot_noise_batch)
+                              segment_starts, segment_sums, shot_noise_batch)
 
 
 def field_interference(field, at, tx_power, alpha):
@@ -119,6 +119,60 @@ def test_disc_batch_is_an_exact_poisson_disc_field():
         assert np.all(wide.x * wide.x + wide.y * wide.y <= radius * radius)
         assert np.all(np.hypot(wide.x, wide.y) <= radius)
         assert np.all(np.abs(wide.x) <= radius) and np.all(np.abs(wide.y) <= radius)
+
+
+@pytest.mark.parametrize("counts, expected", [
+    ([0, 2, 3], [0.0, 1.5, 14.0]),
+    ([2, 0, 3], [1.5, 0.0, 14.0]),
+    ([2, 3, 0], [1.5, 14.0, 0.0]),
+    ([0, 2, 0, 3, 0], [0.0, 1.5, 0.0, 14.0, 0.0]),
+    ([2, 3], [1.5, 14.0]),
+], ids=["empty-first", "empty-middle", "empty-last", "empty-around", "none-empty"])
+def test_segment_sums_place_empty_segments(counts, expected):
+    values = np.array([0.5, 1.0, 2.0, 4.0, 8.0])
+    counts = np.array(counts)
+    for first in (None, segment_starts(counts)):
+        sums = segment_sums(values, counts, first)
+        assert sums.dtype == np.float64
+        assert sums.tolist() == expected
+
+
+@pytest.mark.parametrize("counts", [[0], [0, 0, 0], []], ids=["one", "three", "none"])
+def test_segment_sums_of_no_values(counts):
+    # Every segment empty, or no segment at all: zeros, one per segment.
+    counts = np.array(counts, dtype=np.int64)
+    for values in (np.zeros(0), np.zeros(0, dtype=bool)):
+        sums = segment_sums(values, counts)
+        assert sums.dtype == np.float64
+        assert sums.tolist() == [0.0] * len(counts)
+
+
+@pytest.mark.parametrize("zeros", [False, True], ids=["no-empty", "some-empty"])
+def test_segment_sums_same_bits_on_either_path(zeros):
+    # A sum with no empty segment is one reduceat over the starts; with
+    # one, the nonempty sums are scattered into zeros. Both read the same
+    # starts, so a segment's sum has the same bits on either path. A
+    # trailing empty segment sends a call down the scatter path.
+    gen = np.random.default_rng(61)
+    for _ in range(20):
+        counts = gen.poisson(3.0 if zeros else 30.0, 200)
+        if not zeros:
+            counts = np.maximum(counts, 1)
+        assert counts.all() != zeros
+        values = gen.standard_exponential(int(counts.sum())) * 10.0 ** gen.uniform(-8, 8)
+        sums = segment_sums(values, counts)
+        present = counts > 0
+        assert np.all(sums[~present] == 0.0)
+        scattered = segment_sums(values, np.append(counts, 0))
+        assert scattered[-1] == 0.0
+        assert sums.tobytes() == scattered[:-1].tobytes()
+        assert sums[present].tobytes() == segment_sums(values, counts[present]).tobytes()
+        assert sums[present].tobytes() == np.add.reduceat(
+            values, segment_starts(counts)[present]).tobytes()
+        hits = values > 1.0
+        assert segment_sums(hits, counts).tolist() == [
+            float(np.count_nonzero(hits[lo:lo + c]))
+            for lo, c in zip(segment_starts(counts), counts)]
 
 
 def test_interference_trivial_cases():

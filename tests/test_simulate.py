@@ -637,6 +637,29 @@ def test_chunks_keep_outcomes_bit_identical(baseline, monkeypatch, overrides,
         assert results[scheme].flag_counts == dict(zip(FLAG_NAMES, counts[k].tolist()))
 
 
+@pytest.mark.parametrize("overrides", [{}, {"slot_position_model": "static"}, DENSE],
+                         ids=["baseline", "static", "dense"])
+def test_decide_leaves_the_draws_unchanged(baseline, monkeypatch, overrides):
+    # The grid runner decides one chunk for several configs, and a chunk of
+    # one block holds that block's arrays as drawn, not a copy: deciding must
+    # not write into them.
+    cfg = validate(dataclasses.replace(baseline, **overrides))
+    monkeypatch.setattr(sim_mod, "ELEMENT_BUDGET", 1024)
+    drawn = []
+    real_draw = sim_mod._draw
+    monkeypatch.setattr(sim_mod, "_draw", lambda *a: drawn.append(real_draw(*a)) or drawn[-1])
+    blocks = sim_mod._blocks(cfg, 3 * trials_per_block(cfg))
+    for draws in sim_mod._chunks(cfg, 336, blocks):
+        if len(drawn) == 1:
+            assert draws is drawn[0]
+        drawn.clear()
+        saved = {f.name: getattr(draws, f.name).copy() for f in dataclasses.fields(draws)}
+        for gamma_th_db in (-15.0, -5.0):
+            sim_mod._decide(validate(dataclasses.replace(cfg, gamma_th_db=gamma_th_db)), draws)
+        for name, array in saved.items():
+            assert np.array_equal(getattr(draws, name), array), name
+
+
 @pytest.mark.parametrize("budget", [1, 20_000])
 def test_row_groups_keep_outcomes_bit_identical(baseline, monkeypatch, budget):
     # About 63 relays x 5k slot-two primaries a trial: 5 groups of rows at
