@@ -65,7 +65,6 @@ class SystemConfig:
     direct_link: bool = False     # whether the direct ST-SD link exists
     slot_position_model: str = field(
         default="independent", metadata={"choices": SLOT_POSITION_MODELS})
-    trunc_epsilon: float = 0.1    # allowed mean tail interference, fraction of p_st
     # Linear-unit values of p_t_dbm, p_st_dbm and gamma_th_db, set by validate().
     p_t_mw: float | None = field(default=None, init=False)
     p_st_mw: float | None = field(default=None, init=False)
@@ -103,16 +102,6 @@ def _kind_problem(f: dataclasses.Field, value):
     return None
 
 
-def truncation_tail_mean(cfg: SystemConfig, p_t_mw: float) -> float:
-    """Mean interference (mW) arriving from beyond the truncation radius.
-
-    2*pi*lambda_p*p_t_mw*r_max^(2-alpha)/(alpha-2) for a receiver near the
-    origin; finite only for alpha > 2.
-    """
-    return (2.0 * math.pi * cfg.lambda_p * p_t_mw
-            * cfg.r_max ** (2.0 - cfg.alpha) / (cfg.alpha - 2.0))
-
-
 def validate(cfg: SystemConfig) -> SystemConfig:
     """Check every invariant and return a copy with the linear fields set.
 
@@ -136,7 +125,6 @@ def validate(cfg: SystemConfig) -> SystemConfig:
         if not 0.0 < linear[name] < math.inf:
             problems.append(f"{source} must have a finite, nonzero linear value, "
                             f"got {getattr(cfg, source)}")
-    powers_usable = not problems   # else the truncation rule has no meaning
     if not cfg.alpha > 2.0:
         problems.append(f"alpha must exceed 2, got {cfg.alpha}")
     if not 0.0 < cfg.a < 1.0:
@@ -146,7 +134,7 @@ def validate(cfg: SystemConfig) -> SystemConfig:
     for name in ("lambda_p", "lambda_sr", "r_gz"):
         if getattr(cfg, name) < 0.0:
             problems.append(f"{name} must be >= 0, got {getattr(cfg, name)}")
-    for name in ("r_disc", "d_sd", "trunc_epsilon"):
+    for name in ("r_disc", "d_sd"):
         if not getattr(cfg, name) > 0.0:
             problems.append(f"{name} must be > 0, got {getattr(cfg, name)}")
 
@@ -154,14 +142,6 @@ def validate(cfg: SystemConfig) -> SystemConfig:
     if cfg.r_max < min_r_max:
         problems.append(
             f"r_max must be >= 2*max(r_disc, d_sd) = {min_r_max}, got {cfg.r_max}")
-
-    if cfg.alpha > 2.0 and powers_usable:
-        tail = truncation_tail_mean(cfg, linear["p_t_mw"])
-        allowed = cfg.trunc_epsilon * linear["p_st_mw"]
-        if tail > allowed:
-            problems.append(
-                f"truncation tail {tail:.3g} mW exceeds trunc_epsilon*p_st "
-                f"= {allowed:.3g} mW; increase r_max or trunc_epsilon")
 
     if problems:
         raise ConfigError(problems)

@@ -174,8 +174,7 @@ def test_p_h_kanter_settles_close_to_alpha_2(node_counts):
     # p_st is raised by 10 log10(1/a) dB, which puts the threshold 1/a = 20
     # times above that of the unraised p_st.
     values = [an.p_h_kanter(cfg_with(alpha=2.001, lambda_p=1e-8, a=0.05,
-                                     p_st_dbm=p + 10.0 * math.log10(1.0 / 0.05),
-                                     trunc_epsilon=1e300))
+                                     p_st_dbm=p + 10.0 * math.log10(1.0 / 0.05)))
               for p in (2.5, 10.0, 15.0)]
     assert max(node_counts) <= 1024
     assert all(0.0 <= v <= 1.0 for v in values)
@@ -219,7 +218,7 @@ def test_p_h_kanter_matches_plane_field_sampler(alpha, lambda_p, p_st_dbm):
     # K = C^(1/beta) * S over the whole plane, C = lambda_p*pi*Gamma(1+beta)
     # *Gamma(1-beta)*(a^beta + ((1-a)/2)^beta), so P(K >= sigma) is the
     # sampled share of log S above log sigma - log(C)/beta.
-    cfg = cfg_with(alpha=alpha, lambda_p=lambda_p, p_st_dbm=p_st_dbm, trunc_epsilon=1e300)
+    cfg = cfg_with(alpha=alpha, lambda_p=lambda_p, p_st_dbm=p_st_dbm)
     beta = 2.0 / alpha
     c = (lambda_p * math.pi * math.gamma(1.0 + beta) * math.gamma(1.0 - beta)
          * (cfg.a ** beta + ((1.0 - cfg.a) / 2.0) ** beta))
@@ -261,8 +260,8 @@ DEEP_TAIL_CONFIGS = [
     {"lambda_p": 3e-4, "p_st_dbm": 10.0},
     {"alpha": 3.0, "r_max": 400.0},
     {"alpha": 3.5, "r_max": 100.0},
-    {"alpha": 2.2, "r_max": 5000.0, "trunc_epsilon": 100.0},
-    {"alpha": 2.5, "r_max": 5000.0, "trunc_epsilon": 100.0},
+    {"alpha": 2.2, "r_max": 5000.0},
+    {"alpha": 2.5, "r_max": 5000.0},
     {"lambda_p": 1e-8},
 ]
 
@@ -305,7 +304,7 @@ def test_p_h_kanter_inside_monte_carlo_band():
 def test_gil_pelaez_overflowing_phase_rate_is_a_panel_failure():
     # Valid, with a phase rate past the float range at the first panel edge;
     # analyze reads Kanter and returns.
-    cfg = cfg_with(lambda_p=1e-200, p_st_dbm=-2000.0, alpha=8.0, trunc_epsilon=1e300)
+    cfg = cfg_with(lambda_p=1e-200, p_st_dbm=-2000.0, alpha=8.0)
     with pytest.raises(QuadratureFailure) as info:
         p_h_gil_pelaez(cfg)
     assert info.value.context == "gil-pelaez panels"
@@ -369,10 +368,8 @@ def test_p_h_kanter_agrees_with_gil_pelaez_where_it_converges():
 
 
 def _p_h_at(alpha, lambda_p, p_st_dbm, a, eta):
-    # The truncation radius does not enter p_h; a loose trunc_epsilon lets
-    # validate() accept every drawn alpha and density at r_max = 50.
     return an.p_h_kanter(cfg_with(alpha=alpha, lambda_p=lambda_p, p_st_dbm=p_st_dbm,
-                                  a=a, eta=eta, trunc_epsilon=1e12))
+                                  a=a, eta=eta))
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
@@ -394,14 +391,14 @@ def test_p_h_kanter_properties(alpha, log_lambda, p_st, d_p_st, log_ratio, a, et
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
-@given(alpha=st.floats(2.2, 8.0),
-       log_lambda=st.floats(-8.0, -1.0),
+@given(alpha=st.floats(2.2, 12.0),
+       log_lambda=st.floats(-12.0, 1.0),
        p_st=st.floats(-10.0, 15.0),
        gamma=st.floats(-20.0, 20.0),
        d_gamma=st.floats(0.0, 10.0),
        lambda_sr=st.floats(0.0, 5.0),
        d_lambda_sr=st.floats(0.0, 3.0),
-       r_disc=st.floats(0.1, 5.0),
+       r_disc=st.floats(0.01, 31.6),
        d_sd=st.floats(0.1, 10.0),
        r_gz=st.floats(0.0, 3.0),
        scheme=st.sampled_from(["bcc", "bsir"]),
@@ -411,8 +408,7 @@ def test_bcc_bsir_breakdown_properties(alpha, log_lambda, p_st, gamma, d_gamma,
                                        scheme, direct):
     base = dict(alpha=alpha, lambda_p=10.0 ** log_lambda, p_st_dbm=p_st,
                 gamma_th_db=gamma, lambda_sr=lambda_sr, r_disc=r_disc, d_sd=d_sd,
-                r_gz=r_gz, direct_link=direct, r_max=2.0 * max(r_disc, d_sd),
-                trunc_epsilon=1e12)
+                r_gz=r_gz, direct_link=direct, r_max=2.0 * max(r_disc, d_sd))
 
     def breakdown(**changes):
         b = analyze(cfg_with(**{**base, **changes}), scheme)
@@ -432,13 +428,13 @@ def test_bcc_bsir_breakdown_properties(alpha, log_lambda, p_st, gamma, d_gamma,
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
-@given(alpha=st.floats(2.2, 8.0),
-       log_lambda=st.floats(-8.0, -1.0),
+@given(alpha=st.floats(2.2, 12.0),
+       log_lambda=st.floats(-12.0, 1.0),
        p_st=st.floats(-10.0, 15.0),
        gamma=st.floats(-20.0, 20.0),
        d_gamma=st.floats(0.0, 10.0),
        lambda_sr=st.floats(0.0, 5.0),
-       r_disc=st.floats(0.1, 5.0),
+       r_disc=st.floats(0.01, 31.6),
        d_sd=st.floats(0.1, 10.0),
        r_gz=st.floats(0.0, 3.0),
        direct=st.booleans())
@@ -448,8 +444,7 @@ def test_bstd_breakdown_properties(alpha, log_lambda, p_st, gamma, d_gamma, lamb
     # fails the test) with every field in range.
     base = dict(alpha=alpha, lambda_p=10.0 ** log_lambda, p_st_dbm=p_st,
                 gamma_th_db=gamma, lambda_sr=lambda_sr, r_disc=r_disc, d_sd=d_sd,
-                r_gz=r_gz, direct_link=direct, r_max=2.0 * max(r_disc, d_sd),
-                trunc_epsilon=1e12)
+                r_gz=r_gz, direct_link=direct, r_max=2.0 * max(r_disc, d_sd))
 
     def breakdown(**changes):
         b = analyze(cfg_with(**{**base, **changes}), "bstd")
@@ -472,12 +467,12 @@ def _assert_probabilities(b):
 
 
 def _sampled_configs():
-    """399 valid configs from 424 draws (seed 7) over the sampled space.
+    """424 configs (seed 7) over the sampled space, all of which validate accepts.
 
     One draw per field in this order: alpha U(2.3, 6), lambda_p 10^U(-6, -1),
     p_st_dbm U(-10, 15), d_sd U(0.3, 5), r_gz U(0, 2), gamma_th_db U(-15, 5),
     lambda_sr U(0.1, 20), r_max from (50, 100, 400, 2000), and the direct link
-    with chance 0.3; draws that validate rejects are skipped.
+    with chance 0.3.
     """
     rng = np.random.default_rng(7)
     configs = []
@@ -488,10 +483,7 @@ def _sampled_configs():
                     lambda_sr=rng.uniform(0.1, 20.0),
                     r_max=float(rng.choice([50.0, 100.0, 400.0, 2000.0])))
         draw["direct_link"] = bool(rng.uniform() < 0.3)
-        try:
-            configs.append(cfg_with(**draw))
-        except ConfigError:
-            pass
+        configs.append(cfg_with(**draw))
     return configs
 
 
@@ -501,7 +493,7 @@ def test_bstd_total_on_sampled_configs():
     # sparse, where the interference that matters lies deep in the
     # positive-stable tail.
     configs = _sampled_configs()
-    assert len(configs) == 399
+    assert len(configs) == 424
     for cfg in configs:
         _assert_probabilities(analyze(cfg, "bstd"))
 
@@ -556,7 +548,7 @@ def test_omega1_limits():
     assert omega1(cfg_with(lambda_sr=0.0)) == 1.0
     # Overwhelming interference: every relay fails, so the all-fail
     # probability approaches one.
-    crowded = cfg_with(lambda_p=1e3, r_max=12000.0, trunc_epsilon=1.0)
+    crowded = cfg_with(lambda_p=1e3, r_max=12000.0)
     assert omega1(crowded) >= 0.999
 
 
@@ -588,7 +580,7 @@ def test_psi4_matches_monte_carlo():
 def test_delta_limits():
     ideal = cfg_with(gamma_th_db=-300.0, r_gz=0.0)
     assert delta_decode(ideal) == pytest.approx(1.0, abs=1e-9)
-    crowded = cfg_with(lambda_p=1e3, r_max=12000.0, trunc_epsilon=1.0)
+    crowded = cfg_with(lambda_p=1e3, r_max=12000.0)
     assert delta_decode(crowded) < 1e-6
 
 
@@ -615,8 +607,8 @@ def test_dual_path_identities_alpha4():
         assert_closed_matches_quadrature(cfg_with(**overrides))
 
 
-# r_max per alpha keeps the truncated primary field valid; the decode factors
-# do not depend on it.
+# r_max per alpha, as elsewhere in this file; the decode factors do not
+# depend on it.
 AWAY_FROM_ALPHA4 = {2.5: 5000.0, 3.0: 400.0, 3.5: 100.0, 5.0: 50.0, 6.0: 50.0}
 
 
@@ -626,7 +618,7 @@ def test_closed_forms_match_quadrature_at_every_alpha(alpha):
     # keep their closed forms away from alpha = 4; quadrature is the oracle.
     for overrides in DUAL_PATH_CONFIGS:
         assert_closed_matches_quadrature(cfg_with(
-            alpha=alpha, r_max=AWAY_FROM_ALPHA4[alpha], trunc_epsilon=1e12, **overrides))
+            alpha=alpha, r_max=AWAY_FROM_ALPHA4[alpha], **overrides))
 
 
 @pytest.mark.parametrize("method", ["auto", "exact", ""])
@@ -1012,7 +1004,7 @@ def test_chi_common_near_alpha_2_raises_within_budget():
     # As alpha nears 2 the tail rule's span k*(y_hi - y_a), k = beta/(1-beta),
     # grows without bound; a level past the budget raises at once instead of
     # allocating it. alpha 2.05 still returns.
-    near = dict(lambda_p=1e-6, r_max=50.0, trunc_epsilon=1e300)
+    near = dict(lambda_p=1e-6, r_max=50.0)
     assert 0.0 <= chi_common(cfg_with(alpha=2.05, **near)) <= 1.0
     with pytest.raises(QuadratureFailure) as info:
         chi_common(cfg_with(alpha=2.001, **near))
@@ -1152,10 +1144,10 @@ def _box_configs(seed, draws=100):
     U(2.2, 12) (other seeds), lambda_p 10^U(-12, 1), lambda_sr 10^U(-3, 2),
     p_st_dbm U(-60, 60), p_t_dbm U(-30, 60), gamma_th_db U(-40, 30), r_disc
     and d_sd 10^U(-2, 1.5), r_gz 0 with chance 0.2 (a uniform draw) else
-    10^U(-3, 1), a U(0.01, 0.99), eta U(0.01, 1), trunc_epsilon 10^U(-1, 300),
-    the direct link with chance 0.5, a choice of two whose value is unused
-    (it keeps the later draws where they were), and last
-    r_max = 2 * max(r_disc, d_sd) * 10^U(0, 2).
+    10^U(-3, 1), a U(0.01, 0.99), eta U(0.01, 1), a uniform draw whose value
+    is unused, the direct link with chance 0.5, a choice of two whose value
+    is unused (the two unused draws keep the later draws where they were),
+    and last r_max = 2 * max(r_disc, d_sd) * 10^U(0, 2).
     """
     rng = np.random.default_rng(seed)
     configs = []
@@ -1169,7 +1161,7 @@ def _box_configs(seed, draws=100):
         draw["r_gz"] = 0.0 if rng.uniform() < 0.2 else 10.0 ** rng.uniform(-3.0, 1.0)
         draw["a"] = rng.uniform(0.01, 0.99)
         draw["eta"] = rng.uniform(0.01, 1.0)
-        draw["trunc_epsilon"] = 10.0 ** rng.uniform(-1.0, 300.0)
+        rng.uniform()
         draw["direct_link"] = bool(rng.uniform() < 0.5)
         rng.choice(2)
         draw["r_max"] = 2.0 * max(draw["r_disc"], draw["d_sd"]) * 10.0 ** rng.uniform(0.0, 2.0)

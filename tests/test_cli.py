@@ -71,7 +71,7 @@ def test_simulate_csv_has_no_removed_option_columns(tmp_path):
     assert run_cli(["simulate", "--scheme", "bcc", "--trials", "5", "--out", str(out)]) == 0
     header, _ = header_and_row(out)
     assert not {"t_block", "p_min_dbm", "p_max_dbm", "harvest_threshold_mode",
-                "direct_literal_events"} & set(header)
+                "direct_literal_events", "trunc_epsilon"} & set(header)
 
 
 def test_simulate_worker_count_invariance(tmp_path, baseline_path):
@@ -101,10 +101,11 @@ def test_simulate_invalid_alpha(capsys):
 def test_block_duration_is_not_a_config_key(source, tmp_path, capsys, monkeypatch):
     # The block duration cancels from every formula, so no key sets it; nor
     # does any key choose the harvest threshold or the direct-link event
-    # set, which have one rule each.
+    # set, which have one rule each, or bound the truncation tail, which
+    # r_max alone sets.
     monkeypatch.setattr(cli, "simulate", _never)
     for key, value in (("t_block", "1e-3"), ("harvest_threshold_mode", "energy"),
-                       ("direct_literal_events", "true")):
+                       ("direct_literal_events", "true"), ("trunc_epsilon", "0.1")):
         path = tmp_path / f"{key}.cfg"
         path.write_text(f"{key} = {value}\n")
         given = (["--config", str(path)] if source == "file" else [f"--{key}", value])
@@ -691,8 +692,7 @@ def test_unwritable_out_is_a_usage_error(argv, tmp_path, capsys, monkeypatch):
 # bstd's positive-stable tail rule fails at alpha 2.02 (bcc returns there),
 # after every scheme returned at 2.05; 5,000 trials are three blocks.
 _TAIL_RULE_SWEEP = ["sweep", "--param", "alpha", "--values=2.05,2.02", "--schemes",
-                    "bcc,bstd,random_baseline", "--lambda_p", "1e-6",
-                    "--trunc_epsilon", "1e300", "--trials", "5000"]
+                    "bcc,bstd,random_baseline", "--lambda_p", "1e-6", "--trials", "5000"]
 
 
 def test_held_analytic_failure_keeps_the_rows_before_it(baseline, capsys):

@@ -67,18 +67,11 @@ def test_multiple_diagnostics_reported():
     assert "alpha" in joined and "a in open interval" in joined and "eta" in joined
 
 
-def test_truncation_tail_bound_enforced():
-    # Tightening the allowed tail fraction makes the baseline r_max too small.
-    with pytest.raises(ConfigError) as err:
-        validate(SystemConfig(trunc_epsilon=1e-6))
-    assert any("truncation tail" in d for d in err.value.diagnostics)
-    validate(SystemConfig(trunc_epsilon=1e-6, r_max=5000.0))
-
-
 def test_r_max_floor():
     with pytest.raises(ConfigError) as err:
         validate(SystemConfig(r_max=3.0))
     assert any("r_max" in d for d in err.value.diagnostics)
+    validate(SystemConfig(r_max=4.0))   # the floor itself, 2*max(r_disc, d_sd)
 
 
 def test_harvest_threshold_modes():
@@ -175,7 +168,6 @@ def test_numpy_grid_values_validate():
     ("r_disc", lambda: validate(SystemConfig(r_disc=0.0))),
     ("d_sd", lambda: validate(SystemConfig(d_sd=0.0))),
     ("r_gz", lambda: validate(SystemConfig(r_gz=-0.5))),
-    ("trunc_epsilon", lambda: validate(SystemConfig(trunc_epsilon=0.0))),
     ("slot_position_model", lambda: validate(SystemConfig(slot_position_model="moving"))),
     ("eta", lambda: validate(SystemConfig(eta=math.inf))),
     ("gamma_th_db", lambda: validate(SystemConfig(gamma_th_db=-math.inf))),
@@ -190,7 +182,7 @@ def test_numpy_grid_values_validate():
     ("alpha", lambda: parse_value("alpha", "none")),
     ("alpha", lambda: parse_config_text("alpha 3\n")),
 ], ids=["lambda_p<0", "lambda_sr<0", "r_disc=0", "d_sd=0", "r_gz<0",
-        "trunc_epsilon=0", "slot_model", "eta=inf",
+        "slot_model", "eta=inf",
         "gamma_th_db=-inf", "alpha_str",
         "alpha_bool", "lambda_p_none", "direct_link_str", "direct_link_int",
         "slot_model_none", "parse_bool",

@@ -676,8 +676,7 @@ def test_row_groups_keep_outcomes_bit_identical(baseline, monkeypatch, budget):
 
 # One trial: four primary fields of about 314k points each, and 19.7M relay x
 # slot-two primary pairs.
-HUGE_TRIAL = {"alpha": 3.0, "lambda_p": 0.1, "r_max": 1000.0, "lambda_sr": 20.0,
-              "trunc_epsilon": 1e12}
+HUGE_TRIAL = {"alpha": 3.0, "lambda_p": 0.1, "r_max": 1000.0, "lambda_sr": 20.0}
 
 
 @pytest.mark.parametrize("overrides, trials", [({}, 20_000), (DENSE, 64), (HUGE_TRIAL, 1)])
@@ -792,7 +791,7 @@ ALTERNATIVES = {
     "lambda_p": 0.00998, "lambda_sr": 1.005, "p_t_dbm": 27.0, "p_st_dbm": 0.0,
     "eta": 0.6, "a": 0.4, "alpha": 3.8, "r_disc": 1.002, "r_gz": 1.5,
     "gamma_th_db": -6.0, "d_sd": 1.8, "r_max": 49.95, "direct_link": True,
-    "slot_position_model": "static", "trunc_epsilon": 0.2,
+    "slot_position_model": "static",
 }
 
 

@@ -7,9 +7,8 @@ Run it on two checkouts and compare the lines:
 The first digest covers 1,920 ``analyze`` calls through ``cli.main`` (the
 stdout, stderr and exit code of each): alpha {2.5, 3, 3.5, 4, 5} x lambda_p
 {1e-4, 3e-3, 1e-2, 3e-2} x p_st_dbm {-5, 0, 5, 10} x d_sd {0.5, 1, 2, 3} x
-the direct link off and on x {bcc, bsir, bstd}, with --trunc_epsilon 1e12
-so that every point validates. The second covers the arrays of
-``outcomes(cfg, 600, 5)`` at four configs (the defaults, the dense corner,
+the direct link off and on x {bcc, bsir, bstd}. The second covers the arrays
+of ``outcomes(cfg, 600, 5)`` at four configs (the defaults, the dense corner,
 static primary positions, the direct link) and fixed-seed draws of
 ``shot_noise_batch`` and ``clearance_batch``. The third covers the arrays of
 ``outcomes(cfg, trials, 5)`` at two configs whose one-trial block is larger
@@ -21,11 +20,11 @@ with and without a grid and with two workers, a two-worker ``sweep`` that
 fails at its second point (exit 3 after that point's ``bcc`` row, as bstd's
 tail rule gives up), and three usage errors. The fifth covers
 ``p_h_gil_pelaez`` at the 80 distinct (alpha, lambda_p, p_st_dbm) points of
-the first grid, with trunc_epsilon 1e12: the repr of each value, or the
-context of its ``QuadratureFailure``. The sixth covers ``alpha4_selfcheck``
-at the 64 alpha-4 points of the first grid, lambda_p x p_st_dbm x d_sd
-with trunc_epsilon 1e12, the same way: every closed-form and quadrature
-value it compares, not only those that print a warning. The seventh covers
+the first grid: the repr of each value, or the context of its
+``QuadratureFailure``. The sixth covers ``alpha4_selfcheck`` at the 64
+alpha-4 points of the first grid, lambda_p x p_st_dbm x d_sd, the same way:
+every closed-form and quadrature value it compares, not only those that
+print a warning. The seventh covers
 ``analyze`` in-process at every point of the first grid, the same way: the
 repr of each scheme's ``AnalyticBreakdown``, so that a factor's last bit
 shows, where the first line sees 9 digits. The script imports
@@ -75,7 +74,7 @@ OUTCOME_CONFIGS = {
 OVER_BUDGET_CONFIGS = {
     "r_max=400 lambda_sr=20": ({"alpha": 3.0, "r_max": 400.0, "lambda_sr": 20.0}, 3),
     "r_max=1000 static": ({"alpha": 3.0, "r_max": 1000.0, "lambda_sr": 5.0,
-                           "trunc_epsilon": 1e12, "slot_position_model": "static"}, 2),
+                           "slot_position_model": "static"}, 2),
 }
 _SWEEP = ["sweep", "--param", "p_st_dbm", "--from", "-5", "--to", "10", "--steps", "4",
           "--schemes", "bcc,bsir,bstd,random_baseline", "--trials", "300", "--seed", "3"]
@@ -91,8 +90,8 @@ CLI_ARGVS = (
     ["compare", "--scheme", "bstd", "--param", "p_st_dbm", "--values=-2,0,2",
      "--trials", "600", "--seed", "9", "--workers", "2"],
     ["sweep", "--param", "alpha", "--values=2.05,2.02", "--schemes",
-     "bcc,bstd,random_baseline", "--lambda_p", "1e-6", "--trunc_epsilon", "1e300",
-     "--trials", "5000", "--workers", "2"],
+     "bcc,bstd,random_baseline", "--lambda_p", "1e-6", "--trials", "5000",
+     "--workers", "2"],
     ["sweep", "--param", "alpha", "--values", "4,2", "--schemes", "bcc", "--trials", "10"],
     ["sweep", "--param", "p_st_dbm", "--values=0", "--schemes", "bcc,bcc", "--trials", "10"],
     ["compare", "--param", "p_st_dbm", "--values=a", "--scheme", "bcc", "--trials", "10"],
@@ -128,7 +127,7 @@ def analyze_digest():
     exits = {}
     for values in itertools.product(*GRID.values()):
         for scheme in SCHEMES:
-            argv = ["analyze", "--scheme", scheme, "--trunc_epsilon", "1e12"]
+            argv = ["analyze", "--scheme", scheme]
             for name, value in zip(GRID, values):
                 argv += [f"--{name}", value]
             code = _update_cli(digest, argv)
@@ -187,17 +186,16 @@ def _grid_digest(names, fixed, compute):
 
 
 def oracles_digest():
-    return _grid_digest(("alpha", "lambda_p", "p_st_dbm"), {"trunc_epsilon": 1e12},
-                        p_h_gil_pelaez)
+    return _grid_digest(("alpha", "lambda_p", "p_st_dbm"), {}, p_h_gil_pelaez)
 
 
 def selfcheck_digest():
-    return _grid_digest(("lambda_p", "p_st_dbm", "d_sd"),
-                        {"alpha": 4.0, "trunc_epsilon": 1e12}, alpha4_selfcheck)
+    return _grid_digest(("lambda_p", "p_st_dbm", "d_sd"), {"alpha": 4.0},
+                        alpha4_selfcheck)
 
 
 def breakdown_digest():
-    return _grid_digest(tuple(GRID), {"trunc_epsilon": 1e12},
+    return _grid_digest(tuple(GRID), {},
                         lambda cfg: [analyze(cfg, scheme) for scheme in SCHEMES])
 
 

@@ -42,8 +42,7 @@ CONFIGS = (
     ("baseline", {}, 200),
     ("lambda_sr=3", {"lambda_sr": 3.0}, 200),
     ("sim_dense", {"alpha": 3.0, "r_max": 400.0, "p_st_dbm": 5.0}, 16),
-    ("over_budget", {"alpha": 3.0, "r_max": 1000.0, "lambda_sr": 5.0,
-                     "trunc_epsilon": 1e12}, 2),
+    ("over_budget", {"alpha": 3.0, "r_max": 1000.0, "lambda_sr": 5.0}, 2),
 )
 WARMUP, CALLS = 3, 20
 

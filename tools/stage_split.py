@@ -14,9 +14,9 @@ call (block setup, random streams, joining a chunk's blocks, counting).
 
 Then the fixed cost of a one-trial block: the median time of
 ``_draw(cfg, gen, 1)`` over FIXED_CALLS streams, on a config with almost no
-points (``lambda_p`` 1e-6, ``lambda_sr`` 0.01, ``trunc_epsilon`` 1e300),
-where a block pays only for its calls and small arrays. The script imports
-ehrelay from the ``src`` directory next to it and exits 0.
+points (``lambda_p`` 1e-6, ``lambda_sr`` 0.01), where a block pays only for
+its calls and small arrays. The script imports ehrelay from the ``src``
+directory next to it and exits 0.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ CONFIGS = (
     ("sim_dense", {"alpha": 3.0, "r_max": 400.0, "p_st_dbm": 5.0}, 3_000),
 )
 ROUNDS = 3
-EMPTY = {"lambda_p": 1e-6, "lambda_sr": 0.01, "trunc_epsilon": 1e300}
+EMPTY = {"lambda_p": 1e-6, "lambda_sr": 0.01}
 FIXED_CALLS = 2_000
 
 
