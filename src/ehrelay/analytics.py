@@ -41,19 +41,15 @@ _START_NODES = 128
 _MAX_DOUBLINGS = 7
 
 
-_Nodes = namedtuple("_Nodes", "x w x1 w_pi s three_less_2s one_less_s circles")
+_Nodes = namedtuple("_Nodes", "x w x1 w_pi")
 
 
 @lru_cache(maxsize=32)
 def _leggauss(n: int) -> _Nodes:
-    """n Gauss-Legendre nodes x and weights w, with the config-free arithmetic
-    the rules below do on them, built once per n and read-only: x1 = x + 1,
-    w_pi = w / pi, s = (x + 1)/2, 3 - 2s, 1 - s, and the ring rule's (``_Rings``)
-    full-circle factors exp(2j + x + 1), one row per j = -_RING_PANELS..-1."""
+    """n Gauss-Legendre nodes x and weights w, with x1 = x + 1 and w_pi = w / pi,
+    which the rules below read, built once per n and read-only."""
     x, w = np.polynomial.legendre.leggauss(n)
-    s = 0.5 * (x + 1.0)
-    table = _Nodes(x, w, x + 1.0, w / math.pi, s, 3.0 - 2.0 * s, 1.0 - s,
-                   np.exp(np.add.outer(2.0 * np.arange(-_RING_PANELS, 0), x + 1.0)))
+    table = _Nodes(x, w, x + 1.0, w / math.pi)
     for array in table:
         array.flags.writeable = False
     return table
@@ -490,7 +486,7 @@ def xi_bstd(r, theta, cfg: SystemConfig, method: str = "closed"):
 
 
 _RING_PANELS = 10  # log-radius panels, each 2 wide, see _destination_rings
-# Disc geometries whose ring rules stay cached (see _ring_geometry).
+# Disc geometries whose ring rules stay cached (see _Rings).
 _RING_CACHE_SIZE = 16
 
 
@@ -500,22 +496,36 @@ class _Rings:
     radii ``rho``, arc weights ``arcs`` = rho * radial weight * half the arc's
     angle inside the disc, the ring rule's weights ``w`` and, built on first
     use, ``r_sq``, the squared distance from the transmitter to each ring node
-    (one row per rho, one column per ``w``). Every array is read-only."""
+    (one row per rho, one column per ``w``). Every array is read-only.
+
+    ``_ring_geometry`` builds one per disc geometry and node count, with the
+    maps of its nodes that no other rule reads: the arc piece's s = (x + 1)/2
+    and the full circles' exp(2j + x + 1), j = -_RING_PANELS..-1. They read
+    no density, power or threshold, so every config of a sweep over anything
+    but d_sd and r_disc shares them. At most _RING_CACHE_SIZE = 16 stay
+    cached; a settling bstd ``analyze`` uses four, two levels each of
+    ``chi_common`` and ``chi_integral``. ``r_sq`` is the large part, and only
+    ``chi_common`` reads it: with the destination inside the disc it holds
+    (n/2 + 10*n/4) * n/4 floats: 0.9 MB at 384 nodes and 3.5 MB at its last
+    level of 768, so at most 57 MB if all 16 entries held that level. It is
+    built on first use because ``chi_integral``'s ladder runs to 4,096
+    nodes, where it would take 100 MB.
+    """
 
     def __init__(self, d: float, radius: float, n: int):
         lo, hi = abs(d - radius), d + radius
         arc, ring = _leggauss(n // 2), _leggauss(n // 4)
-        s = arc.s
-        rho = lo + (hi - lo) * s * s * arc.three_less_2s
-        step = 3.0 * (hi - lo) * s * arc.one_less_s * arc.w
+        s = 0.5 * arc.x1
+        rho = lo + (hi - lo) * s * s * (3.0 - 2.0 * s)
+        step = 3.0 * (hi - lo) * s * (1.0 - s) * arc.w
         if d < radius:
-            circles = lo * ring.circles
+            circles = lo * np.exp(np.add.outer(2.0 * np.arange(-_RING_PANELS, 0), ring.x1))
             rho = np.concatenate([rho, circles.ravel()])
             step = np.concatenate([step, (circles * ring.w).ravel()])
         cos_edge = (d * d + rho * rho - radius * radius) / (2.0 * d * rho)
         np.minimum(cos_edge, 1.0, out=cos_edge)
         half_angle = np.arccos(np.maximum(cos_edge, -1.0, out=cos_edge))
-        self._d, self._half_angle, self._s = d, half_angle, ring.s
+        self._d, self._half_angle, self._s = d, half_angle, 0.5 * ring.x1
         self.rho, self.arcs, self.w = rho, rho * step * half_angle, ring.w
         for array in (rho, half_angle, self.arcs):
             array.flags.writeable = False
@@ -529,21 +539,7 @@ class _Rings:
         return r_sq
 
 
-@lru_cache(maxsize=_RING_CACHE_SIZE)
-def _ring_geometry(d_sd: float, r_disc: float, n: int) -> _Rings:
-    """The ``_Rings`` of one disc geometry and node count, built once.
-
-    They read no density, power or threshold, so every config of a sweep over
-    anything but d_sd and r_disc shares them. At most _RING_CACHE_SIZE = 16
-    stay cached; a settling bstd ``analyze`` uses four, two levels each of
-    ``chi_common`` and ``chi_integral``. ``r_sq`` is the large part, and only
-    ``chi_common`` reads it: with the destination inside the disc it holds
-    (n/2 + 10*n/4) * n/4 floats: 0.9 MB at 384 nodes and 3.5 MB at its last
-    level of 768, so at most 57 MB if all 16 entries held that level. It is
-    built on first use because ``chi_integral``'s ladder runs to 4,096
-    nodes, where it would take 100 MB.
-    """
-    return _Rings(d_sd, r_disc, n)
+_ring_geometry = lru_cache(maxsize=_RING_CACHE_SIZE)(_Rings)
 
 
 def _destination_rings(cfg: SystemConfig, n: int, q: float):
@@ -552,27 +548,25 @@ def _destination_rings(cfg: SystemConfig, n: int, q: float):
     sum(weights * h(rho)) approximates intint_disc exp(-q*r^2) * h(f) dA, r and
     f the distances from the transmitter and the destination: a weight is rho
     times its radial weight times exp(-q*r^2) over the arc of radius rho inside
-    the disc (the arc's angle at q = 0). The arc piece takes n/2 Gauss-Legendre
-    nodes, mapped by rho = a + (b - a)*(3s^2 - 2s^3) to smooth its square-root
-    ends, each arc n/4, and full circles (destination inside the disc) n/4 per
-    log-radius panel; the disc they leave out holds under e^-40 of the disc.
-    Everything but exp(-q*r^2) comes from ``_ring_geometry``; rho is its
-    read-only array, the weights a fresh one.
+    the disc. The arc piece takes n/2 Gauss-Legendre nodes, mapped by
+    rho = a + (b - a)*(3s^2 - 2s^3) to smooth its square-root ends, each arc
+    n/4, and full circles (destination inside the disc) n/4 per log-radius
+    panel; the disc they leave out holds under e^-40 of the disc. Everything
+    but exp(-q*r^2) comes from ``_ring_geometry``; rho is its read-only array,
+    the weights a fresh one.
     """
     rings = _ring_geometry(cfg.d_sd, cfg.r_disc, n)
-    if q == 0.0:
-        return rings.rho, 2.0 * rings.arcs
     return rings.rho, rings.arcs * (np.exp(-q * rings.r_sq) @ rings.w)
 
 
 def chi_integral(cfg: SystemConfig) -> float:
-    """intint xi(r, theta)*r dr dtheta over the relay disc: exp(-q*rho^2)
-    summed over ``_destination_rings`` with arc angles (q = 0) as weights."""
+    """intint xi(r, theta)*r dr dtheta over the relay disc: exp(-q*rho^2) at the
+    ``_ring_geometry`` radii, weighted by their arcs' whole angles."""
     q = _decode_rate(cfg)
 
     def evaluate(n: int) -> float:
-        rho, arcs = _destination_rings(cfg, n, 0.0)
-        return float(arcs @ np.exp(-q * rho * rho))
+        rings = _ring_geometry(cfg.d_sd, cfg.r_disc, n)
+        return float((2.0 * rings.arcs) @ np.exp(-q * rings.rho * rings.rho))
 
     return _settle(evaluate, _START_NODES // 4, _MAX_DOUBLINGS, "chi double integral")
 

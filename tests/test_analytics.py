@@ -253,6 +253,32 @@ def test_stable_tail_rule_matches_plane_field_sampler(alpha):
         assert np.all(np.abs(_z_scores(sampled, exact)) <= 5.0), n
 
 
+def _pollard_tail(x, beta):
+    """P(S > x) of the standard positive-stable S of index beta < 1 from its
+    convergent series (Pollard 1946; Feller vol. II, XVII.6):
+    (1/pi) sum_{n>=1} (-1)^(n+1) Gamma(n*beta)/n! * sin(n*pi*beta) * x^(-n*beta).
+    The sum stops on a term's size without its sine, which vanishes at some n
+    (n = 3 for beta = 2/3), where a stop on the signed term would quit early."""
+    total = 0.0
+    for n in range(1, 1000):
+        size = math.exp(math.lgamma(n * beta) - math.lgamma(n + 1.0) - n * beta * math.log(x))
+        total += (-1) ** (n + 1) * size * math.sin(n * math.pi * beta)
+        if size <= 1e-18 * abs(total):
+            return total / math.pi
+    raise AssertionError(f"series at x={x}, beta={beta} did not converge")
+
+
+@pytest.mark.parametrize("x", [1.5, 3.0, 10.0, 1000.0])
+@pytest.mark.parametrize("alpha", [3.0, 2.5, 2.1, 2.02])
+def test_stable_tail_rule_matches_pollard_series(alpha, x):
+    # From x = 1.5 up each term is at most about x^(-n*beta)/n, so the series
+    # is an oracle to full precision, also as alpha nears 2.
+    beta = 2.0 / alpha
+    log_t = -beta / (1.0 - beta) * math.log(x)
+    tail = an._stable_tail_rule(log_t, log_t, beta)
+    assert tail(log_t, 256) == pytest.approx(_pollard_tail(x, beta), rel=1e-12)
+
+
 # Valid configs on which the oscillatory inversion stalls; analyze reads the
 # harvest probability from Kanter's phi-integral instead.
 DEEP_TAIL_CONFIGS = [
@@ -721,6 +747,11 @@ def test_destination_rings_cover_the_disc(alpha, r_max, d_sd):
 
 
 def _ring_bits(cfg, n, q):
+    """The bytes of the radii and weights that chi_integral (q = 0: twice the
+    cached arcs) or chi_common (``_destination_rings`` at q) reads."""
+    if q == 0.0:
+        rings = an._ring_geometry(cfg.d_sd, cfg.r_disc, n)
+        return rings.rho.tobytes(), (2.0 * rings.arcs).tobytes()
     return tuple(a.tobytes() for a in an._destination_rings(cfg, n, q))
 
 
@@ -765,9 +796,9 @@ def test_ring_cache_is_read_only_and_returns_fresh_weights(fresh_rings):
     kept = weights.copy()
     weights[:] = 0.0
     assert _ring_bits(cfg, 96, q) == (rho.tobytes(), kept.tobytes())
-    _, arcs = an._destination_rings(cfg, 96, 0.0)
+    arcs = 2.0 * rings.arcs
     arcs[:] = 0.0
-    assert np.all(an._destination_rings(cfg, 96, 0.0)[1] > 0.0)
+    assert np.all(2.0 * an._ring_geometry(cfg.d_sd, cfg.r_disc, 96).arcs > 0.0)
 
 
 def test_ring_cache_stays_bounded_over_a_d_sd_sweep(fresh_rings):

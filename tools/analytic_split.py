@@ -6,15 +6,18 @@ Run it from anywhere:
 
 It runs over the ``analyze`` grid of the benchmark: ``configs/baseline.cfg``
 with alpha in {3.5, 4, 5}, ``lambda_p`` in geomspace(3e-3, 3e-2, 3) and
-``p_st_dbm`` in {0, 5, 10}, less the configs ``validate`` rejects (one, so 26
-of 27). The first call of the process, ``analyze`` bstd on the first config,
+``p_st_dbm`` in {0, 5, 10}, less any config ``validate`` rejects (none: all
+27 run). The first call of the process, ``analyze`` bstd on the first config,
 is timed apart: it builds every node table and ring rule it reads. Then
 ``p_h_kanter``, ``chi_common``, ``chi_integral``, ``alpha4_selfcheck`` and
 ``analyze`` per scheme each run once per config, in turn, for ROUNDS passes
 over the grid, so a stretch of load on the machine falls on every factor
 alike. The tool prints each one's median and 90th percentile ms per call,
 with the number of calls and of calls that raised ``QuadratureFailure``
-(timed like the rest).
+(timed like the rest). Last it prints the ring-rule cache's counts
+(``analytics._ring_geometry.cache_info()``): every config shares one disc
+geometry, so each ring rule is built once per node count (the misses) and
+read from the cache after that (the hits).
 The harvest probability, the two chi integrals and the self-check are what
 ``analyze`` spends its time on; bcc and bsir run no chi. The script imports
 ehrelay from the ``src`` directory next to it and exits 0.
@@ -95,6 +98,9 @@ def main() -> int:
         p90 = statistics.quantiles(samples, n=10)[-1]
         print(f"{name:17s} median {statistics.median(samples):8.3f} ms  p90 {p90:8.3f} ms  "
               f"calls {len(samples):4d}  failed {failures[name]:4d}")
+    info = analytics._ring_geometry.cache_info()
+    print(f"ring rules: built {info.misses}, read from the cache {info.hits}, "
+          f"held {info.currsize} of {info.maxsize}")
     return 0
 
 
