@@ -443,16 +443,14 @@ def _guarded(cfg: SystemConfig, mean: float) -> float:
 
 def psi31_bound(cfg: SystemConfig, method: str = "closed") -> float:
     """Chance the best composite-channel relay fails to decode hop one:
-    ``_all_fail`` of the disc mean kernel, the very computation of ``omega1``."""
+    ``_all_fail`` of the disc mean kernel."""
     return _all_fail(cfg, _disc_mean_kernel(cfg, method))
 
 
-def omega1(cfg: SystemConfig, method: str = "closed") -> float:
-    """Chance that every relay's instantaneous first-hop SIR is below
-    threshold; the best-SIR and composite-channel rules coincide under one
-    secondary transmit power, so this is ``psi31_bound``'s computation, its
-    quadrature oracle included."""
-    return _all_fail(cfg, _disc_mean_kernel(cfg, method))
+# omega1, the chance that every relay's first-hop SIR is below threshold: the
+# best-SIR and composite-channel rules coincide under one secondary transmit
+# power, so it is psi31_bound, its quadrature oracle included.
+omega1 = psi31_bound
 
 
 def psi4_far_field(cfg: SystemConfig, method: str = "closed") -> float:
@@ -767,8 +765,7 @@ def analyze(cfg: SystemConfig, scheme: str) -> AnalyticBreakdown:
 
     bcc and bsir share one relay branch: the composite-channel and best-SIR
     rules coincide under a single secondary transmit power. The hop-one
-    all-fail chance is ``psi31_bound`` (bcc) or ``omega1`` (bsir), one
-    computation down to its quadrature oracle's failure context, and the
+    all-fail chance is ``psi31_bound``, which ``omega1`` names too, and the
     selected relay forwards over the far-field hop ``psi4_far_field``. bcc
     reports them as psi31, psi3 = 1 - psi31 and psi4; bsir as omega1, omega
     and phi. Without the direct link p_dsucc_sd = psi3 * psi4 * guard_st *
@@ -814,7 +811,7 @@ def analyze(cfg: SystemConfig, scheme: str) -> AnalyticBreakdown:
         b.chi_indep = chi_bstd(cfg, delta=b.delta)
         relayed = 1.0 - b.chi  # success through relays, before guard_sr
     else:
-        all_fail = psi31_bound(cfg) if scheme == "bcc" else omega1(cfg)
+        all_fail = psi31_bound(cfg)
         hop1 = 1.0 - all_fail
         if scheme == "bcc":
             b.psi31, b.psi3, b.psi4 = all_fail, hop1, phi

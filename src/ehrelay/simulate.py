@@ -34,16 +34,17 @@ results are bit-identical for any ``workers``. The draw order inside a block
 does not depend on the scheme or on ``direct_link``, so runs that
 differ only in those see the same networks.
 
-Workers: a call sends every share of blocks but the last down the duplex
-pipe of a persistent worker process, then runs the last share, the lightest
-as it holds the short block, in the calling thread, so no helper thread
-competes with the kernel. Between the two, a private caller may run a step
-of its own (the CLI computes a grid pass's analytic cells there), which
-the workers' shares hide. A worker ends at EOF. The
-first block in each process, caller or worker, sets glibc's top pad to
-HEAP_TOP_PAD, never reversed: the heap pages a block frees stay resident for
-the next block instead of being trimmed and faulted in again. Without glibc
-it is a no-op; it changes no number.
+Workers: a run's plan is a range of block starts and each share a range of
+its own, so nothing per block is built or crosses a pipe. A call sends every
+share but the last down the duplex pipe of a persistent worker process, then
+runs the last share, the lightest as it holds the short block, in the
+calling thread, so no helper thread competes with the kernel. Between the
+two, a private caller may run a step of its own (the CLI computes a grid
+pass's analytic cells there), which the workers' shares hide. A worker ends
+at EOF. The first block in each process, caller or worker, sets glibc's top
+pad to HEAP_TOP_PAD, never reversed: the heap pages a block frees stay
+resident for the next block instead of being trimmed and faulted in again.
+Without glibc it is a no-op; it changes no number.
 
 Slot structure per trial: two harvesting contributions (the dedicated slot
 plus the opportunistically reused forwarding slot), then the
@@ -455,12 +456,12 @@ def _concat(parts):
                              for f in dataclasses.fields(parts[0])})
 
 
-def _blocks(cfg: SystemConfig, trials: int):
-    """(block index, trials in it) covering ``trials`` trials."""
+def _blocks(cfg: SystemConfig, trials: int) -> range:
+    """A run's plan, the first trial of each block. In any plan, the block
+    at trial s is block s // step and holds min(step, stop - s) trials."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    size = trials_per_block(cfg)
-    return [(b, min(size, trials - b * size)) for b in range(-(-trials // size))]
+    return range(0, trials, trials_per_block(cfg))
 
 
 @functools.cache   # once per process; a forked child inherits the setting
@@ -473,13 +474,14 @@ def _pad_heap() -> None:
 
 
 def _chunks(cfg: SystemConfig, seed: int, blocks):
-    """The draws of ``blocks``, joined per chunk: consecutive blocks whose
-    draws take at most ELEMENT_BUDGET elements in ``_decide``, or one larger
-    block."""
+    """The draws of the plan ``blocks``, joined per chunk: consecutive blocks
+    whose draws take at most ELEMENT_BUDGET elements in ``_decide``, or one
+    larger block."""
     _pad_heap()
     chunk, elements = [], 0
-    for block, n in blocks:
-        draws = _draw(cfg, RngStream(seed, block).generator(), n)
+    for start in blocks:
+        n = min(blocks.step, blocks.stop - start)
+        draws = _draw(cfg, RngStream(seed, start // blocks.step).generator(), n)
         # An allowance per trial and per relay, and the relay x receiver pairs.
         size = (_PER_TRIAL_ELEMENTS * (n + draws.relay_x.size)
                 + int(np.dot(draws.relay_counts, draws.receiver_counts)))
@@ -590,18 +592,18 @@ def _pooled_counts(cfgs, seed: int, tasks, step) -> np.ndarray:
 def simulate_all(cfg: SystemConfig, trials: int, seed: int, workers: int = 1) -> dict:
     """Every scheme's estimate and flag frequencies from one pass.
 
-    Returns {scheme: SimulationResult} over the same realizations. Counting
-    is integer-exact per block, and each block owns stream (seed, block), so
-    the result is bit-identical for any worker count. With more than one
-    worker and block, the blocks are split into one contiguous share per
-    worker, at most one per block; the worker set runs every share but the
-    last, this process the last one, and it re-raises what a worker raised,
-    chained to the worker's traceback. The set is built on first use and
-    reused by later calls (and every pass of a sweep); it is replaced
-    when a call needs another size or an idle worker died, dropped when one
-    dies during a call (``BrokenProcessPool``), rebuilt in a forked child and
-    ended at exit. A config that ``require_drawable`` refuses raises its
-    error before any draw.
+    Returns {scheme: SimulationResult} over the same realizations. Counting is
+    integer-exact per block, and each block owns stream (seed, block), so the
+    result is bit-identical for any worker count. The blocks are split into one
+    contiguous share per worker, at most one per block, each its own range of
+    block starts. With more than one share, the worker set runs every share but
+    the last, this process the last one, and it re-raises what a worker raised,
+    chained to the worker's traceback. The set is built on first use and reused
+    by later calls (and every pass of a sweep); it is replaced when a call
+    needs another size or an idle worker died, dropped when one dies during a
+    call (``BrokenProcessPool``), rebuilt in a forked child and ended at exit.
+    A config that ``require_drawable`` refuses raises its error before any
+    draw.
     """
     return _simulate_all([cfg], trials, seed, workers)[0]
 
@@ -611,21 +613,21 @@ def _simulate_all(cfgs, trials: int, seed: int, workers: int = 1,
     """``simulate_all`` of each config in ``cfgs``, all from one pass (the
     grid runner, module docstring), so they must share their
     ``_DRAW_FIELDS`` values. ``step()`` runs in this process before its own
-    share of blocks: after the workers' shares are sent when it has any,
-    first otherwise. An exception ``step`` raises ends the call, so a caller
-    that wants the counts first holds its own."""
+    share of blocks: after the workers' shares are sent when there are two
+    or more, first otherwise. An exception ``step`` raises ends the call, so
+    a caller that wants the counts first holds its own."""
     for cfg in cfgs:
         require_drawable(cfg)
     if len({_draw_key(cfg) for cfg in cfgs}) != 1:
         raise ValueError(f"the configs of one pass must share {_DRAW_FIELDS}")
     blocks = _blocks(cfgs[0], trials)
-
-    if workers <= 1 or len(blocks) == 1:
+    span = -(-len(blocks) // max(workers, 1)) * blocks.step   # trials per share
+    # Each share is a plan of its own; a slice of ``blocks`` may stop past ``trials``.
+    tasks = [range(lo, min(lo + span, trials), blocks.step) for lo in range(0, trials, span)]
+    if len(tasks) == 1:
         step()
-        counts = _count_blocks(cfgs, seed, blocks)
+        counts = _count_blocks(cfgs, seed, tasks[0])
     else:
-        per_task = -(-len(blocks) // workers)
-        tasks = [blocks[i:i + per_task] for i in range(0, len(blocks), per_task)]
         counts = _pooled_counts(cfgs, seed, tasks, step)
 
     results = [{} for _ in cfgs]

@@ -18,6 +18,8 @@ from ehrelay.cli import main
 from ehrelay.config import NUMERIC_FIELDS, SystemConfig, validate
 from ehrelay.simulate import simulate_all, trials_per_block
 
+from conftest import block_pairs
+
 sim_mod = importlib.import_module("ehrelay.simulate")
 
 
@@ -421,7 +423,7 @@ def test_decision_field_grid_draws_once_at_any_trial_count(baseline, tmp_path, m
     drawn = _sweep_drawing(args + [f"--values={values}", "--workers", "1"],
                            monkeypatch, grid)
     assert read(grid) == expected
-    assert drawn == [n for _, n in sim_mod._blocks(baseline, 6000)]
+    assert drawn == [n for _, n in block_pairs(sim_mod._blocks(baseline, 6000))]
 
 
 def test_draw_field_grid_draws_once_per_point(baseline, tmp_path, monkeypatch):
@@ -434,7 +436,7 @@ def test_draw_field_grid_draws_once_per_point(baseline, tmp_path, monkeypatch):
     drawn = _sweep_drawing(args + [f"--values={values}", "--workers", "1"],
                            monkeypatch, grid)
     assert read(grid) == expected
-    assert drawn == 3 * [n for _, n in sim_mod._blocks(baseline, 600)]
+    assert drawn == 3 * [n for _, n in block_pairs(sim_mod._blocks(baseline, 600))]
 
 
 @pytest.mark.parametrize("param, values, kept", [("p_st_dbm", "-4,0,3", 0),
@@ -724,11 +726,11 @@ def test_pooled_point_analyzes_between_sending_and_its_own_share(baseline,
     real_send, real_count, real_analyze = conn.send, sim_mod._count_blocks, cli.analyze
 
     def send(task):
-        events.append(("send", task[2]))
+        events.append(("send", block_pairs(task[2])))
         real_send(task)
 
     def count_blocks(cfgs, seed, blocks):
-        events.append(("count", blocks))
+        events.append(("count", block_pairs(blocks)))
         return real_count(cfgs, seed, blocks)
 
     def analyze(cfg, scheme):

@@ -11,6 +11,7 @@ import math
 import multiprocessing
 import os
 import pathlib
+import pickle
 import platform
 import re
 import signal
@@ -34,6 +35,8 @@ from ehrelay.simulate import (ELEMENT_BUDGET, FLAG_NAMES, SCHEMES, TRIAL_ELEMENT
                               harvested_energy, outcomes, run_realization,
                               select_relay, simulate, simulate_all, trial_elements,
                               trials_per_block, wilson_interval)
+
+from conftest import block_pairs
 
 sim_mod = importlib.import_module("ehrelay.simulate")
 
@@ -604,6 +607,68 @@ def test_trials_per_block_within_element_budget(baseline, overrides):
 DENSE = {"alpha": 3.0, "r_max": 400.0, "p_st_dbm": 5.0}
 
 
+def _record_shares(monkeypatch):
+    """A list that collects the share of blocks each ``_count_blocks`` call
+    and each worker would read from now on; nothing is drawn, no worker
+    starts and every count is zero."""
+    shares = []
+
+    def zero(cfgs):
+        return np.zeros((len(cfgs), len(SCHEMES), len(FLAG_NAMES)), dtype=np.int64)
+
+    monkeypatch.setattr(sim_mod, "_count_blocks",
+                        lambda cfgs, seed, blocks: shares.append(blocks) or zero(cfgs))
+    monkeypatch.setattr(sim_mod, "_pooled_counts",
+                        lambda cfgs, seed, tasks, step: shares.extend(tasks) or zero(cfgs))
+    return shares
+
+
+@pytest.mark.parametrize("overrides", [{}, DENSE, {"lambda_sr": 20.0}],
+                         ids=["baseline", "dense", "lambda_sr20"])
+def test_shares_read_the_blocks_of_a_list_plan(baseline, monkeypatch, overrides):
+    # Each share reads the (block, trials) pairs of a plan listed one pair a
+    # block, split into contiguous shares of ceil(blocks / workers) pairs,
+    # the last share the lightest.
+    cfg = validate(dataclasses.replace(baseline, **overrides))
+    size = trials_per_block(cfg)
+    shares = _record_shares(monkeypatch)
+    for trials in [*range(1, 401), 999, 1000, 1001, 30_000, 30_001]:
+        pairs = [(b, min(size, trials - b * size)) for b in range(-(-trials // size))]
+        for workers in (1, 2, 3, 8, 10 ** 6):
+            shares.clear()
+            simulate_all(cfg, trials, seed=345, workers=workers)
+            read = [block_pairs(share) for share in shares]
+            per = -(-len(pairs) // workers)
+            assert read == [pairs[i:i + per] for i in range(0, len(pairs), per)], (trials,
+                                                                                  workers)
+            assert [pair for share in read for pair in share] == pairs
+            loads = [sum(n for _, n in share) for share in read]
+            assert loads[-1] == min(loads)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_plan_does_not_grow_with_the_trial_count(baseline, monkeypatch, workers):
+    # 10^6 dense trials are 10^6 blocks of one trial. Planning them and
+    # handing out the shares holds a few small objects: a plan of one
+    # (block, trials) pair a block peaked at 96 MB traced and pickled to
+    # 4.4 MB a share. Kept at 10^6: at a far larger count, such a plan would
+    # exhaust the memory instead of failing this test.
+    cfg = validate(dataclasses.replace(baseline, **DENSE))
+    assert trials_per_block(cfg) == 1
+    shares = _record_shares(monkeypatch)
+    simulate_all(cfg, 10, seed=346, workers=workers)   # first-call costs, untraced
+    shares.clear()
+    tracemalloc.start()
+    try:
+        simulate_all(cfg, 10 ** 6, seed=346, workers=workers)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10
+    assert len(shares) == workers
+    assert all(len(pickle.dumps(share)) < 256 for share in shares)
+
+
 @pytest.mark.parametrize("overrides, trials, budget", [
     ({}, 1000, None),
     ({"lambda_sr": 20.0}, 1000, None),
@@ -627,7 +692,7 @@ def test_chunks_keep_outcomes_bit_identical(baseline, monkeypatch, overrides,
     out = outcomes(cfg, trials, seed=333)
     blocks = sim_mod._blocks(cfg, trials)
     assert 1 < len(decided) < len(blocks)
-    parts = [run_realization(cfg, RngStream(333, b), n) for b, n in blocks]
+    parts = [run_realization(cfg, RngStream(333, b), n) for b, n in block_pairs(blocks)]
     for field in dataclasses.fields(out):
         joined = np.concatenate([getattr(p, field.name) for p in parts], axis=-1)
         assert np.array_equal(getattr(out, field.name), joined), field.name
@@ -863,7 +928,7 @@ def test_runner_draws_each_block_once_for_a_group(baseline, monkeypatch):
     alone = [simulate_all(cfg, 600, seed=337) for cfg in cfgs]
     drawn = _count_draws(monkeypatch)
     assert sim_mod._simulate_all(cfgs, 600, seed=337) == alone
-    assert drawn == [n for _, n in sim_mod._blocks(baseline, 600)]
+    assert drawn == [n for _, n in block_pairs(sim_mod._blocks(baseline, 600))]
 
 
 # ---------------------------------------------------------------------------
@@ -875,7 +940,7 @@ def test_four_schemes_of_one_seed_cost_one_pass(baseline, monkeypatch):
     drawn = _count_draws(monkeypatch)
     rows = [simulate(baseline, scheme, 600, seed=338) for scheme in SCHEMES]
     assert rows == [every[scheme] for scheme in SCHEMES]
-    assert drawn == [n for _, n in sim_mod._blocks(baseline, 600)]
+    assert drawn == [n for _, n in block_pairs(sim_mod._blocks(baseline, 600))]
 
 
 def test_second_call_for_a_scheme_draws_again(baseline, monkeypatch):
